@@ -9,7 +9,7 @@ strict n-category monad.  A brute-force closure over binary composites
 and identities independently reproduces the same cells.
 """
 
-from distlaw import (StringCell, apply_ti, brute_force_oracle,
+from distlaw import (CompositionMonad, StringCell, brute_force_oracle,
                      check_interchange, free_ncat, globular_set_from_names,
                      interchange_law, padded_transpose_candidate)
 from distlaw.errors import RaggedGrid
@@ -28,7 +28,7 @@ G = globular_set_from_names(
      {"a1": "g1", "a2": "h1", "c1": "q1", "c2": "q2"}])
 
 print("free horizontal composition only (dimension 0):")
-print("  1-cells:", [str(c) for c in apply_ti(G, 0, 2).cells_at(1)])
+print("  1-cells:", [str(c) for c in CompositionMonad(0, 2).apply(G, 2).cells_at(1)])
 
 cells = {c.name: c for c in G.cells_at(2)}
 row = lambda *names: StringCell(0, 2, tuple(cells[n] for n in names))

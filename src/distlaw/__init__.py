@@ -17,12 +17,11 @@ from .errors import (BoundTooLarge, ComposabilityError, DimensionError,
                      UnknownGenerator, UnsupportedNode)
 from .expr import parse_expr
 from .globular import (CompositionMonad, GenCell, GlobularSet, StringCell,
-                       apply_ti, boundary, brute_force_oracle,
-                       check_globular_distlaw, check_globular_monad_laws,
+                       boundary, brute_force_oracle, check_globular_distlaw,
                        check_globular_yang_baxter, check_interchange,
-                       free_ncat, globular_set_from_names, identity_cell,
-                       interchange_law, load_gset, padded_transpose_candidate,
-                       ti_mult, ti_unit, validate_globular)
+                       composition_series, free_ncat, globular_set_from_names,
+                       identity_cell, interchange_law, load_gset,
+                       padded_transpose_candidate, validate_globular)
 from .laws import REGISTERED_LAWS, DistLaw
 from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                      FREE_COMM_MONOID, FREE_COMM_SEMIGROUP, FREE_MONOID,

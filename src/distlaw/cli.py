@@ -30,9 +30,13 @@ class UsageError(Exception):
 
 
 def _carrier(args):
-    if getattr(args, "names", None):
-        return Carrier(tuple(n.strip() for n in args.names.split(",") if n.strip()))
-    return Carrier.of_size(args.generators)
+    if args.names:
+        names = [n.strip() for n in args.names.split(",") if n.strip()]
+    else:
+        names = Carrier.of_size(max(args.generators, 0)).names
+    if not names or len(set(names)) != len(names):
+        raise UsageError(f"the carrier needs one or more distinct generator names, got {list(names)}")
+    return Carrier(names)
 
 
 def _series(name):
@@ -242,6 +246,8 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if getattr(args, "bound", 0) < 0:
+            raise UsageError(f"--bound must be non-negative, got {args.bound}")
         ok = COMMANDS[args.command](args, out)
     except (UsageError, FileFormatError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)

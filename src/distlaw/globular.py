@@ -16,14 +16,20 @@ cells, including one empty string per ``i``-cell.  Composing these
 monads innermost-first over descending dimensions yields free strict
 n-categories; the law that lets adjacent layers swap is interchange,
 implemented as transposition of the rectangular grids that boundary
-matching forces.
+matching forces.  The composition monads are ``MonadSpec``s whose
+carriers are globular sets, so ``composition_series`` is an ordinary
+distributive series and the checkers of ``series`` apply to cells
+unchanged.
 """
 
 import json
 
-from .checks import CheckReport, Witness, compare, merge_reports
+from .checks import CheckReport, Witness, merge_reports
 from .errors import (BoundTooLarge, ComposabilityError, DimensionError,
                      FileFormatError, IndexOrder, ShapeMismatch, RaggedGrid)
+from .laws import DistLaw
+from .monads import MonadSpec
+from .series import DistributiveSeries, check_distlaw, check_yang_baxter
 
 CELL_CEILING = 10 ** 6
 
@@ -166,7 +172,7 @@ class GlobularSet:
     def cells_at(self, m):
         return self.cells[m]
 
-    def all_cells(self):
+    def __iter__(self):
         for layer in self.cells:
             yield from layer
 
@@ -250,11 +256,20 @@ def load_gset(source):
     return globular_set_from_names(n, data["cells"], data["src"], data["tgt"])
 
 
-class CompositionMonad:
-    """The monad composing cells freely along one fixed dimension."""
+class CompositionMonad(MonadSpec):
+    """The monad composing cells freely along dimension ``i`` of n-globular sets.
 
-    def __init__(self, i):
+    Its carriers are n-globular sets, given as a ``GlobularSet`` or as
+    any iterable of cells of dimension at most ``n``.  ``n`` is part of
+    the monad: a flat cell list cannot tell an empty top layer from a
+    missing one.
+    """
+
+    def __init__(self, i, n):
+        if not 0 <= i < n:
+            raise DimensionError(f"composition dimension {i} must be in 0..{n - 1}")
         self.i = i
+        self.n = n
         self.name = f"compose-along-{i}"
 
     def unit(self, cell):
@@ -298,41 +313,38 @@ class CompositionMonad:
             return StringCell(self.i, cell.dim, (), f(cell.anchor))
         return StringCell(self.i, cell.dim, tuple(f(e) for e in cell.entries))
 
-    def apply(self, gset, bound):
-        """All strings of length up to ``bound``, every dimension above ``i``."""
+    def _strings(self, layers, bound, ceiling):
+        """Layer by layer: all strings of length up to ``bound`` above ``i``."""
         i = self.i
-        layers = [gset.cells_at(m) for m in range(0, min(i, gset.n) + 1)]
-        for m in range(i + 1, gset.n + 1):
-            cells = [StringCell(i, m, (), a) for a in gset.cells_at(i)]
-            members = gset.cells_at(m)
-            frontier = [(c,) for c in members]
+        out = list(layers[:i + 1])
+        for m in range(i + 1, self.n + 1):
+            cells = [StringCell(i, m, (), a) for a in layers[i]]
+            starting_at = {}
+            for c in layers[m]:
+                starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
+            frontier = [(c,) for c in layers[m]]
             cells.extend(StringCell(i, m, chain) for chain in frontier)
             for _ in range(bound - 1):
-                extended = []
-                for chain in frontier:
-                    tail = boundary_to(chain[-1], "tgt", i)
-                    for c in members:
-                        if boundary_to(c, "src", i) == tail:
-                            extended.append(chain + (c,))
-                cells.extend(StringCell(i, m, chain) for chain in extended)
-                _guard_cells(len(cells))
-                frontier = extended
-            layers.append(cells)
-        return GlobularSet(gset.n, layers)
+                frontier = [chain + (c,) for chain in frontier
+                            for c in starting_at.get(boundary_to(chain[-1], "tgt", i), ())]
+                cells.extend(StringCell(i, m, chain) for chain in frontier)
+                _guard_cells(len(cells), ceiling)
+            out.append(cells)
+        return out
 
+    def enumerate(self, domain, bound, ceiling=None):
+        layers = [[] for _ in range(self.n + 1)]
+        for cell in domain:
+            if cell.dim > self.n:
+                raise DimensionError(f"{cell} lies above dimension {self.n} of {self.name}")
+            layers[cell.dim].append(cell)
+        return [c for layer in self._strings(layers, bound, ceiling) for c in layer]
 
-def apply_ti(gset, i, bound):
-    if not 0 <= i <= gset.n - 1:
-        raise DimensionError(f"composition dimension {i} must be in 0..{gset.n - 1}")
-    return CompositionMonad(i).apply(gset, bound)
-
-
-def ti_unit(cell, i):
-    return CompositionMonad(i).unit(cell)
-
-
-def ti_mult(cell, i):
-    return CompositionMonad(i).mult(cell)
+    def apply(self, gset, bound):
+        """The same enumeration, kept as a ``GlobularSet``."""
+        if gset.n != self.n:
+            raise DimensionError(f"{self.name} acts on {self.n}-globular sets, not {gset.n}")
+        return GlobularSet(self.n, self._strings(gset.cells, bound, None))
 
 
 def interchange_law(cell, i, j):
@@ -437,7 +449,7 @@ def free_ncat(gset, bound):
         raise ShapeMismatch(f"input is not globular at {bad!r}")
     out = gset
     for i in range(gset.n - 1, -1, -1):
-        out = CompositionMonad(i).apply(out, bound)
+        out = CompositionMonad(i, gset.n).apply(out, bound)
     return out
 
 
@@ -525,72 +537,32 @@ def brute_force_oracle(gset, bound):
     return [len(members[m]) for m in range(gset.n + 1)]
 
 
-def _all_cells(gset):
-    return list(gset.all_cells())
+def composition_series(n):
+    """The composition monads of n-globular sets, dimension d at position d+1.
 
-
-def check_globular_monad_laws(i, gset, bound):
-    """Unit and associativity of composition along ``i``, cellwise."""
-    T = CompositionMonad(i)
-    level1 = _all_cells(T.apply(gset, bound))
-    level3 = _all_cells(T.apply(T.apply(T.apply(gset, bound), bound), bound))
-    return merge_reports(f"globular-monad[{i}]", [
-        compare(f"globular-monad[{i}]:unit-left", level1,
-                lambda c: T.mult(T.unit(c)), lambda c: c),
-        compare(f"globular-monad[{i}]:unit-right", level1,
-                lambda c: T.mult(T.fmap(T.unit, c)), lambda c: c),
-        compare(f"globular-monad[{i}]:assoc", level3,
-                lambda c: T.mult(T.mult(c)),
-                lambda c: T.mult(T.fmap(T.mult, c))),
-    ])
+    The law at each pair is interchange, so every route through the
+    series composes the free strict n-category monad.
+    """
+    monads = [CompositionMonad(d, n) for d in range(n)]
+    laws = {(p, q): DistLaw(f"interchange[{p - 1}over{q - 1}]", monads[p - 1], monads[q - 1],
+                            lambda c, i=p - 1, j=q - 1: interchange_law(c, i, j))
+            for p in range(2, n + 1) for q in range(1, p)}
+    return DistributiveSeries(f"composition-{n}", monads, laws)
 
 
 def check_globular_distlaw(s_dim, t_dim, transform, gset, bound, title=None):
     """The four coherence diagrams for a cellwise law T_s∘T_t => T_t∘T_s."""
-    S = CompositionMonad(s_dim)
-    T = CompositionMonad(t_dim)
-    tg = T.apply(gset, bound)
-    sg = S.apply(gset, bound)
-    sst = _all_cells(S.apply(S.apply(tg, bound), bound))
-    stt = _all_cells(S.apply(T.apply(tg, bound), bound))
-    title = title or f"globular-distlaw[{s_dim}over{t_dim}]"
-    return merge_reports(title, [
-        compare(f"{title}:unit-S", _all_cells(tg),
-                lambda c: transform(S.unit(c)),
-                lambda c: T.fmap(S.unit, c)),
-        compare(f"{title}:mult-S", sst,
-                lambda c: transform(S.mult(c)),
-                lambda c: T.fmap(S.mult, transform(S.fmap(transform, c)))),
-        compare(f"{title}:unit-T", _all_cells(sg),
-                lambda c: transform(S.fmap(T.unit, c)),
-                lambda c: T.unit(c)),
-        compare(f"{title}:mult-T", stt,
-                lambda c: transform(S.fmap(T.mult, c)),
-                lambda c: T.mult(T.fmap(transform, transform(c)))),
-    ])
+    law = DistLaw(title or f"globular-distlaw[{s_dim}over{t_dim}]",
+                  CompositionMonad(s_dim, gset.n), CompositionMonad(t_dim, gset.n), transform)
+    return check_distlaw(law, gset, bound, naturality=False)
 
 
 def check_interchange(i, j, gset, bound):
-    """Adapted law check for the interchange transposition (i > j)."""
-    return check_globular_distlaw(
-        i, j, lambda c: interchange_law(c, i, j), gset, bound,
-        title=f"interchange[{i}over{j}]")
+    """The four coherence diagrams for the interchange transposition (i > j)."""
+    return check_distlaw(composition_series(gset.n).law(i + 1, j + 1), gset, bound,
+                         naturality=False)
 
 
 def check_globular_yang_baxter(i, j, k, gset, bound):
-    """Hexagon for three composition monads, i > j > k, cellwise."""
-    if not i > j > k:
-        raise IndexOrder(f"need i > j > k, got ({i},{j},{k})")
-    Ti, Tj, Tk = (CompositionMonad(d) for d in (i, j, k))
-    lam_ij = lambda c: interchange_law(c, i, j)
-    lam_ik = lambda c: interchange_law(c, i, k)
-    lam_jk = lambda c: interchange_law(c, j, k)
-    inputs = _all_cells(Ti.apply(Tj.apply(Tk.apply(gset, bound), bound), bound))
-
-    def upper(c):
-        return lam_jk(Tj.fmap(lam_ik, lam_ij(c)))
-
-    def lower(c):
-        return Tk.fmap(lam_ij, lam_ik(Ti.fmap(lam_jk, c)))
-
-    return compare(f"globular-yang-baxter({i},{j},{k})", inputs, upper, lower)
+    """Hexagon for the composition monads along i > j > k, cellwise."""
+    return check_yang_baxter(composition_series(gset.n), i + 1, j + 1, k + 1, gset, bound)

@@ -40,14 +40,6 @@ class MonadSpec:
     def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
         raise NotImplementedError
 
-    def apply(self, domain, bound, ceiling=ENUM_CEILING):
-        """Functor action on a finite domain: same as ``enumerate``."""
-        return self.enumerate(domain, bound, ceiling)
-
-    def map(self, f):
-        """Functor action on a function, curried."""
-        return lambda t: self.fmap(f, t)
-
     def __repr__(self):
         return f"<monad {self.name}>"
 
@@ -105,9 +97,6 @@ class FreeSemigroup(FreeMonoid):
 
     name = "free-semigroup"
     nonempty = True
-
-    def unit(self, x):
-        return Seq((x,))
 
 
 class FreeCommutativeMonoid(MonadSpec):

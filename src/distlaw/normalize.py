@@ -188,9 +188,7 @@ def _format_signed_sum(pieces):
 
 def format_normal(theory_name, term):
     """Deterministic plain-text rendering of a theory's normal form."""
-    if theory_name == "monoid":
-        return _format_word(term.items)
-    if theory_name == "cmonoid":
+    if theory_name in ("monoid", "cmonoid"):
         return _format_word(term.items)
     if theory_name == "ring2":
         return _format_signed_sum([(c, _format_word(m.items)) for m, c in term.pairs])

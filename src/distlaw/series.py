@@ -83,39 +83,8 @@ class DistributiveSeries:
             raise IndexOrder(f"series laws are indexed with i > j, got ({i},{j})")
         return self.laws[(i, j)]
 
-    def reversed(self):
-        return ReversedSeriesView(self)
-
     def __repr__(self):
         return f"<series {self.name}: {[m.name for m in self.monads]}>"
-
-
-class ReversedSeriesView:
-    """The same series under the opposite indexing convention.
-
-    Position k of the view is position n+1-k of the base series, and
-    laws are exposed for i < j instead of i > j.  No law logic is
-    duplicated; lookups are translated.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.monads = list(reversed(base.monads))
-
-    def __len__(self):
-        return len(self.monads)
-
-    def monad(self, i):
-        return self.monads[i - 1]
-
-    def law(self, i, j):
-        if not i < j:
-            raise IndexOrder(f"reversed series laws are indexed with i < j, got ({i},{j})")
-        n = len(self.monads)
-        return self.base.law(n + 1 - i, n + 1 - j)
-
-    def standard(self):
-        return self.base
 
 
 def check_distlaw(law, carrier, bound, naturality=True):
@@ -245,14 +214,10 @@ def _block_transform(series, upper, lower):
 
 def compose_range(series, a, b):
     """Composite monad of the contiguous block T_a..T_b, left bracketing."""
-    block = series.monad(a)
+    route = a
     for k in range(a + 1, b + 1):
-        law = DistLaw(
-            f"{series.name}-block({k})({a}..{k - 1})",
-            series.monad(k), block,
-            _block_transform(series, [k], list(range(a, k))))
-        block = CompositeMonad(outer=block, inner=series.monad(k), law=law)
-    return block
+        route = (route, k)
+    return _compose_route(series, route)[0]
 
 
 def derive_block_law(series, split):
@@ -321,30 +286,30 @@ def parse_route(text):
     return route
 
 
+def _compose_route(series, node):
+    """Composite monad of a route's blocks, with the first and last leaf it covers."""
+    if isinstance(node, int):
+        if not 1 <= node <= len(series):
+            raise ShapeMismatch(f"route leaf {node} out of range")
+        return series.monad(node), node, node
+    left, right = node
+    lmonad, la, lb = _compose_route(series, left)
+    rmonad, ra, rb = _compose_route(series, right)
+    if lb + 1 != ra:
+        raise ShapeMismatch(f"route blocks {la}..{lb} and {ra}..{rb} are not adjacent")
+    law = DistLaw(
+        f"{series.name}-block({ra}..{rb})({la}..{lb})",
+        rmonad, lmonad,
+        _block_transform(series, list(range(ra, rb + 1)), list(range(la, lb + 1))))
+    return CompositeMonad(outer=lmonad, inner=rmonad, law=law), la, rb
+
+
 def compose_series(series, route):
     """Composite monad of the whole series along the given bracketing."""
-
-    def build(node):
-        if isinstance(node, int):
-            if not 1 <= node <= len(series):
-                raise ShapeMismatch(f"route leaf {node} out of range")
-            return series.monad(node), node, node
-        left, right = node
-        lmonad, la, lb = build(left)
-        rmonad, ra, rb = build(right)
-        if lb + 1 != ra:
-            raise ShapeMismatch(f"route blocks {la}..{lb} and {ra}..{rb} are not adjacent")
-        law = DistLaw(
-            f"{series.name}-block({ra}..{rb})({la}..{lb})",
-            rmonad, lmonad,
-            _block_transform(series, list(range(ra, rb + 1)), list(range(la, lb + 1))))
-        return CompositeMonad(outer=lmonad, inner=rmonad, law=law), la, rb
-
     leaves = route_leaves(route)
     if leaves != list(range(1, len(series) + 1)):
         raise ShapeMismatch(f"route leaves {leaves} must be 1..{len(series)} in order")
-    monad, _, _ = build(route)
-    return monad
+    return _compose_route(series, route)[0]
 
 
 def check_route_independence(series, carrier, bound, max_n=4):

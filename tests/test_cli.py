@@ -1,6 +1,8 @@
 import io
 import os
 
+import pytest
+
 from distlaw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -93,6 +95,21 @@ def test_routes_single_bracketing():
                     "--bound", "2")
     assert code == 0
     assert out.endswith("PASS: route (1,(2,(3,4))) agrees\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("distlaw", "--law", "unit-absorption", "--bound", "-1"),
+    ("laws", "--bound", "-3"),
+    ("routes", "--theory", "rig", "--bound", "-1"),
+    ("laws", "--generators", "0"),
+    ("laws", "--generators", "-1"),
+    ("laws", "--names", "a,a"),
+])
+def test_negative_bound_or_empty_carrier_is_a_usage_error(argv, capsys):
+    code, out = run(*argv)
+    assert code == 2
+    assert "PASS" not in out
+    assert "error" in capsys.readouterr().err
 
 
 def test_routes_bad_bracketing_is_a_usage_error():

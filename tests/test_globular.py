@@ -1,17 +1,19 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlaw import (CompositionMonad, GlobularSet, StringCell, apply_ti,
+from distlaw import (CompositionMonad, GlobularSet, StringCell, all_routes,
                      boundary, brute_force_oracle, check_globular_distlaw,
-                     check_globular_monad_laws, check_globular_yang_baxter,
-                     check_interchange, free_ncat, globular_set_from_names,
-                     identity_cell, interchange_law, load_gset,
-                     padded_transpose_candidate, ti_mult, ti_unit,
-                     validate_globular)
-from distlaw.errors import (ComposabilityError, DimensionError,
+                     check_globular_yang_baxter, check_interchange,
+                     check_monad_laws, check_route_independence,
+                     compose_series, composition_series, enum_stack,
+                     free_ncat, globular_set_from_names, identity_cell,
+                     interchange_law, load_gset, padded_transpose_candidate,
+                     validate_globular, validate_series)
+from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
 from distlaw.globular import boundary_to, identity_at
@@ -86,7 +88,7 @@ def test_boundary_dimension_errors(parallel_2gset):
 
 
 def test_apply_t0_enumerates_paths(fg_graph):
-    out = apply_ti(fg_graph, 0, 2)
+    out = CompositionMonad(0, 1).apply(fg_graph, 2)
     assert out.counts() == [2, 6]
     names = {str(c) for c in out.cells_at(1)}
     assert names == {"[~v0]^1_0", "[~v1]^1_0", "[f]_0", "[g]_0",
@@ -94,7 +96,7 @@ def test_apply_t0_enumerates_paths(fg_graph):
 
 
 def test_apply_ti_at_bound_one_gives_units_and_identities(parallel_2gset):
-    out = apply_ti(parallel_2gset, 1, 1)
+    out = CompositionMonad(1, 2).apply(parallel_2gset, 1)
     assert out.cells_at(0) == parallel_2gset.cells_at(0)
     assert out.cells_at(1) == parallel_2gset.cells_at(1)
     dim2 = set(out.cells_at(2))
@@ -106,12 +108,16 @@ def test_apply_ti_at_bound_one_gives_units_and_identities(parallel_2gset):
 def test_apply_ti_output_is_globular(parallel_2gset, chain_2gset, theta_3gset):
     for gset in (parallel_2gset, chain_2gset, theta_3gset):
         for i in range(gset.n):
-            assert validate_globular(apply_ti(gset, i, 2)).passed
+            assert validate_globular(CompositionMonad(i, gset.n).apply(gset, 2)).passed
 
 
-def test_apply_ti_rejects_bad_dimension(fg_graph):
+def test_apply_ti_rejects_bad_dimension(parallel_2gset):
     with pytest.raises(DimensionError):
-        apply_ti(fg_graph, 1, 2)
+        CompositionMonad(1, 1)
+    with pytest.raises(DimensionError):
+        CompositionMonad(0, 1).apply(parallel_2gset, 2)
+    with pytest.raises(DimensionError):
+        CompositionMonad(0, 1).enumerate(parallel_2gset.cells_at(2), 2)
 
 
 def test_cell_ceiling_guards_enumeration(fg_graph, monkeypatch):
@@ -119,43 +125,47 @@ def test_cell_ceiling_guards_enumeration(fg_graph, monkeypatch):
     from distlaw.errors import BoundTooLarge
     monkeypatch.setattr(glob, "CELL_CEILING", 3)
     with pytest.raises(BoundTooLarge):
-        apply_ti(fg_graph, 0, 3)
+        CompositionMonad(0, 1).apply(fg_graph, 3)
+    with pytest.raises(BoundTooLarge):
+        CompositionMonad(0, 1).enumerate(fg_graph, 3)
     with pytest.raises(BoundTooLarge):
         brute_force_oracle(fg_graph, 3)
 
 
 def test_unit_and_mult_of_composition_monads(fg_graph):
+    T = CompositionMonad(0, 1)
     e = cells_by_name(fg_graph, 1)
     f, g = e["f"], e["g"]
-    assert ti_unit(f, 0) == StringCell(0, 1, (f,))
+    assert T.unit(f) == StringCell(0, 1, (f,))
     nested = StringCell(0, 1, (StringCell(0, 1, (f,)), StringCell(0, 1, (g,))))
-    assert ti_mult(nested, 0) == StringCell(0, 1, (f, g))
+    assert T.mult(nested) == StringCell(0, 1, (f, g))
     v0 = cells_by_name(fg_graph, 0)["v0"]
     empty = StringCell(0, 1, (), v0)
     outer_empty = StringCell(0, 1, (), v0)
-    assert ti_mult(outer_empty, 0) == outer_empty
+    assert T.mult(outer_empty) == outer_empty
     mixed = StringCell(0, 1, (StringCell(0, 1, (f, g)), StringCell(0, 1, (g,))))
-    assert ti_mult(mixed, 0) == StringCell(0, 1, (f, g, g))
+    assert T.mult(mixed) == StringCell(0, 1, (f, g, g))
 
 
 def test_mult_shape_and_composability_errors(fg_graph):
+    T = CompositionMonad(0, 1)
     e = cells_by_name(fg_graph, 1)
     v = cells_by_name(fg_graph, 0)
     with pytest.raises(ShapeMismatch):
-        ti_mult(StringCell(0, 1, (e["f"],)), 0)
+        T.mult(StringCell(0, 1, (e["f"],)))
     bad = StringCell(0, 1, (StringCell(0, 1, (e["g"],)), StringCell(0, 1, (e["f"],))))
     with pytest.raises(ComposabilityError):
-        ti_mult(bad, 0)
+        T.mult(bad)
     two_anchors = StringCell(0, 1, (StringCell(0, 1, (), v["v0"]),
                                     StringCell(0, 1, (), v["v1"])))
     with pytest.raises(ComposabilityError):
-        ti_mult(two_anchors, 0)
+        T.mult(two_anchors)
 
 
 def test_globular_monad_laws(fg_graph, parallel_2gset):
-    assert check_globular_monad_laws(0, fg_graph, 2).passed
-    assert check_globular_monad_laws(0, parallel_2gset, 2).passed
-    assert check_globular_monad_laws(1, parallel_2gset, 2).passed
+    assert check_monad_laws(CompositionMonad(0, 1), fg_graph, 2).passed
+    assert check_monad_laws(CompositionMonad(0, 2), parallel_2gset, 2).passed
+    assert check_monad_laws(CompositionMonad(1, 2), parallel_2gset, 2).passed
 
 
 def grid_of(chain, rows):
@@ -212,7 +222,7 @@ def test_interchange_degenerate_identity_stack(chain_2gset):
 
 def _proper_grids(gset, bound):
     """Nonempty strings of nonempty strings on both sides of the law."""
-    T0, T1 = CompositionMonad(0), CompositionMonad(1)
+    T0, T1 = CompositionMonad(0, gset.n), CompositionMonad(1, gset.n)
     side_10 = T1.apply(T0.apply(gset, bound), bound)
     side_01 = T0.apply(T1.apply(gset, bound), bound)
 
@@ -299,6 +309,41 @@ def test_free_ncat_cells_equal_oracle_cells(parallel_2gset):
     members = _oracle_closure(parallel_2gset, 2)
     for dim in range(parallel_2gset.n + 1):
         assert set(result.cells_at(dim)) == members[dim]
+
+
+def test_route_independence_of_the_free_strict_3_category(theta_3gset):
+    series = composition_series(3)
+    report = check_route_independence(series, theta_3gset, 2)
+    assert report.passed and report.total_checked() > 0
+    # no instance passes only because both routes raise
+    reference = compose_series(series, all_routes(3)[0])
+    for cell in enum_stack(series.monads * 2, theta_3gset, 2):
+        try:
+            reference.mult(cell)
+        except DistlawError as exc:
+            pytest.fail(f"reference route raised {exc!r} on {cell}")
+
+
+def test_composition_series_is_a_valid_series(theta_3gset, chain_2gset):
+    for gset in (theta_3gset, chain_2gset):
+        report = validate_series(composition_series(gset.n), gset, 2, naturality=False)
+        assert report.passed and report.total_checked() > 0
+
+
+def test_every_route_enumerates_the_free_ncat(theta_3gset, chain_2gset, loop_2gset):
+    for gset in (theta_3gset, chain_2gset, loop_2gset):
+        series = composition_series(gset.n)
+        cells = Counter(free_ncat(gset, 2))
+        for route in all_routes(gset.n):
+            assert Counter(compose_series(series, route).enumerate(gset, 2)) == cells
+
+
+def test_composition_monads_keep_an_empty_top_layer():
+    # with no 1-cells, only n tells the enumeration that identities are due
+    gset = globular_set_from_names(1, [["v"], []], [{}], [{}])
+    cells = compose_series(composition_series(1), 1).enumerate(gset, 2)
+    counts = [sum(1 for c in cells if c.dim == d) for d in range(2)]
+    assert counts == brute_force_oracle(gset, 2) == [1, 1]
 
 
 def test_free_ncat_rejects_non_globular_input():

@@ -178,17 +178,6 @@ def test_ring3_composites_all_routes_give_the_same_mult():
         assert len(values) == 1
 
 
-def test_reversed_view_translates_indices():
-    view = RING3_SERIES.reversed()
-    assert view.monads == list(reversed(RING3_SERIES.monads))
-    assert view.law(1, 2) is RING3_SERIES.law(3, 2)
-    assert view.law(2, 3) is RING3_SERIES.law(2, 1)
-    assert view.law(1, 3) is RING3_SERIES.law(3, 1)
-    with pytest.raises(IndexOrder):
-        view.law(2, 1)
-    assert view.standard() is RING3_SERIES
-
-
 def test_compose_range_matches_left_comb_route():
     block = compose_range(RING3_SERIES, 1, 3)
     routed = compose_series(RING3_SERIES, ((1, 2), 3))
