@@ -67,20 +67,21 @@ def merge_reports(title, reports):
 
 
 def compare(check_id, inputs, left_leg, right_leg):
-    """Evaluate two legs pointwise; a raised package error counts as a leg value."""
+    """Evaluate two legs pointwise; a leg that raises a package error agrees with no leg."""
     witnesses = []
     checked = 0
     for t in inputs:
         checked += 1
+        raised = 0
         try:
             lhs = left_leg(t)
         except DistlawError as exc:
-            lhs = f"error:{type(exc).__name__}"
+            lhs, raised = f"error:{type(exc).__name__}", 1
         try:
             rhs = right_leg(t)
         except DistlawError as exc:
-            rhs = f"error:{type(exc).__name__}"
-        if lhs != rhs:
+            rhs, raised = f"error:{type(exc).__name__}", raised + 1
+        if lhs != rhs or raised == 2:
             witnesses.append(Witness(check_id, t, lhs, rhs))
     return CheckReport(check_id, checked=checked, witnesses=witnesses)
 

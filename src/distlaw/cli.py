@@ -16,8 +16,8 @@ from .globular import brute_force_oracle, free_ncat, load_gset
 from .laws import REGISTERED_LAWS
 from .monads import ZOO
 from .normalize import THEORIES, format_normal, normalize_expr
-from .series import (check_distlaw, check_route_independence,
-                     check_yang_baxter, validate_series)
+from .series import (all_routes, check_distlaw, check_route_independence,
+                     check_yang_baxter, compare_routes, parse_route, validate_series)
 from .terms import Carrier
 from .theories import SERIES
 
@@ -112,24 +112,17 @@ def cmd_routes(args, out):
     series = _series(args.theory)
     carrier = _carrier(args)
     if args.route:
-        from .checks import compare
-        from .monads import enum_stack
-        from .series import all_routes, compose_series, parse_route
         try:
             route = parse_route(args.route)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        reference = compose_series(series, all_routes(len(series))[0])
-        chosen = compose_series(series, route)
-        inputs = enum_stack(series.monads + series.monads, list(carrier), args.bound)
-        report = compare(f"routes[{series.name}]:{args.route.replace(' ', '')}",
-                         inputs, reference.mult, chosen.mult)
+        report = compare_routes(series, [all_routes(len(series))[0], route],
+                                carrier, args.bound)
         _emit(report, out)
         print(f"{report.verdict}: route {args.route.replace(' ', '')} agrees", file=out)
         return report.passed
     report = check_route_independence(series, carrier, args.bound)
     _emit(report, out)
-    from .series import all_routes
     print(f"{report.verdict}: {len(all_routes(len(series)))} routes agree", file=out)
     return report.passed
 
@@ -138,7 +131,7 @@ def cmd_normalize(args, out):
     if args.theory not in THEORIES:
         raise UsageError(f"unknown theory {args.theory!r}; known: {', '.join(THEORIES)}")
     if args.names:
-        carrier = Carrier(tuple(n.strip() for n in args.names.split(",") if n.strip()))
+        carrier = _carrier(args)
     else:
         seen = []
         for kind, value, _ in tokenize(args.expression):

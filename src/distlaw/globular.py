@@ -25,49 +25,23 @@ unchanged.
 import json
 
 from .checks import CheckReport, Witness, merge_reports
-from .errors import (BoundTooLarge, ComposabilityError, DimensionError,
-                     FileFormatError, IndexOrder, ShapeMismatch, RaggedGrid)
+from .errors import (ComposabilityError, DimensionError, FileFormatError,
+                     IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
-from .monads import MonadSpec
+from .monads import MonadSpec, _check_bound, _guard
 from .series import DistributiveSeries, check_distlaw, check_yang_baxter
-
-CELL_CEILING = 10 ** 6
-
-
-def _guard_cells(count, ceiling=None):
-    ceiling = CELL_CEILING if ceiling is None else ceiling
-    if count > ceiling:
-        raise BoundTooLarge(f"cell enumeration exceeds ceiling of {ceiling}")
+from .terms import Keyed
 
 
-class Cell:
-    """Base: immutable, compared and hashed by a precomputed key."""
+class Cell(Keyed):
+    """Base of generator and string cells."""
 
-    __slots__ = ("_key", "_hash", "dim")
+    __slots__ = ("dim",)
 
     def _seal(self, key, dim):
         self._key = key
         self._hash = hash(key)
         self.dim = dim
-
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Cell) and self._key == other._key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return str(self)
 
 
 class GenCell(Cell):
@@ -315,6 +289,7 @@ class CompositionMonad(MonadSpec):
 
     def _strings(self, layers, bound, ceiling):
         """Layer by layer: all strings of length up to ``bound`` above ``i``."""
+        _check_bound(bound)
         i = self.i
         out = list(layers[:i + 1])
         for m in range(i + 1, self.n + 1):
@@ -322,13 +297,13 @@ class CompositionMonad(MonadSpec):
             starting_at = {}
             for c in layers[m]:
                 starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
-            frontier = [(c,) for c in layers[m]]
+            frontier = [(c,) for c in layers[m]] if bound else []
             cells.extend(StringCell(i, m, chain) for chain in frontier)
             for _ in range(bound - 1):
                 frontier = [chain + (c,) for chain in frontier
                             for c in starting_at.get(boundary_to(chain[-1], "tgt", i), ())]
                 cells.extend(StringCell(i, m, chain) for chain in frontier)
-                _guard_cells(len(cells), ceiling)
+                _guard(len(cells), ceiling)
             out.append(cells)
         return out
 
@@ -500,10 +475,9 @@ def _oracle_closure(gset, bound):
     directly on normal forms: concatenation at the composition layer,
     entrywise descent above it.
     """
-    members = {m: set() for m in range(gset.n + 1)}
-    for m in range(gset.n + 1):
-        for cell in gset.cells_at(m):
-            members[m].add(_embed(cell))
+    _check_bound(bound)
+    members = {m: {e for e in map(_embed, gset.cells_at(m)) if _within_bounds(e, bound)}
+               for m in range(gset.n + 1)}
     changed = True
     while changed:
         changed = False
@@ -527,7 +501,7 @@ def _oracle_closure(gset, bound):
                         if _within_bounds(combined, bound) and combined not in members[m]:
                             members[m].add(combined)
                             changed = True
-            _guard_cells(len(members[m]))
+            _guard(len(members[m]))
     return members
 
 

@@ -8,6 +8,8 @@ the normal forms whose weighted size stays within the bound, sorted by
 other by appending.
 """
 
+from itertools import product
+
 from .errors import BoundTooLarge, ShapeMismatch
 from .terms import Inj, IntComb, MSet, ONE, Seq, ZERO, weight
 
@@ -37,45 +39,84 @@ class MonadSpec:
     def fmap(self, f, t):
         raise NotImplementedError
 
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
+    def enumerate(self, domain, bound, ceiling=None):
         raise NotImplementedError
 
     def __repr__(self):
         return f"<monad {self.name}>"
 
 
-def _guard(count, ceiling):
+def _check_bound(bound):
+    if bound < 0:
+        raise ValueError(f"the enumeration bound must be non-negative, got {bound}")
+
+
+def _guard(count, ceiling=None):
+    """Stop an enumeration past ``ceiling`` elements (``ENUM_CEILING`` when None)."""
+    ceiling = ENUM_CEILING if ceiling is None else ceiling
     if count > ceiling:
-        raise BoundTooLarge(f"enumeration exceeds ceiling of {ceiling} terms")
+        raise BoundTooLarge(f"enumeration exceeds ceiling of {ceiling} elements")
 
 
-class FreeMonoid(MonadSpec):
-    """Words over the domain, including the empty word."""
+def _multiplicities(domain, bound):
+    """Every choice of (element, multiplicity) pairs within the weight bound.
 
-    name = "free-monoid"
+    Elements are distinct, multiplicities positive, and the weights times
+    multiplicities sum to at most ``bound``; the empty choice comes first.
+    """
+    domain = _by_weight(domain)
+    stack = [(0, (), 0)]
+    while stack:
+        start, chosen, used = stack.pop()
+        yield chosen
+        for idx in range(start, len(domain)):
+            w = weight(domain[idx])
+            if used + w > bound:
+                break
+            for c in range(1, (bound - used) // w + 1):
+                stack.append((idx + 1, chosen + ((domain[idx], c),), used + c * w))
+
+
+class FreeCollection(MonadSpec):
+    """Finite collections over the domain, flattened by ``mult``.
+
+    ``shape`` is the term class of one collection: ``Seq`` for words,
+    ``MSet`` for multisets.  ``nonempty`` marks the semigroups, whose
+    collections are never empty.
+    """
+
     nonempty = False
 
     def unit(self, x):
-        return Seq((x,))
+        return self.shape((x,))
 
     def mult(self, t):
-        if not isinstance(t, Seq):
-            raise ShapeMismatch(f"{self.name}: mult expects a word of words, got {t}")
+        shape = self.shape
+        if not isinstance(t, shape):
+            raise ShapeMismatch(f"{self.name}: mult expects a {shape.__name__}, got {t}")
         out = []
         for part in t.items:
-            if not isinstance(part, Seq):
-                raise ShapeMismatch(f"{self.name}: inner factor {part} is not a word")
+            if not isinstance(part, shape):
+                raise ShapeMismatch(f"{self.name}: inner factor {part} is not a {shape.__name__}")
             out.extend(part.items)
         if self.nonempty and not out:
-            raise ShapeMismatch(f"{self.name}: flattening produced the empty word")
-        return Seq(out)
+            raise ShapeMismatch(f"{self.name}: flattening produced the empty {shape.__name__}")
+        return shape(out)
 
     def fmap(self, f, t):
-        if not isinstance(t, Seq):
-            raise ShapeMismatch(f"{self.name}: fmap expects a word, got {t}")
-        return Seq(tuple(f(x) for x in t.items))
+        if not isinstance(t, self.shape):
+            raise ShapeMismatch(f"{self.name}: fmap expects a {self.shape.__name__}, got {t}")
+        return self.shape(tuple(f(x) for x in t.items))
 
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
+
+class FreeMonoid(FreeCollection):
+    """Words over the domain, including the empty word."""
+
+    name = "free-monoid"
+    shape = Seq
+
+    def enumerate(self, domain, bound, ceiling=None):
+        _check_bound(bound)
         domain = _by_weight(domain)
         out = [] if self.nonempty else [Seq(())]
         stack = [((), 0)]
@@ -99,47 +140,19 @@ class FreeSemigroup(FreeMonoid):
     nonempty = True
 
 
-class FreeCommutativeMonoid(MonadSpec):
+class FreeCommutativeMonoid(FreeCollection):
     """Multisets over the domain, including the empty one."""
 
     name = "free-commutative-monoid"
-    nonempty = False
+    shape = MSet
 
-    def unit(self, x):
-        return MSet((x,))
-
-    def mult(self, t):
-        if not isinstance(t, MSet):
-            raise ShapeMismatch(f"{self.name}: mult expects a multiset of multisets, got {t}")
+    def enumerate(self, domain, bound, ceiling=None):
+        _check_bound(bound)
         out = []
-        for part in t.items:
-            if not isinstance(part, MSet):
-                raise ShapeMismatch(f"{self.name}: inner factor {part} is not a multiset")
-            out.extend(part.items)
-        if self.nonempty and not out:
-            raise ShapeMismatch(f"{self.name}: flattening produced the empty multiset")
-        return MSet(out)
-
-    def fmap(self, f, t):
-        if not isinstance(t, MSet):
-            raise ShapeMismatch(f"{self.name}: fmap expects a multiset, got {t}")
-        return MSet(tuple(f(x) for x in t.items))
-
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
-        domain = _by_weight(domain)
-        out = []
-
-        def extend(start, chosen, used):
+        for chosen in _multiplicities(domain, bound):
             if chosen or not self.nonempty:
-                out.append(MSet(chosen))
+                out.append(MSet([x for x, c in chosen for _ in range(c)]))
                 _guard(len(out), ceiling)
-            for idx in range(start, len(domain)):
-                w = used + weight(domain[idx])
-                if w > bound:
-                    break
-                extend(idx, chosen + (domain[idx],), w)
-
-        extend(0, (), 0)
         return _sorted_terms(out)
 
 
@@ -174,24 +187,13 @@ class FreeAbelianGroup(MonadSpec):
             raise ShapeMismatch(f"{self.name}: fmap expects a combination, got {t}")
         return IntComb(tuple((f(x), c) for x, c in t.pairs))
 
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
-        domain = _by_weight(domain)
+    def enumerate(self, domain, bound, ceiling=None):
+        _check_bound(bound)
         out = []
-
-        def assign(idx, chosen, used):
-            if idx == len(domain) or weight(domain[idx]) > bound - used:
-                out.append(IntComb(chosen))
+        for chosen in _multiplicities(domain, bound):
+            for signs in product((1, -1), repeat=len(chosen)):
+                out.append(IntComb(tuple((x, s * c) for (x, c), s in zip(chosen, signs))))
                 _guard(len(out), ceiling)
-                return
-            w = weight(domain[idx])
-            assign(idx + 1, chosen, used)
-            c = 1
-            while used + c * w <= bound:
-                assign(idx + 1, chosen + ((domain[idx], c),), used + c * w)
-                assign(idx + 1, chosen + ((domain[idx], -c),), used + c * w)
-                c += 1
-
-        assign(0, (), 0)
         return _sorted_terms(out)
 
 
@@ -220,7 +222,8 @@ class AdjoinConstant(MonadSpec):
             return Inj(f(t.inner))
         raise ShapeMismatch(f"{self.name}: fmap expects an adjoined element, got {t}")
 
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
+    def enumerate(self, domain, bound, ceiling=None):
+        _check_bound(bound)
         out = [Inj(x) for x in domain if x.size <= bound]
         out.append(self.constant)
         _guard(len(out), ceiling)
@@ -251,7 +254,8 @@ class IdentityMonad(MonadSpec):
     def fmap(self, f, t):
         return f(t)
 
-    def enumerate(self, domain, bound, ceiling=ENUM_CEILING):
+    def enumerate(self, domain, bound, ceiling=None):
+        _check_bound(bound)
         return _sorted_terms(x for x in domain if x.size <= bound)
 
 
@@ -271,7 +275,7 @@ ZOO = {
 }
 
 
-def enum_stack(monads, base, bound, ceiling=ENUM_CEILING):
+def enum_stack(monads, base, bound, ceiling=None):
     """Enumerate the composite functor ``monads[0] ∘ ... ∘ monads[-1]``.
 
     ``base`` is the innermost domain; each layer enumerates over the one

@@ -74,6 +74,7 @@ def _make_theories():
                 "add": lambda u, v: ring2.mult(IntComb(((MSet((u,)), 1), (MSet((v,)), 1)))),
                 "neg": lambda u: ring2.mult(IntComb(((MSet((u,)), -1),))),
                 "one": lambda: IntComb(((MSet(()), 1),)),
+                "lit": lambda k: IntComb(((MSet(()), k),)),
                 "zero": lambda: IntComb(()),
             }),
         "ring3": Theory(
@@ -83,6 +84,7 @@ def _make_theories():
                 "add": lambda u, v: ring3.mult(IntComb(((word(u), 1), (word(v), 1)))),
                 "neg": lambda u: ring3.mult(IntComb(((word(u), -1),))),
                 "one": lambda: IntComb(((ONE, 1),)),
+                "lit": lambda k: IntComb(((ONE, k),)),
                 "zero": lambda: IntComb(()),
             },
             finish=collapse_unit_words),
@@ -92,6 +94,7 @@ def _make_theories():
                 "mul": lambda u, v: rig.mult(Inj(MSet((Inj(Seq((u, v))),)))),
                 "add": lambda u, v: rig.mult(Inj(MSet((word(u), word(v))))),
                 "one": lambda: Inj(MSet((ONE,))),
+                "lit": lambda k: Inj(MSet((ONE,) * k)),
                 "zero": lambda: ZERO,
             },
             finish=collapse_rig),
@@ -129,32 +132,29 @@ def normalize_expr(theory_name, node):
     theory = THEORIES[theory_name]
 
     def eval_node(n):
+        # a long sum or product nests to the left: walk that spine in a loop
+        spine = []
+        while isinstance(n, (Add, Mul)):
+            spine.append(n)
+            n = n.left
         if isinstance(n, Var):
-            return theory.monad.unit(Gen(n.name))
-        if isinstance(n, OneLit):
-            return theory.op("one")
-        if isinstance(n, ZeroLit):
-            return theory.op("zero")
-        if isinstance(n, IntLit):
-            return eval_node(_repeated_sum(n.value))
-        if isinstance(n, Neg):
-            return theory.op("neg", eval_node(n.arg))
-        if isinstance(n, Add):
-            return theory.op("add", eval_node(n.left), eval_node(n.right))
-        if isinstance(n, Mul):
-            return theory.op("mul", eval_node(n.left), eval_node(n.right))
-        raise UnsupportedNode(f"unknown expression node {n!r}")
+            value = theory.monad.unit(Gen(n.name))
+        elif isinstance(n, OneLit):
+            value = theory.op("one")
+        elif isinstance(n, ZeroLit):
+            value = theory.op("zero")
+        elif isinstance(n, IntLit):
+            value = theory.op("lit", n.value)
+        elif isinstance(n, Neg):
+            value = theory.op("neg", eval_node(n.arg))
+        else:
+            raise UnsupportedNode(f"unknown expression node {n!r}")
+        for op in reversed(spine):
+            value = theory.op("add" if isinstance(op, Add) else "mul",
+                              value, eval_node(op.right))
+        return value
 
     return theory.finish(eval_node(node))
-
-
-def _repeated_sum(k):
-    """Desugar an integer literal into repeated sums of the unit."""
-    assert k >= 2
-    node = Add(OneLit(), OneLit())
-    for _ in range(k - 2):
-        node = Add(node, OneLit())
-    return node
 
 
 def abelianize(comb_over_words):

@@ -41,9 +41,8 @@ class CompositeMonad(MonadSpec):
         return self.outer.fmap(self.inner.mult, flat_outer)
 
     def enumerate(self, domain, bound, ceiling=None):
-        kwargs = {} if ceiling is None else {"ceiling": ceiling}
-        return self.outer.enumerate(self.inner.enumerate(domain, bound, **kwargs),
-                                    bound, **kwargs)
+        return self.outer.enumerate(self.inner.enumerate(domain, bound, ceiling),
+                                    bound, ceiling)
 
 
 def compose_pair(s_monad, t_monad, law):
@@ -212,12 +211,17 @@ def _block_transform(series, upper, lower):
     return transform
 
 
-def compose_range(series, a, b):
-    """Composite monad of the contiguous block T_a..T_b, left bracketing."""
+def _left_comb(a, b):
+    """The left-bracketed route over the leaves a..b."""
     route = a
     for k in range(a + 1, b + 1):
         route = (route, k)
-    return _compose_route(series, route)[0]
+    return route
+
+
+def compose_range(series, a, b):
+    """Composite monad of the contiguous block T_a..T_b, left bracketing."""
+    return _compose_route(series, _left_comb(a, b))[0]
 
 
 def derive_block_law(series, split):
@@ -225,15 +229,7 @@ def derive_block_law(series, split):
     n = len(series)
     if not 1 <= split < n:
         raise SplitOutOfRange(f"split must be in 1..{n - 1}, got {split}")
-    if n == 2:
-        return series.law(2, 1)
-    upper = list(range(split + 1, n + 1))
-    lower = list(range(1, split + 1))
-    return DistLaw(
-        f"{series.name}-block({split + 1}..{n})({1}..{split})",
-        compose_range(series, split + 1, n),
-        compose_range(series, 1, split),
-        _block_transform(series, upper, lower))
+    return _compose_route(series, (_left_comb(1, split), _left_comb(split + 1, n)))[0].law
 
 
 def route_leaves(route):
@@ -297,10 +293,13 @@ def _compose_route(series, node):
     rmonad, ra, rb = _compose_route(series, right)
     if lb + 1 != ra:
         raise ShapeMismatch(f"route blocks {la}..{lb} and {ra}..{rb} are not adjacent")
-    law = DistLaw(
-        f"{series.name}-block({ra}..{rb})({la}..{lb})",
-        rmonad, lmonad,
-        _block_transform(series, list(range(ra, rb + 1)), list(range(la, lb + 1))))
+    if la == lb and ra == rb:
+        law = series.law(ra, la)
+    else:
+        law = DistLaw(
+            f"{series.name}-block({ra}..{rb})({la}..{lb})",
+            rmonad, lmonad,
+            _block_transform(series, list(range(ra, rb + 1)), list(range(la, lb + 1))))
     return CompositeMonad(outer=lmonad, inner=rmonad, law=law), la, rb
 
 
@@ -313,17 +312,21 @@ def compose_series(series, route):
 
 
 def check_route_independence(series, carrier, bound, max_n=4):
-    """Every bracketing induces the same multiplication, pointwise.
-
-    Compares the composite mult of every route against the first route
-    on all enumerated elements of the doubled composite within bound.
-    """
+    """Every bracketing induces the same multiplication, pointwise."""
     n = len(series)
     if n > max_n:
         raise BoundTooLarge(
             f"route comparison for n={n} exceeds the default limit {max_n}; "
             "raise max_n explicitly to override")
-    routes = all_routes(n)
+    return compare_routes(series, all_routes(n), carrier, bound)
+
+
+def compare_routes(series, routes, carrier, bound):
+    """The composite mult of each route against the first route's, pointwise.
+
+    The inputs are all enumerated elements of the doubled composite
+    within bound.
+    """
     composites = [compose_series(series, r) for r in routes]
     inputs = enum_stack(series.monads + series.monads, list(carrier), bound)
     reference = composites[0]

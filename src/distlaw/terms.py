@@ -18,10 +18,32 @@ weight keeps every enumeration finite.
 from .errors import ShapeMismatch, UnknownGenerator
 
 
-class Term:
+class Keyed:
+    """An immutable value compared, ordered and hashed by the key its ``_seal`` sets."""
+
+    __slots__ = ("_key", "_hash")
+
+    @property
+    def key(self):
+        return self._key
+
+    def __eq__(self, other):
+        return isinstance(other, Keyed) and self._key == other._key
+
+    def __lt__(self, other):
+        return self._key < other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return str(self)
+
+
+class Term(Keyed):
     """Base class; subclasses populate ``_key`` and ``_size`` eagerly."""
 
-    __slots__ = ("_key", "_size", "_weight", "_hash")
+    __slots__ = ("_size", "_weight")
 
     def _seal(self, key, size, enum_weight):
         self._key = key
@@ -32,25 +54,6 @@ class Term:
     @property
     def size(self):
         return self._size
-
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Term) and self._key == other._key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return str(self)
 
 
 class Gen(Term):
@@ -225,6 +228,8 @@ class Carrier:
     @classmethod
     def of_size(cls, k):
         """Carrier with generators a, b, c, ... (then a1, a2, ... past z)."""
+        if k < 0:
+            raise ValueError(f"a carrier cannot have {k} generators")
         alphabet = "abcdefghijklmnopqrstuvwxyz"
         if k <= len(alphabet):
             return cls(alphabet[:k])

@@ -32,6 +32,16 @@ def test_normalize_with_explicit_names():
     assert out == "v*w\n"
 
 
+@pytest.mark.parametrize("expression, expected", [
+    ("2000*a", "2000*a"),
+    ("+".join(["a"] * 3000), "3000*a"),
+], ids=["literal-2000", "sum-of-3000"])
+def test_normalize_large_literal_and_long_sum(expression, expected):
+    code, out = run("normalize", "--theory", "ring3", expression)
+    assert code == 0
+    assert out == expected + "\n"
+
+
 def test_normalize_unknown_theory_is_a_usage_error():
     code, _ = run("normalize", "--theory", "nope", "a")
     assert code == 2
@@ -95,6 +105,9 @@ def test_routes_single_bracketing():
                     "--bound", "2")
     assert code == 0
     assert out.endswith("PASS: route (1,(2,(3,4))) agrees\n")
+    code, out = run("routes", "--theory", "rig", "--route", "((1,2),(3,4))", "--bound", "2")
+    assert code == 0
+    assert out.startswith("CHECK routes[rig]:(1,(2,(3,4)))vs((1,2),(3,4)) PASS\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -104,6 +117,7 @@ def test_routes_single_bracketing():
     ("laws", "--generators", "0"),
     ("laws", "--generators", "-1"),
     ("laws", "--names", "a,a"),
+    ("normalize", "--theory", "ring3", "--names", "a,a", "a"),
 ])
 def test_negative_bound_or_empty_carrier_is_a_usage_error(argv, capsys):
     code, out = run(*argv)

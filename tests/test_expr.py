@@ -98,6 +98,10 @@ def test_integer_literals_desugar_to_repeated_units():
     assert nf("ring3", "3") == nf("ring3", "1+1+1")
     assert nf("ring3", "-2*a") == nf("ring3", "0-a-a")
     assert nf("rig", "2*a") == nf("rig", "a+a")
+    for theory in ("ring2", "ring3", "rig"):
+        for k in (2, 3, 7):
+            assert nf(theory, str(k)) == nf(theory, "+".join(["1"] * k))
+            assert nf(theory, f"{k}*a") == nf(theory, "+".join(["a"] * k))
 
 
 def test_monoid_and_cmonoid_normal_forms():
@@ -108,7 +112,7 @@ def test_monoid_and_cmonoid_normal_forms():
 
 def test_unsupported_nodes_per_theory():
     for theory, src in (("monoid", "a+b"), ("cmonoid", "a-a"),
-                        ("rig", "-a"), ("monoid", "0")):
+                        ("rig", "-a"), ("monoid", "0"), ("cmonoid", "2")):
         with pytest.raises(UnsupportedNode):
             nf(theory, src)
     with pytest.raises(UnsupportedNode):

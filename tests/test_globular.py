@@ -120,10 +120,21 @@ def test_apply_ti_rejects_bad_dimension(parallel_2gset):
         CompositionMonad(0, 1).enumerate(parallel_2gset.cells_at(2), 2)
 
 
+def test_negative_bound_is_rejected(loop_2gset):
+    with pytest.raises(ValueError):
+        CompositionMonad(0, 2).enumerate(loop_2gset, -1)
+    with pytest.raises(ValueError):
+        free_ncat(loop_2gset, -1)
+    with pytest.raises(ValueError):
+        brute_force_oracle(loop_2gset, -1)
+    with pytest.raises(ValueError):
+        check_interchange(1, 0, loop_2gset, -1)
+
+
 def test_cell_ceiling_guards_enumeration(fg_graph, monkeypatch):
-    import distlaw.globular as glob
+    import distlaw.monads
     from distlaw.errors import BoundTooLarge
-    monkeypatch.setattr(glob, "CELL_CEILING", 3)
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 3)
     with pytest.raises(BoundTooLarge):
         CompositionMonad(0, 1).apply(fg_graph, 3)
     with pytest.raises(BoundTooLarge):
@@ -300,7 +311,9 @@ def test_free_ncat_counts_match_the_oracle(fg_graph, arrow_graph, point_2gset,
                                            parallel_2gset, chain_2gset, loop_2gset):
     for gset in (fg_graph, arrow_graph, point_2gset,
                  parallel_2gset, chain_2gset, loop_2gset):
-        assert free_ncat(gset, 2).counts() == brute_force_oracle(gset, 2)
+        for bound in (0, 2):
+            assert free_ncat(gset, bound).counts() == brute_force_oracle(gset, bound)
+    assert free_ncat(parallel_2gset, 0).counts() == [2, 2, 2]
 
 
 def test_free_ncat_cells_equal_oracle_cells(parallel_2gset):

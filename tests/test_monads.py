@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +8,12 @@ from hypothesis import strategies as st
 from distlaw import (Carrier, Gen, Inj, IntComb, ONE, Seq, ZERO, ZOO,
                      check_functoriality, check_monad_laws,
                      check_monad_naturality, enum_stack)
+from distlaw.checks import compare
 from distlaw.errors import BoundTooLarge, ShapeMismatch
 from distlaw.monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                             FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP,
                             FreeMonoid, IDENTITY)
-from distlaw.terms import functions_between
+from distlaw.terms import MSet, functions_between, weight
 
 X1 = Carrier.of_size(1)
 X2 = Carrier.of_size(2)
@@ -29,6 +33,45 @@ def test_abelian_group_enumeration_by_hand():
     expected = {IntComb(()), IntComb(((a, 1),)), IntComb(((a, -1),)),
                 IntComb(((a, 2),)), IntComb(((a, -2),))}
     assert set(got) == expected
+
+
+def test_multiset_and_combination_enumerations_match_brute_force():
+    for domain in (list(X2), FREE_MONOID.enumerate(list(X2), 2)):
+        for bound in range(5):
+            bags = [Counter(c) for n in range(bound + 1)
+                    for c in combinations_with_replacement(domain, n)
+                    if sum(weight(x) for x in c) <= bound]
+            multisets = FREE_COMM_MONOID.enumerate(domain, bound)
+            assert len(multisets) == len(bags)
+            assert set(multisets) == {MSet(bag.elements()) for bag in bags}
+            combinations = FREE_ABELIAN_GROUP.enumerate(domain, bound)
+            expected = {IntComb(tuple((x, s * n) for (x, n), s in zip(bag.items(), signs)))
+                        for bag in bags for signs in product((1, -1), repeat=len(bag))}
+            assert len(combinations) == len(expected)
+            assert set(combinations) == expected
+
+
+def test_abelian_group_enumeration_over_a_wide_domain():
+    assert len(FREE_ABELIAN_GROUP.enumerate(list(Carrier.of_size(1500)), 1)) == 3001
+
+
+def test_negative_bound_is_rejected():
+    for monad in list(ZOO.values()) + [IDENTITY]:
+        with pytest.raises(ValueError):
+            monad.enumerate(list(X2), -1)
+    with pytest.raises(ValueError):
+        enum_stack([FREE_MONOID, ADJOIN_UNIT], list(X2), -1)
+    with pytest.raises(ValueError):
+        check_monad_laws(FREE_MONOID, X2, -1)
+
+
+def test_two_raising_legs_are_a_witness():
+    def bad(t):
+        raise ShapeMismatch(f"no value at {t}")
+
+    report = compare("c", [1, 2, 3], bad, bad)
+    assert report.verdict == "FAIL"
+    assert len(report.witnesses) == 3
 
 
 def test_enumerations_have_no_duplicates_and_are_deterministic():

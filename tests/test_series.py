@@ -77,6 +77,7 @@ def test_validate_series_flags_a_broken_law():
 
 def test_block_law_for_two_monads_is_the_stored_law():
     assert derive_block_law(RING2_SERIES, 1) is RING2_SERIES.laws[(2, 1)]
+    assert compose_range(RIG_SERIES, 2, 3).law is RIG_SERIES.laws[(3, 2)]
 
 
 def test_block_law_split_out_of_range():

@@ -62,6 +62,8 @@ def test_carrier_basics():
         X.gen("z")
     with pytest.raises(ValueError):
         Carrier(("a", "a"))
+    with pytest.raises(ValueError):
+        Carrier.of_size(-1)
 
 
 def test_carrier_of_size_past_alphabet():
