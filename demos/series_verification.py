@@ -41,7 +41,7 @@ collapse = DistLaw("collapse-to-zero", RIG_SERIES.monad(2), RIG_SERIES.monad(1),
 laws = dict(RIG_SERIES.laws)
 laws[(2, 1)] = collapse
 broken = DistributiveSeries("rig-broken", RIG_SERIES.monads, laws)
-bad = validate_series(broken, X, bound=2, naturality=False)
+bad = validate_series(broken, X, bound=2)
 witness = bad.all_witnesses()[0]
 print(f"\nsabotaged series: {bad.verdict}")
 print(f"  first failing diagram: {witness.check_id}")

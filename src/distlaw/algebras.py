@@ -76,15 +76,15 @@ def check_algebra(alg):
     return merge_reports(f"algebra[{monad.name}]", [unit_law, assoc_law])
 
 
-def lift_to_algebras(law, alg, bound=None):
+def lift_to_algebras(law, alg):
     """Lift the inner monad of a law to act on algebras of the outer one.
 
     Given a law S∘T => T∘S and an S-algebra on A, the lifted S-algebra
-    lives on the T(A) normal forms (within bound) and acts by first
-    moving the S-structure inside through the law, then applying the
-    original action under T.  The lifted structure is verified: it must
-    satisfy the algebra laws, and the unit and multiplication of T must
-    be algebra maps into it.
+    lives on the T(A) normal forms within the algebra's bound and acts
+    by first moving the S-structure inside through the law, then
+    applying the original action under T.  The lifted structure is
+    verified: it must satisfy the algebra laws, and the unit and
+    multiplication of T must be algebra maps into it.
     """
     S, T = law.s_monad, law.t_monad
     if alg.monad is not S:
@@ -93,7 +93,7 @@ def lift_to_algebras(law, alg, bound=None):
     if not input_check.passed:
         witness = input_check.all_witnesses()[0]
         raise NotAnAlgebra(f"input algebra violates its laws: {witness!r}")
-    bound = alg.bound if bound is None else bound
+    bound = alg.bound
 
     def lifted_action(s_of_t):
         return T.fmap(alg.act, law.transform(s_of_t))

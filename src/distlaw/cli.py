@@ -143,7 +143,7 @@ def cmd_normalize(args, out):
     return True
 
 
-def cmd_ncat(args, out, force_oracle=False):
+def cmd_ncat(args, out):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             gset = load_gset(handle.read())
@@ -152,7 +152,7 @@ def cmd_ncat(args, out, force_oracle=False):
     result = free_ncat(gset, args.bound)
     for dim, count in enumerate(result.counts()):
         print(f"dim {dim}: {count} cells", file=out)
-    if force_oracle or args.compare_oracle:
+    if args.compare_oracle:
         oracle = brute_force_oracle(gset, args.bound)
         if oracle == result.counts():
             print("ORACLE MATCH", file=out)
@@ -214,7 +214,7 @@ def build_parser():
     p = sub.add_parser("oracle-compare", help="free n-category versus brute force")
     p.add_argument("--input", required=True)
     p.add_argument("--bound", type=int, default=STRING_BOUND)
-    p.add_argument("--compare-oracle", action="store_true", help=argparse.SUPPRESS)
+    p.set_defaults(compare_oracle=True)
 
     return parser
 
@@ -227,7 +227,7 @@ COMMANDS = {
     "routes": cmd_routes,
     "normalize": cmd_normalize,
     "ncat": cmd_ncat,
-    "oracle-compare": lambda args, out: cmd_ncat(args, out, force_oracle=True),
+    "oracle-compare": cmd_ncat,
 }
 
 

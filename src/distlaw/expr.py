@@ -147,6 +147,9 @@ def parse_expr(src, carrier):
             node = Add(node, rhs if op[0] == "+" else Neg(rhs))
         return node
 
-    result = expr()
+    try:
+        result = expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", tokens[idx][2]) from None
     take("EOF")
     return result

@@ -287,7 +287,7 @@ class CompositionMonad(MonadSpec):
             return StringCell(self.i, cell.dim, (), f(cell.anchor))
         return StringCell(self.i, cell.dim, tuple(f(e) for e in cell.entries))
 
-    def _strings(self, layers, bound, ceiling):
+    def _strings(self, layers, bound):
         """Layer by layer: all strings of length up to ``bound`` above ``i``."""
         _check_bound(bound)
         i = self.i
@@ -303,23 +303,23 @@ class CompositionMonad(MonadSpec):
                 frontier = [chain + (c,) for chain in frontier
                             for c in starting_at.get(boundary_to(chain[-1], "tgt", i), ())]
                 cells.extend(StringCell(i, m, chain) for chain in frontier)
-                _guard(len(cells), ceiling)
+                _guard(len(cells))
             out.append(cells)
         return out
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         layers = [[] for _ in range(self.n + 1)]
         for cell in domain:
             if cell.dim > self.n:
                 raise DimensionError(f"{cell} lies above dimension {self.n} of {self.name}")
             layers[cell.dim].append(cell)
-        return [c for layer in self._strings(layers, bound, ceiling) for c in layer]
+        return [c for layer in self._strings(layers, bound) for c in layer]
 
     def apply(self, gset, bound):
         """The same enumeration, kept as a ``GlobularSet``."""
         if gset.n != self.n:
             raise DimensionError(f"{self.name} acts on {self.n}-globular sets, not {gset.n}")
-        return GlobularSet(self.n, self._strings(gset.cells, bound, None))
+        return GlobularSet(self.n, self._strings(gset.cells, bound))
 
 
 def interchange_law(cell, i, j):
@@ -528,13 +528,12 @@ def check_globular_distlaw(s_dim, t_dim, transform, gset, bound, title=None):
     """The four coherence diagrams for a cellwise law T_s∘T_t => T_t∘T_s."""
     law = DistLaw(title or f"globular-distlaw[{s_dim}over{t_dim}]",
                   CompositionMonad(s_dim, gset.n), CompositionMonad(t_dim, gset.n), transform)
-    return check_distlaw(law, gset, bound, naturality=False)
+    return check_distlaw(law, gset, bound)
 
 
 def check_interchange(i, j, gset, bound):
     """The four coherence diagrams for the interchange transposition (i > j)."""
-    return check_distlaw(composition_series(gset.n).law(i + 1, j + 1), gset, bound,
-                         naturality=False)
+    return check_distlaw(composition_series(gset.n).law(i + 1, j + 1), gset, bound)
 
 
 def check_globular_yang_baxter(i, j, k, gset, bound):

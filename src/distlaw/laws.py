@@ -29,9 +29,6 @@ class DistLaw:
         self.t_monad = t_monad
         self.transform = transform
 
-    def __call__(self, term):
-        return self.transform(term)
-
     def __repr__(self):
         return f"<law {self.name}: {self.s_monad.name}∘{self.t_monad.name} => swap>"
 

@@ -39,7 +39,7 @@ class MonadSpec:
     def fmap(self, f, t):
         raise NotImplementedError
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         raise NotImplementedError
 
     def __repr__(self):
@@ -51,11 +51,10 @@ def _check_bound(bound):
         raise ValueError(f"the enumeration bound must be non-negative, got {bound}")
 
 
-def _guard(count, ceiling=None):
-    """Stop an enumeration past ``ceiling`` elements (``ENUM_CEILING`` when None)."""
-    ceiling = ENUM_CEILING if ceiling is None else ceiling
-    if count > ceiling:
-        raise BoundTooLarge(f"enumeration exceeds ceiling of {ceiling} elements")
+def _guard(count):
+    """Stop an enumeration past ``ENUM_CEILING`` elements (read at call time)."""
+    if count > ENUM_CEILING:
+        raise BoundTooLarge(f"enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
 def _multiplicities(domain, bound):
@@ -115,7 +114,7 @@ class FreeMonoid(FreeCollection):
     name = "free-monoid"
     shape = Seq
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         _check_bound(bound)
         domain = _by_weight(domain)
         out = [] if self.nonempty else [Seq(())]
@@ -128,7 +127,7 @@ class FreeMonoid(FreeCollection):
                     break
                 ext = prefix + (x,)
                 out.append(Seq(ext))
-                _guard(len(out), ceiling)
+                _guard(len(out))
                 stack.append((ext, w))
         return _sorted_terms(out)
 
@@ -146,13 +145,13 @@ class FreeCommutativeMonoid(FreeCollection):
     name = "free-commutative-monoid"
     shape = MSet
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         _check_bound(bound)
         out = []
         for chosen in _multiplicities(domain, bound):
             if chosen or not self.nonempty:
                 out.append(MSet([x for x, c in chosen for _ in range(c)]))
-                _guard(len(out), ceiling)
+                _guard(len(out))
         return _sorted_terms(out)
 
 
@@ -187,13 +186,13 @@ class FreeAbelianGroup(MonadSpec):
             raise ShapeMismatch(f"{self.name}: fmap expects a combination, got {t}")
         return IntComb(tuple((f(x), c) for x, c in t.pairs))
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         _check_bound(bound)
         out = []
         for chosen in _multiplicities(domain, bound):
             for signs in product((1, -1), repeat=len(chosen)):
                 out.append(IntComb(tuple((x, s * c) for (x, c), s in zip(chosen, signs))))
-                _guard(len(out), ceiling)
+                _guard(len(out))
         return _sorted_terms(out)
 
 
@@ -222,11 +221,11 @@ class AdjoinConstant(MonadSpec):
             return Inj(f(t.inner))
         raise ShapeMismatch(f"{self.name}: fmap expects an adjoined element, got {t}")
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         _check_bound(bound)
         out = [Inj(x) for x in domain if x.size <= bound]
         out.append(self.constant)
-        _guard(len(out), ceiling)
+        _guard(len(out))
         return _sorted_terms(out)
 
 
@@ -254,7 +253,7 @@ class IdentityMonad(MonadSpec):
     def fmap(self, f, t):
         return f(t)
 
-    def enumerate(self, domain, bound, ceiling=None):
+    def enumerate(self, domain, bound):
         _check_bound(bound)
         return _sorted_terms(x for x in domain if x.size <= bound)
 
@@ -275,7 +274,7 @@ ZOO = {
 }
 
 
-def enum_stack(monads, base, bound, ceiling=None):
+def enum_stack(monads, base, bound):
     """Enumerate the composite functor ``monads[0] ∘ ... ∘ monads[-1]``.
 
     ``base`` is the innermost domain; each layer enumerates over the one
@@ -284,5 +283,5 @@ def enum_stack(monads, base, bound, ceiling=None):
     """
     domain = list(base)
     for monad in reversed(monads):
-        domain = monad.enumerate(domain, bound, ceiling)
+        domain = monad.enumerate(domain, bound)
     return domain

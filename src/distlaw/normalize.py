@@ -15,6 +15,7 @@ Theories:
 """
 
 from collections import Counter
+from itertools import groupby
 
 from .errors import UnsupportedNode
 from .expr import Add, IntLit, Mul, Neg, OneLit, Var, ZeroLit
@@ -38,9 +39,6 @@ class Theory:
         if embed is None:
             raise UnsupportedNode(f"theory {self.name!r} does not support {kind}")
         return embed(*args)
-
-    def supports(self, kind):
-        return kind in self._ops
 
     def finish(self, term):
         return self._finish(term)
@@ -71,7 +69,7 @@ def _make_theories():
             "ring2", ring2,
             {
                 "mul": lambda u, v: ring2.mult(IntComb(((MSet((u, v)), 1),))),
-                "add": lambda u, v: ring2.mult(IntComb(((MSet((u,)), 1), (MSet((v,)), 1)))),
+                "add": lambda *us: ring2.mult(IntComb(tuple((MSet((u,)), 1) for u in us))),
                 "neg": lambda u: ring2.mult(IntComb(((MSet((u,)), -1),))),
                 "one": lambda: IntComb(((MSet(()), 1),)),
                 "lit": lambda k: IntComb(((MSet(()), k),)),
@@ -81,7 +79,7 @@ def _make_theories():
             "ring3", ring3,
             {
                 "mul": lambda u, v: ring3.mult(IntComb(((Inj(Seq((u, v))), 1),))),
-                "add": lambda u, v: ring3.mult(IntComb(((word(u), 1), (word(v), 1)))),
+                "add": lambda *us: ring3.mult(IntComb(tuple((word(u), 1) for u in us))),
                 "neg": lambda u: ring3.mult(IntComb(((word(u), -1),))),
                 "one": lambda: IntComb(((ONE, 1),)),
                 "lit": lambda k: IntComb(((ONE, k),)),
@@ -92,7 +90,7 @@ def _make_theories():
             "rig", rig,
             {
                 "mul": lambda u, v: rig.mult(Inj(MSet((Inj(Seq((u, v))),)))),
-                "add": lambda u, v: rig.mult(Inj(MSet((word(u), word(v))))),
+                "add": lambda *us: rig.mult(Inj(MSet(tuple(word(u) for u in us)))),
                 "one": lambda: Inj(MSet((ONE,))),
                 "lit": lambda k: Inj(MSet((ONE,) * k)),
                 "zero": lambda: ZERO,
@@ -132,7 +130,8 @@ def normalize_expr(theory_name, node):
     theory = THEORIES[theory_name]
 
     def eval_node(n):
-        # a long sum or product nests to the left: walk that spine in a loop
+        # a long sum or product nests to the left: walk that spine in a loop,
+        # adding each run of summands in one step (products stay binary)
         spine = []
         while isinstance(n, (Add, Mul)):
             spine.append(n)
@@ -149,9 +148,12 @@ def normalize_expr(theory_name, node):
             value = theory.op("neg", eval_node(n.arg))
         else:
             raise UnsupportedNode(f"unknown expression node {n!r}")
-        for op in reversed(spine):
-            value = theory.op("add" if isinstance(op, Add) else "mul",
-                              value, eval_node(op.right))
+        for is_sum, run in groupby(reversed(spine), key=lambda op: isinstance(op, Add)):
+            if is_sum:
+                value = theory.op("add", value, *(eval_node(op.right) for op in run))
+            else:
+                for op in run:
+                    value = theory.op("mul", value, eval_node(op.right))
         return value
 
     return theory.finish(eval_node(node))

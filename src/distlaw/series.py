@@ -8,8 +8,10 @@ checkers here verify each ingredient and the route independence itself
 by bounded exhaustive evaluation.
 """
 
-from .checks import CheckReport, compare, merge_reports
-from .errors import BoundTooLarge, IndexOrder, ShapeMismatch, SplitOutOfRange
+import ast
+
+from .checks import CheckReport, check_monad_laws, compare, merge_reports
+from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
 from .monads import MonadSpec, enum_stack
 from .terms import Carrier, functions_between
@@ -40,9 +42,8 @@ class CompositeMonad(MonadSpec):
         flat_outer = self.outer.mult(swapped)
         return self.outer.fmap(self.inner.mult, flat_outer)
 
-    def enumerate(self, domain, bound, ceiling=None):
-        return self.outer.enumerate(self.inner.enumerate(domain, bound, ceiling),
-                                    bound, ceiling)
+    def enumerate(self, domain, bound):
+        return self.outer.enumerate(self.inner.enumerate(domain, bound), bound)
 
 
 def compose_pair(s_monad, t_monad, law):
@@ -86,13 +87,15 @@ class DistributiveSeries:
         return f"<series {self.name}: {[m.name for m in self.monads]}>"
 
 
-def check_distlaw(law, carrier, bound, naturality=True):
+def check_distlaw(law, carrier, bound):
     """All four coherence diagrams of a distributive law, plus naturality.
 
     The two triangles run over every enumerated T(X) and S(X) term, the
     two pentagons over every S(S(T(X))) and S(T(T(X))) term within the
-    bound.  Naturality is spot-checked against every function from the
-    carrier into the standard carriers of size one to three.
+    bound.  On a term carrier (a ``Carrier``) naturality is spot-checked
+    against every function from the carrier into the standard carriers
+    of size one to three; other carriers, such as globular sets, have no
+    such maps and get the four diagrams only.
     """
     S, T = law.s_monad, law.t_monad
     base = list(carrier)
@@ -122,7 +125,7 @@ def check_distlaw(law, carrier, bound, naturality=True):
             lambda c: T.mult(T.fmap(law.transform, law.transform(c))),
         ),
     ]
-    if naturality:
+    if isinstance(carrier, Carrier):
         inputs = enum_stack([S, T], base, bound)
         idx = 0
         for k in (1, 2, 3):
@@ -160,15 +163,13 @@ def check_yang_baxter(series, i, j, k, carrier, bound):
     return compare(f"yang-baxter[{series.name}]({i},{j},{k})", inputs, upper, lower)
 
 
-def validate_series(series, carrier, bound, naturality=True):
+def validate_series(series, carrier, bound):
     """Monad laws for every member, every pairwise law, every hexagon."""
-    from .checks import check_monad_laws
     n = len(series)
     sections = [check_monad_laws(m, carrier, bound) for m in series.monads]
     for i in range(2, n + 1):
         for j in range(1, i):
-            sections.append(check_distlaw(series.law(i, j), carrier, bound,
-                                          naturality=naturality))
+            sections.append(check_distlaw(series.law(i, j), carrier, bound))
     for i in range(3, n + 1):
         for j in range(2, i):
             for k in range(1, j):
@@ -176,39 +177,25 @@ def validate_series(series, carrier, bound, naturality=True):
     return merge_reports(f"series[{series.name}]", sections)
 
 
-def _apply_at_depth(outer_monads, fn, term):
-    if not outer_monads:
-        return fn(term)
-    head = outer_monads[0]
-    rest = outer_monads[1:]
-    return head.fmap(lambda sub: _apply_at_depth(rest, fn, sub), term)
+def _block_swap(series, upper, lower, umonad, lmonad):
+    """The block law U∘L => L∘U between two adjacent routes, as a transform.
 
-
-def _block_transform(series, upper, lower):
-    """Compose pairwise laws into the block swap (upper..)(lower..) => (lower..)(upper..).
-
-    The layer stack starts as upper followed by lower (outermost first).
-    One adjacent transposition at a time, the smallest-index layer is
-    bubbled outward; each transposition is a single pairwise law applied
-    under the current outer layers.  Any transposition order gives the
-    same map once Yang-Baxter holds; this one is fixed for determinism.
+    ``upper`` and ``lower`` are the routes of U and L, ``umonad`` and
+    ``lmonad`` their monads.  The law is built by recursion on the
+    routes, moving one half of a block at a time: for U = U1∘U2, U2
+    passes L under U1, then U1 passes L; for L = L1∘L2, U passes L1,
+    then passes L2 under L1; two leaves swap by their pair law.  Each
+    pair law is applied once.
     """
-    current = list(upper) + list(lower)
-    steps = []
-    for pos in range(len(current)):
-        j = min(range(pos, len(current)), key=lambda idx: current[idx])
-        for m in range(j, pos, -1):
-            p, q = current[m - 1], current[m]
-            outer = tuple(series.monad(r) for r in current[:m - 1])
-            steps.append((outer, series.law(p, q).transform))
-            current[m - 1], current[m] = q, p
-
-    def transform(term):
-        for outer, fn in steps:
-            term = _apply_at_depth(outer, fn, term)
-        return term
-
-    return transform
+    if not isinstance(upper, int):
+        inner = _block_swap(series, upper[1], lower, umonad.inner, lmonad)
+        outer = _block_swap(series, upper[0], lower, umonad.outer, lmonad)
+        return lambda t: outer(umonad.outer.fmap(inner, t))
+    if not isinstance(lower, int):
+        outer = _block_swap(series, upper, lower[0], umonad, lmonad.outer)
+        inner = _block_swap(series, upper, lower[1], umonad, lmonad.inner)
+        return lambda t: lmonad.outer.fmap(inner, outer(t))
+    return series.law(upper, lower).transform
 
 
 def _left_comb(a, b):
@@ -217,11 +204,6 @@ def _left_comb(a, b):
     for k in range(a + 1, b + 1):
         route = (route, k)
     return route
-
-
-def compose_range(series, a, b):
-    """Composite monad of the contiguous block T_a..T_b, left bracketing."""
-    return _compose_route(series, _left_comb(a, b))[0]
 
 
 def derive_block_law(series, split):
@@ -252,33 +234,20 @@ def all_routes(n, lo=1):
 
 
 def parse_route(text):
-    """Parse a bracketing like ``((1,2),3)`` into nested tuples."""
-    text = text.replace(" ", "")
-    pos = 0
+    """Parse a bracketing in Python tuple syntax, like ``((1,2),3)``, into nested pairs."""
+    try:
+        route = ast.literal_eval(text)
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ValueError(f"route {text!r} is not a bracketing: {exc}") from None
 
-    def node():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            left = node()
-            if pos >= len(text) or text[pos] != ",":
-                raise ValueError(f"expected ',' at {pos} in route {text!r}")
-            pos += 1
-            right = node()
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"expected ')' at {pos} in route {text!r}")
-            pos += 1
-            return (left, right)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"expected a leaf index at {pos} in route {text!r}")
-        return int(text[start:pos])
+    def check(node):
+        if isinstance(node, tuple) and len(node) == 2:
+            check(node[0])
+            check(node[1])
+        elif type(node) is not int or node < 0:
+            raise ValueError(f"route {text!r}: {node!r} is neither a pair nor a leaf index")
 
-    route = node()
-    if pos != len(text):
-        raise ValueError(f"trailing characters at {pos} in route {text!r}")
+    check(route)
     return route
 
 
@@ -299,7 +268,7 @@ def _compose_route(series, node):
         law = DistLaw(
             f"{series.name}-block({ra}..{rb})({la}..{lb})",
             rmonad, lmonad,
-            _block_transform(series, list(range(ra, rb + 1)), list(range(la, lb + 1))))
+            _block_swap(series, right, left, rmonad, lmonad))
     return CompositeMonad(outer=lmonad, inner=rmonad, law=law), la, rb
 
 
@@ -311,14 +280,9 @@ def compose_series(series, route):
     return _compose_route(series, route)[0]
 
 
-def check_route_independence(series, carrier, bound, max_n=4):
+def check_route_independence(series, carrier, bound):
     """Every bracketing induces the same multiplication, pointwise."""
-    n = len(series)
-    if n > max_n:
-        raise BoundTooLarge(
-            f"route comparison for n={n} exceeds the default limit {max_n}; "
-            "raise max_n explicitly to override")
-    return compare_routes(series, all_routes(n), carrier, bound)
+    return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
 def compare_routes(series, routes, carrier, bound):

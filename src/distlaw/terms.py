@@ -180,12 +180,6 @@ class IntComb(Term):
                    sum(abs(c) * max(t._size, 1) for t, c in kept),
                    max(sum(abs(c) * t._weight for t, c in kept), 1))
 
-    def coefficient(self, term):
-        for t, c in self.pairs:
-            if t == term:
-                return c
-        return 0
-
     def __len__(self):
         return len(self.pairs)
 

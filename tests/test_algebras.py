@@ -59,7 +59,7 @@ def test_lifting_the_free_algebra_acts_by_mult():
     base = [a, Gen("b")]
     free_carrier = S.enumerate(base, 2)
     free = algebra_from_function(S, free_carrier, S.mult, 2)
-    lifted = lift_to_algebras(law, free, bound=2)
+    lifted = lift_to_algebras(law, free)
     for s in S.enumerate(T.enumerate(free_carrier, 2), 2):
         assert lifted.act(s) == T.fmap(S.mult, law.transform(s))
 
@@ -74,7 +74,7 @@ def two_element_mult_monoid():
 
 def test_lifting_to_formal_sums_matches_direct_expansion():
     z0, z1, alg = two_element_mult_monoid()
-    lifted = lift_to_algebras(LAW_PRODUCT_OVER_SUM_COMM, alg, bound=3)
+    lifted = lift_to_algebras(LAW_PRODUCT_OVER_SUM_COMM, alg)
     inputs = FREE_COMM_MONOID.enumerate(
         FREE_ABELIAN_GROUP.enumerate((z0, z1), 2), 2)
     for s in inputs:

@@ -32,12 +32,13 @@ def test_normalize_with_explicit_names():
     assert out == "v*w\n"
 
 
-@pytest.mark.parametrize("expression, expected", [
-    ("2000*a", "2000*a"),
-    ("+".join(["a"] * 3000), "3000*a"),
-], ids=["literal-2000", "sum-of-3000"])
-def test_normalize_large_literal_and_long_sum(expression, expected):
-    code, out = run("normalize", "--theory", "ring3", expression)
+@pytest.mark.parametrize("theory, expression, expected", [
+    ("ring3", "2000*a", "2000*a"),
+    ("ring3", "+".join(["a"] * 3000), "3000*a"),
+    ("rig", "+".join(["a"] * 3000), "3000*a"),
+], ids=["literal-2000", "sum-of-3000", "rig-sum-of-3000"])
+def test_normalize_large_literal_and_long_sum(theory, expression, expected):
+    code, out = run("normalize", "--theory", theory, expression)
     assert code == 0
     assert out == expected + "\n"
 
@@ -47,9 +48,13 @@ def test_normalize_unknown_theory_is_a_usage_error():
     assert code == 2
 
 
-def test_normalize_syntax_error_is_a_normalization_failure():
-    code, _ = run("normalize", "--theory", "ring3", "a +")
-    assert code == 1
+def test_normalize_syntax_error_is_a_normalization_failure(capsys):
+    for expression, message in (("a +", "unexpected token"),
+                                ("(" * 1200 + "a" + ")" * 1200, "nested too deeply")):
+        code, out = run("normalize", "--theory", "ring3", expression)
+        assert code == 1
+        assert out == ""
+        assert message in capsys.readouterr().err
 
 
 def test_normalize_unsupported_node():
@@ -126,9 +131,12 @@ def test_negative_bound_or_empty_carrier_is_a_usage_error(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_routes_bad_bracketing_is_a_usage_error():
-    code, _ = run("routes", "--theory", "rig", "--route", "((1,2)")
-    assert code == 2
+def test_routes_bad_bracketing_is_a_usage_error(capsys):
+    for route in ("((1,2)", "(1,2,3)", "[1,2]", "(True,2)", "(1,-2)", "x", "{[1]}"):
+        code, out = run("routes", "--theory", "rig", "--route", route)
+        assert code == 2
+        assert out == ""
+        assert "error: route" in capsys.readouterr().err
 
 
 def test_ncat_counts_and_oracle():

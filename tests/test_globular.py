@@ -339,7 +339,7 @@ def test_route_independence_of_the_free_strict_3_category(theta_3gset):
 
 def test_composition_series_is_a_valid_series(theta_3gset, chain_2gset):
     for gset in (theta_3gset, chain_2gset):
-        report = validate_series(composition_series(gset.n), gset, 2, naturality=False)
+        report = validate_series(composition_series(gset.n), gset, 2)
         assert report.passed and report.total_checked() > 0
 
 

@@ -130,13 +130,13 @@ def test_every_registered_law_passes_its_diagrams():
 def test_unit_triangles_pass_trivially_at_bound_one():
     X1 = Carrier.of_size(1)
     for law in REGISTERED_LAWS.values():
-        report = check_distlaw(law, X1, 1, naturality=False)
+        report = check_distlaw(law, X1, 1)
         assert report.passed
 
 
 def test_identity_transform_is_not_a_law():
     bogus = DistLaw("bogus-identity", FREE_MONOID, FREE_ABELIAN_GROUP, lambda t: t)
-    report = check_distlaw(bogus, X2, 2, naturality=False)
+    report = check_distlaw(bogus, X2, 2)
     assert not report.passed
     failing = {w.check_id.split(":")[-1] for w in report.all_witnesses()}
     assert "mult-S" in failing or "mult-T" in failing

@@ -171,9 +171,12 @@ def test_naturality_of_unit_and_mult():
             assert check_monad_naturality(monad, X2, funcs, 2).passed
 
 
-def test_enum_ceiling_raises():
-    with pytest.raises(BoundTooLarge):
-        FREE_MONOID.enumerate(list(X2), 4, ceiling=10)
+def test_enum_ceiling_raises(monkeypatch):
+    import distlaw.monads
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 2)
+    for monad in ZOO.values():
+        with pytest.raises(BoundTooLarge):
+            monad.enumerate(list(X2), 3)
 
 
 def test_enum_stack_counts_pointed_layers():

@@ -1,10 +1,10 @@
 import pytest
 
-from distlaw import (Carrier, DistLaw, DistributiveSeries, Gen,
+from distlaw import (Carrier, DistLaw, DistributiveSeries, Gen, GlobularSet,
                      ONE, Seq, ZERO, all_routes, check_distlaw,
                      check_monad_laws, check_route_independence,
-                     check_yang_baxter, compose_pair, compose_range,
-                     compose_series, derive_block_law, enum_stack,
+                     check_yang_baxter, compose_pair, compose_series,
+                     composition_series, derive_block_law, enum_stack,
                      parse_route, validate_series)
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
@@ -52,7 +52,7 @@ def test_yang_baxter_on_unit_embedded_generators():
 
 
 def test_validate_series_ring3():
-    report = validate_series(RING3_SERIES, X1, 2, naturality=False)
+    report = validate_series(RING3_SERIES, X1, 2)
     assert report.passed
 
 
@@ -69,7 +69,7 @@ def test_validate_series_flags_a_broken_law():
     laws = dict(RIG_SERIES.laws)
     laws[(2, 1)] = collapse
     broken = DistributiveSeries("rig-broken", RIG_SERIES.monads, laws)
-    report = validate_series(broken, X1, 2, naturality=False)
+    report = validate_series(broken, X1, 2)
     assert not report.passed
     failing = {w.check_id for w in report.all_witnesses()}
     assert any("collapse-to-zero" in f and "unit" in f for f in failing)
@@ -77,7 +77,7 @@ def test_validate_series_flags_a_broken_law():
 
 def test_block_law_for_two_monads_is_the_stored_law():
     assert derive_block_law(RING2_SERIES, 1) is RING2_SERIES.laws[(2, 1)]
-    assert compose_range(RIG_SERIES, 2, 3).law is RIG_SERIES.laws[(3, 2)]
+    assert compose_series(RIG_SERIES, (1, ((2, 3), 4))).inner.outer.law is RIG_SERIES.laws[(3, 2)]
 
 
 def test_block_law_split_out_of_range():
@@ -89,13 +89,13 @@ def test_block_law_split_out_of_range():
 
 def test_ring3_block_law_passes_the_distributive_diagrams():
     law = derive_block_law(RING3_SERIES, 1)
-    report = check_distlaw(law, X1, 3, naturality=False)
+    report = check_distlaw(law, X1, 3)
     assert report.passed
 
 
 def test_rig_block_law_passes_the_distributive_diagrams():
     law = derive_block_law(RIG_SERIES, 2)
-    report = check_distlaw(law, X1, 3, naturality=False)
+    report = check_distlaw(law, X1, 3)
     assert report.passed
 
 
@@ -105,7 +105,7 @@ def test_rig_block_law_passes_the_distributive_diagrams():
 ])
 def test_every_split_induces_a_distributive_law(series, split):
     law = derive_block_law(series, split)
-    assert check_distlaw(law, X1, 3, naturality=False).passed
+    assert check_distlaw(law, X1, 3).passed
 
 
 def test_composite_of_unit_and_semigroup_is_the_free_monoid():
@@ -144,8 +144,9 @@ def test_route_utilities():
     assert parse_route("(1,(2,(3,4)))") == (1, (2, (3, 4)))
     assert len(all_routes(3)) == 2
     assert len(all_routes(4)) == 5
-    with pytest.raises(ValueError):
-        parse_route("((1,2)")
+    for text in ("((1,2)", "(1,2,3)", "[1,2]", "(True,2)", "(1,-2)", "x", "{[1]}"):
+        with pytest.raises(ValueError):
+            parse_route(text)
     with pytest.raises(ShapeMismatch):
         compose_series(RING3_SERIES, ((1, 3), 2))
 
@@ -155,14 +156,17 @@ def test_route_independence_ring3_and_rig():
     assert check_route_independence(RIG_SERIES, X1, 2).passed
 
 
-def test_route_limit_is_enforced():
+def test_route_limit_is_enforced(monkeypatch):
+    """No limit on the length of the series; the enumeration ceiling bounds the inputs."""
+    import distlaw.monads
     from distlaw.errors import BoundTooLarge
     five = DistributiveSeries("id5", [IDENTITY] * 5,
                               {(i, j): DistLaw(f"id{i}{j}", IDENTITY, IDENTITY, lambda t: t)
                                for i in range(2, 6) for j in range(1, i)})
+    assert check_route_independence(five, X1, 2).passed
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 10)
     with pytest.raises(BoundTooLarge):
-        check_route_independence(five, X1, 2)
-    assert check_route_independence(five, X1, 2, max_n=5).passed
+        check_route_independence(RIG_SERIES, X1, 2)
 
 
 def test_identity_pair_series_validates():
@@ -179,8 +183,9 @@ def test_ring3_composites_all_routes_give_the_same_mult():
         assert len(values) == 1
 
 
-def test_compose_range_matches_left_comb_route():
-    block = compose_range(RING3_SERIES, 1, 3)
-    routed = compose_series(RING3_SERIES, ((1, 2), 3))
-    for tt in enum_stack(RING3_SERIES.monads * 2, list(X1), 2):
-        assert block.mult(tt) == routed.mult(tt)
+def test_naturality_is_checked_on_term_carriers_only():
+    sections = check_distlaw(LAW_UNIT_ABSORPTION, X1, 2).sections
+    assert sum("naturality#" in s.title for s in sections) == 6
+    cells = GlobularSet(2, [[], [], []])
+    sections = check_distlaw(composition_series(2).law(2, 1), cells, 2).sections
+    assert [s.title.rsplit(":", 1)[1] for s in sections] == ["unit-S", "mult-S", "unit-T", "mult-T"]
