@@ -2,10 +2,12 @@
 
 A monad here is a concrete gadget: a functor action on terms (``fmap``),
 a unit, a multiplication, and a bounded enumerator of its free normal
-forms over any finite domain of terms.  The enumerator returns exactly
-the normal forms whose weighted size stays within the bound, sorted by
-(size, structural key), so enumerations at growing bounds extend each
-other by appending.
+forms over any finite domain of terms.  The enumerator returns the
+normal forms whose weight (``terms.weight``) is at most the bound,
+sorted by (weight, structural key); the empty collection and the
+adjoined constant weigh one but are emitted at every bound, bound 0
+included.  So for bounds of at least one an enumeration, and an
+``enum_stack``, is a prefix of the one at the next bound.
 """
 
 from itertools import product
@@ -16,13 +18,9 @@ from .terms import Inj, IntComb, MSet, ONE, Seq, ZERO, weight
 ENUM_CEILING = 10 ** 6
 
 
-def _sorted_terms(terms):
-    return sorted(terms, key=lambda t: (t.size, t.key))
-
-
-def _by_weight(domain):
-    """Domain sorted by (weight, key), so enumerators can stop early."""
-    return sorted(domain, key=lambda t: (weight(t), t.key))
+def _by_weight(terms):
+    """Terms sorted by (weight, key): the order of every enumeration."""
+    return sorted(terms, key=lambda t: (weight(t), t.key))
 
 
 class MonadSpec:
@@ -129,7 +127,7 @@ class FreeMonoid(FreeCollection):
                 out.append(Seq(ext))
                 _guard(len(out))
                 stack.append((ext, w))
-        return _sorted_terms(out)
+        return _by_weight(out)
 
 
 class FreeSemigroup(FreeMonoid):
@@ -152,7 +150,7 @@ class FreeCommutativeMonoid(FreeCollection):
             if chosen or not self.nonempty:
                 out.append(MSet([x for x, c in chosen for _ in range(c)]))
                 _guard(len(out))
-        return _sorted_terms(out)
+        return _by_weight(out)
 
 
 class FreeCommutativeSemigroup(FreeCommutativeMonoid):
@@ -193,7 +191,7 @@ class FreeAbelianGroup(MonadSpec):
             for signs in product((1, -1), repeat=len(chosen)):
                 out.append(IntComb(tuple((x, s * c) for (x, c), s in zip(chosen, signs))))
                 _guard(len(out))
-        return _sorted_terms(out)
+        return _by_weight(out)
 
 
 class AdjoinConstant(MonadSpec):
@@ -223,10 +221,10 @@ class AdjoinConstant(MonadSpec):
 
     def enumerate(self, domain, bound):
         _check_bound(bound)
-        out = [Inj(x) for x in domain if x.size <= bound]
+        out = [Inj(x) for x in domain if weight(x) <= bound]
         out.append(self.constant)
         _guard(len(out))
-        return _sorted_terms(out)
+        return _by_weight(out)
 
 
 class AdjoinUnit(AdjoinConstant):
@@ -255,7 +253,7 @@ class IdentityMonad(MonadSpec):
 
     def enumerate(self, domain, bound):
         _check_bound(bound)
-        return _sorted_terms(x for x in domain if x.size <= bound)
+        return _by_weight(x for x in domain if weight(x) <= bound)
 
 
 FREE_MONOID = FreeMonoid()
@@ -279,7 +277,7 @@ def enum_stack(monads, base, bound):
 
     ``base`` is the innermost domain; each layer enumerates over the one
     below it with the same bound, so the result is every element of the
-    composite within the weighted size bound.
+    composite within the weight bound.
     """
     domain = list(base)
     for monad in reversed(monads):

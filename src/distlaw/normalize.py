@@ -156,7 +156,11 @@ def normalize_expr(theory_name, node):
                     value = theory.op("mul", value, eval_node(op.right))
         return value
 
-    return theory.finish(eval_node(node))
+    try:
+        value = eval_node(node)
+    except RecursionError:
+        raise UnsupportedNode("expression nested too deeply") from None
+    return theory.finish(value)
 
 
 def abelianize(comb_over_words):
@@ -192,10 +196,8 @@ def format_normal(theory_name, term):
     """Deterministic plain-text rendering of a theory's normal form."""
     if theory_name in ("monoid", "cmonoid"):
         return _format_word(term.items)
-    if theory_name == "ring2":
+    if theory_name in ("ring2", "ring3"):
         return _format_signed_sum([(c, _format_word(m.items)) for m, c in term.pairs])
-    if theory_name == "ring3":
-        return _format_signed_sum([(c, _format_word(w.items)) for w, c in term.pairs])
     if theory_name == "rig":
         if term == ZERO:
             return "0"

@@ -130,7 +130,7 @@ def check_distlaw(law, carrier, bound):
         idx = 0
         for k in (1, 2, 3):
             target = Carrier.of_size(k)
-            for f in functions_between(Carrier(c.name for c in base), target):
+            for f in functions_between(carrier, target):
                 fn = lambda x, f=f: f[x]
                 sections.append(compare(
                     f"distlaw[{law.name}]:naturality#{idx}",
@@ -214,13 +214,6 @@ def derive_block_law(series, split):
     return _compose_route(series, (_left_comb(1, split), _left_comb(split + 1, n)))[0].law
 
 
-def route_leaves(route):
-    if isinstance(route, int):
-        return [route]
-    left, right = route
-    return route_leaves(left) + route_leaves(right)
-
-
 def all_routes(n, lo=1):
     """All binary bracketings of the leaves lo..lo+n-1, in a fixed order."""
     if n == 1:
@@ -274,10 +267,10 @@ def _compose_route(series, node):
 
 def compose_series(series, route):
     """Composite monad of the whole series along the given bracketing."""
-    leaves = route_leaves(route)
-    if leaves != list(range(1, len(series) + 1)):
-        raise ShapeMismatch(f"route leaves {leaves} must be 1..{len(series)} in order")
-    return _compose_route(series, route)[0]
+    composite, first, last = _compose_route(series, route)
+    if (first, last) != (1, len(series)):
+        raise ShapeMismatch(f"route covers {first}..{last}, not 1..{len(series)}")
+    return composite
 
 
 def check_route_independence(series, carrier, bound):

@@ -1,18 +1,19 @@
 """Normal-form terms of free algebraic structures over finite carriers.
 
-Every term is immutable and carries a precomputed structural key and size.
-Structural equality of keys is the only equality used anywhere: two terms
-denote the same free-algebra element iff they are equal.  Constructors
-canonicalise on the way in (multisets are sorted, integer combinations are
-merged, zero coefficients dropped), so a term is always in normal form.
+Every term is immutable and carries a precomputed structural key and
+weight.  Structural equality of keys is the only equality used anywhere:
+two terms denote the same free-algebra element iff they are equal.
+Constructors canonicalise on the way in (multisets are sorted, integer
+combinations are merged, zero coefficients dropped), so a term is always
+in normal form.
 
-The size of a term counts generator occurrences plus adjoined constants;
-an integer combination weighs each item by the absolute value of its
-coefficient.  Size-zero terms exist (the empty word, the empty multiset,
-the zero combination), so enumerators use a parallel *weight* in which
-every structure node costs at least one: over a plain carrier weight and
-size agree except on the single empty term, and over nested domains the
-weight keeps every enumeration finite.
+The weight is the one measure of a term, and every enumeration bound is
+a bound on it.  A generator and an adjoined constant weigh one, an
+injection weighs what it injects, a word or multiset weighs the sum of
+its items, and an integer combination weighs each item by the absolute
+value of its coefficient; every structure weighs at least one, so the
+empty word, the empty multiset and the zero combination weigh one and
+every enumeration over nested domains stays finite.
 """
 
 from .errors import ShapeMismatch, UnknownGenerator
@@ -41,19 +42,14 @@ class Keyed:
 
 
 class Term(Keyed):
-    """Base class; subclasses populate ``_key`` and ``_size`` eagerly."""
+    """Base class; subclasses populate ``_key`` and ``_weight`` eagerly."""
 
-    __slots__ = ("_size", "_weight")
+    __slots__ = ("_weight",)
 
-    def _seal(self, key, size, enum_weight):
+    def _seal(self, key, weight):
         self._key = key
-        self._size = size
-        self._weight = enum_weight
+        self._weight = weight
         self._hash = hash(key)
-
-    @property
-    def size(self):
-        return self._size
 
 
 class Gen(Term):
@@ -64,7 +60,7 @@ class Gen(Term):
     def __init__(self, name):
         assert isinstance(name, str) and name
         self.name = name
-        self._seal(("g", name), 1, 1)
+        self._seal(("g", name), 1)
 
     def __str__(self):
         return self.name
@@ -76,7 +72,7 @@ class One(Term):
     __slots__ = ()
 
     def __init__(self):
-        self._seal(("one",), 1, 1)
+        self._seal(("one",), 1)
 
     def __str__(self):
         return "1"
@@ -88,7 +84,7 @@ class Zero(Term):
     __slots__ = ()
 
     def __init__(self):
-        self._seal(("zero",), 1, 1)
+        self._seal(("zero",), 1)
 
     def __str__(self):
         return "0"
@@ -106,7 +102,7 @@ class Inj(Term):
     def __init__(self, inner):
         assert isinstance(inner, Term)
         self.inner = inner
-        self._seal(("i", inner._key), inner._size, inner._weight)
+        self._seal(("i", inner._key), inner._weight)
 
     def __str__(self):
         return str(self.inner)
@@ -122,7 +118,6 @@ class Seq(Term):
         assert all(isinstance(t, Term) for t in items)
         self.items = items
         self._seal(("s",) + tuple(t._key for t in items),
-                   sum(t._size for t in items),
                    max(sum(t._weight for t in items), 1))
 
     def __len__(self):
@@ -144,7 +139,6 @@ class MSet(Term):
         assert all(isinstance(t, Term) for t in items)
         self.items = items
         self._seal(("m",) + tuple(t._key for t in items),
-                   sum(t._size for t in items),
                    max(sum(t._weight for t in items), 1))
 
     def __len__(self):
@@ -177,7 +171,6 @@ class IntComb(Term):
                             key=lambda pair: pair[0]._key))
         self.pairs = kept
         self._seal(("z",) + tuple((t._key, c) for t, c in kept),
-                   sum(abs(c) * max(t._size, 1) for t, c in kept),
                    max(sum(abs(c) * t._weight for t, c in kept), 1))
 
     def __len__(self):
@@ -190,7 +183,7 @@ class IntComb(Term):
 
 
 def weight(term):
-    """Enumeration weight of a domain element: at least one."""
+    """The measure every enumeration bound limits: at least one."""
     return term._weight
 
 
@@ -229,9 +222,6 @@ class Carrier:
             return cls(alphabet[:k])
         return cls(list(alphabet) + [f"a{i}" for i in range(1, k - len(alphabet) + 1)])
 
-    def gens(self):
-        return self._gens
-
     def gen(self, name):
         if name not in self.names:
             raise UnknownGenerator(f"unknown generator {name!r}; carrier is {list(self.names)}")
@@ -250,9 +240,8 @@ class Carrier:
 def functions_between(src_carrier, dst_carrier):
     """All maps between two carriers, as dicts Gen -> Gen, in a fixed order."""
     from itertools import product
-    src = src_carrier.gens()
-    dst = dst_carrier.gens()
+    src = tuple(src_carrier)
     maps = []
-    for images in product(dst, repeat=len(src)):
+    for images in product(dst_carrier, repeat=len(src)):
         maps.append(dict(zip(src, images)))
     return maps

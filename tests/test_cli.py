@@ -2,8 +2,12 @@ import io
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distlaw.cli import main
+from distlaw.cli import COMMANDS, main
+from distlaw.normalize import THEORIES
+from distlaw.theories import SERIES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -171,3 +175,37 @@ def test_unknown_subcommand_is_a_usage_error():
 
 def test_missing_required_argument_is_a_usage_error():
     assert run("series")[0] == 2
+
+
+BOUNDS = st.integers(-2, 2).map(str)
+CARRIER_OPTIONS = {"--generators": st.integers(-1, 2).map(str),
+                   "--names": st.sampled_from(["a", "a,b", ",", "a,a"]),
+                   "--bound": BOUNDS}
+THEORY_NAMES = st.sampled_from(sorted(set(SERIES) | set(THEORIES)) + ["nope"])
+INPUTS = st.sampled_from([os.path.join(DATA, "two_cell.gset"),
+                          os.path.join(DATA, "broken.gset"),
+                          os.path.join(DATA, "missing.gset")])
+OPTIONS = {
+    "laws": CARRIER_OPTIONS,
+    "distlaw": CARRIER_OPTIONS,
+    "yang-baxter": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
+    "series": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
+    "routes": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
+    "normalize": {"--theory": THEORY_NAMES,
+                  "--names": CARRIER_OPTIONS["--names"]},
+    "ncat": {"--input": INPUTS, "--bound": BOUNDS},
+    "oracle-compare": {"--input": INPUTS, "--bound": BOUNDS},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_argv_gets_an_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, values in OPTIONS[command].items():
+        if data.draw(st.booleans()):
+            argv += [flag, data.draw(values)]
+    if command == "normalize":
+        argv.append(data.draw(st.sampled_from(["(a+b)*(a-b)", "a*2 + 1", "b", "a +"])))
+    assert main(argv, out=io.StringIO()) in (0, 1, 2)

@@ -119,6 +119,18 @@ def test_unsupported_nodes_per_theory():
         normalize_expr("nope", parse_expr("a", X))
 
 
+def test_deeply_nested_trees_are_unsupported():
+    """Trees built without the parser may nest deeper than the stack allows."""
+    a = Var("a")
+    negations, products = a, a
+    for _ in range(1200):
+        negations = Neg(negations)
+        products = Mul(a, products)
+    for tree in (negations, products):
+        with pytest.raises(UnsupportedNode, match="nested too deeply"):
+            normalize_expr("ring3", tree)
+
+
 def test_equal_ring_expressions_share_a_normal_form():
     pairs = [
         ("(a+b)*(a+b)", "a*a + a*b + b*a + b*b"),

@@ -316,6 +316,30 @@ def test_free_ncat_counts_match_the_oracle(fg_graph, arrow_graph, point_2gset,
     assert free_ncat(parallel_2gset, 0).counts() == [2, 2, 2]
 
 
+@st.composite
+def tiny_2gsets(draw):
+    """2-3 objects in a line, two forward 1-cells, 2-cells between parallel 1-cells."""
+    objects = [f"x{i}" for i in range(draw(st.integers(2, 3)))]
+    ones = {}
+    for k in range(2):
+        i = draw(st.integers(0, len(objects) - 2))
+        ones[f"f{k}"] = (objects[i], objects[draw(st.integers(i + 1, len(objects) - 1))])
+    twos = {}
+    for k in range(draw(st.integers(1, 2))):
+        f = draw(st.sampled_from(sorted(ones)))
+        twos[f"u{k}"] = (f, draw(st.sampled_from(sorted(h for h in ones if ones[h] == ones[f]))))
+    return globular_set_from_names(
+        2, [objects, sorted(ones), sorted(twos)],
+        [{f: s for f, (s, _) in ones.items()}, {u: f for u, (f, _) in twos.items()}],
+        [{f: t for f, (_, t) in ones.items()}, {u: g for u, (_, g) in twos.items()}])
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_2gsets())
+def test_free_ncat_counts_match_the_oracle_on_random_sets(gset):
+    assert free_ncat(gset, 2).counts() == brute_force_oracle(gset, 2)
+
+
 def test_free_ncat_cells_equal_oracle_cells(parallel_2gset):
     from distlaw.globular import _oracle_closure
     result = free_ncat(parallel_2gset, 2)

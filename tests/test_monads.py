@@ -91,7 +91,25 @@ def test_enumeration_extends_as_the_bound_grows():
 def test_enumerated_sizes_respect_the_bound():
     for monad in ZOO.values():
         for t in monad.enumerate(list(X2), 3):
-            assert t.size <= 3
+            assert weight(t) <= 3
+
+
+def test_stacked_enumerations_extend_as_the_bound_grows():
+    """From bound 1 on, an enumeration is a prefix of the next bound's."""
+    monads = list(ZOO.values()) + [IDENTITY]
+    stacks = [[m] for m in monads] + [[m, n] for m in monads for n in monads]
+    broken = []
+    for stack in stacks:
+        for bound in (1, 2):
+            small = enum_stack(stack, X2, bound)
+            large = enum_stack(stack, X2, bound + 1)
+            if large[:len(small)] != small:
+                broken.append(([m.name for m in stack], bound))
+    assert broken == []
+
+
+def test_bound_zero_keeps_only_the_constants():
+    assert enum_stack([ADJOIN_UNIT, FREE_MONOID], X1, 0) == [ONE]
 
 
 def test_unit_examples():

@@ -149,6 +149,9 @@ def test_route_utilities():
             parse_route(text)
     with pytest.raises(ShapeMismatch):
         compose_series(RING3_SERIES, ((1, 3), 2))
+    for route in (((1, 2), (2, 3)), (2, (1, 3)), ((1, 2), 3), (((1, 2), 3), 5)):
+        with pytest.raises(ShapeMismatch):
+            compose_series(RIG_SERIES, route)
 
 
 def test_route_independence_ring3_and_rig():

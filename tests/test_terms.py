@@ -28,18 +28,13 @@ def test_structural_equality_and_hash():
     assert Inj(Inj(a)) != Inj(a)
 
 
-def test_sizes_follow_the_occurrence_measure():
-    assert Gen("a").size == 1
-    assert ONE.size == 1 and ZERO.size == 1
-    assert Seq(()).size == 0
-    assert Seq((a, a, b)).size == 3
-    assert IntComb(((a, 2), (b, -1))).size == 3
-    assert IntComb(((Seq((a, b)), 2),)).size == 4
-    assert IntComb(((Seq(()), 5),)).size == 5
-    assert Inj(a).size == 1
-
-
 def test_weights_floor_at_one_per_structure():
+    assert weight(a) == 1 and weight(Inj(a)) == 1
+    assert weight(ONE) == 1 and weight(ZERO) == 1
+    assert weight(Seq((a, a, b))) == 3
+    assert weight(IntComb(((a, 2), (b, -1)))) == 3
+    assert weight(IntComb(((Seq((a, b)), 2),))) == 4
+    assert weight(IntComb(((Seq(()), 5),))) == 5
     assert weight(Seq(())) == 1
     assert weight(MSet(())) == 1
     assert weight(IntComb(())) == 1
