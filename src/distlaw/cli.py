@@ -10,14 +10,15 @@ import argparse
 import sys
 
 from .checks import check_monad_laws
-from .errors import DistlawError, FileFormatError, ParseError, UnknownGenerator, UnsupportedNode
+from .errors import (DistlawError, FileFormatError, IndexOrder, ParseError, ShapeMismatch,
+                     UnknownGenerator, UnsupportedNode)
 from .expr import parse_expr, tokenize
 from .globular import brute_force_oracle, free_ncat, load_gset
 from .laws import REGISTERED_LAWS
 from .monads import ZOO
 from .normalize import THEORIES, format_normal, normalize_expr
-from .series import (all_routes, check_distlaw, check_route_independence,
-                     check_yang_baxter, compare_routes, parse_route, validate_series)
+from .series import (all_routes, check_distlaw, check_route_independence, check_yang_baxter,
+                     compare_routes, compose_series, parse_route, validate_series)
 from .terms import Carrier
 from .theories import SERIES
 
@@ -86,9 +87,11 @@ def cmd_yang_baxter(args, out):
     series = _series(args.theory)
     carrier = _carrier(args)
     n = len(series)
-    triples = ([tuple(args.triple)] if args.triple else
-               [(i, j, k) for i in range(3, n + 1)
-                for j in range(2, i) for k in range(1, j)])
+    triples = [(i, j, k) for i in range(3, n + 1) for j in range(2, i) for k in range(1, j)]
+    if args.triple:
+        if tuple(args.triple) not in triples:
+            raise UsageError(f"--triple needs {n} >= I > J > K >= 1, got {args.triple}")
+        triples = [tuple(args.triple)]
     ok = True
     for i, j, k in triples:
         ok &= _emit(check_yang_baxter(series, i, j, k, carrier, args.bound), out)
@@ -114,7 +117,8 @@ def cmd_routes(args, out):
     if args.route:
         try:
             route = parse_route(args.route)
-        except ValueError as exc:
+            compose_series(series, route)
+        except (ValueError, ShapeMismatch, IndexOrder) as exc:
             raise UsageError(str(exc)) from None
         report = compare_routes(series, [all_routes(len(series))[0], route],
                                 carrier, args.bound)

@@ -18,7 +18,7 @@ class BoundTooLarge(DistlawError):
 
 
 class IndexOrder(DistlawError):
-    """Indices passed to a triple check were not strictly decreasing."""
+    """Series indices were not strictly decreasing or fell outside 1..n."""
 
 
 class SplitOutOfRange(DistlawError):

@@ -210,8 +210,20 @@ def globular_set_from_names(n, cells, src, tgt):
     return gset
 
 
+def _is_name(value):
+    return isinstance(value, str)
+
+
+def _list_of(value, test):
+    return isinstance(value, list) and all(test(x) for x in value)
+
+
 def load_gset(source):
-    """Load the structured text format: fields n, cells, src, tgt."""
+    """Load the structured text format: fields n, cells, src, tgt.
+
+    ``n`` is a non-negative integer, ``cells`` a list of lists of names,
+    ``src`` and ``tgt`` lists of name-to-name mappings; a name is a string.
+    """
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -225,8 +237,14 @@ def load_gset(source):
         if field not in data:
             raise FileFormatError(f"missing field {field!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise FileFormatError("field 'n' must be a non-negative integer")
+    if not _list_of(data["cells"], lambda layer: _list_of(layer, _is_name)):
+        raise FileFormatError("field 'cells' must be a list of lists of names")
+    for field in ("src", "tgt"):
+        if not _list_of(data[field], lambda m: isinstance(m, dict)
+                        and all(_is_name(x) for pair in m.items() for x in pair)):
+            raise FileFormatError(f"field {field!r} must be a list of name-to-name mappings")
     return globular_set_from_names(n, data["cells"], data["src"], data["tgt"])
 
 

@@ -3,13 +3,15 @@
 A law ``S∘T => T∘S`` is a single term transformation, natural in the
 leaves: it rewrites an S-structure of T-structures into a T-structure of
 S-structures.  The registry below holds the nine laws used to assemble
-ring and rig normalisers:
+ring and rig normalisers, built from three transforms:
 
-* products distribute over sums (three variants: commutative products
-  over integer sums, words over integer sums, words over positive sums),
-* an adjoined unit is deleted from products and embedded into sums,
-* an adjoined zero annihilates products and is dropped from sums,
-* the two adjoined constants slide past each other.
+* a product distributes over a sum (commutative products over integer
+  sums, words over integer sums, words over positive sums),
+* an adjoined constant passes out of a collection: the unit out of
+  products and the zero out of sums are dropped, the zero absorbs
+  products,
+* an adjoined point distributes over any monad: the unit into integer
+  and positive sums, and the unit past the adjoined zero.
 """
 
 from itertools import product as cartesian
@@ -33,108 +35,63 @@ class DistLaw:
         return f"<law {self.name}: {self.s_monad.name}∘{self.t_monad.name} => swap>"
 
 
-def _factors(term, shape, what):
-    if not isinstance(term, shape):
-        raise ShapeMismatch(f"{what}: expected {shape.__name__}, got {term}")
-    return term.items
-
-
 def expand_product_of_sums(term, product_shape, sum_shape):
     """Multilinear expansion of a product whose factors are formal sums.
 
-    Each factor offers its summands (with integer coefficients for
-    combinations, multiplicity one per occurrence for multisets); every
-    row-major choice of one summand per factor yields one product, with
-    the coefficients multiplied.
+    Each factor offers its summands with their coefficients, a multiset
+    summand counting one per occurrence; every row-major choice of one
+    summand per factor yields one product, with the coefficients
+    multiplied.
     """
-    factors = _factors(term, product_shape, "product-over-sum")
+    if not isinstance(term, product_shape):
+        raise ShapeMismatch(f"product-over-sum: expected {product_shape.__name__}, got {term}")
     choice_lists = []
-    for factor in factors:
-        if sum_shape is IntComb:
-            if not isinstance(factor, IntComb):
-                raise ShapeMismatch(f"product-over-sum: factor {factor} is not a combination")
-            choice_lists.append(list(factor.pairs))
+    for factor in term.items:
+        if not isinstance(factor, sum_shape):
+            raise ShapeMismatch(
+                f"product-over-sum: factor {factor} is not a {sum_shape.__name__}")
+        choice_lists.append(factor.pairs if sum_shape is IntComb
+                            else [(x, 1) for x in factor.items])
+    pairs = []
+    for combo in cartesian(*choice_lists):
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        pairs.append((product_shape(tuple(x for x, _ in combo)), coeff))
+    return IntComb(pairs) if sum_shape is IntComb else MSet(x for x, _ in pairs)
+
+
+def move_constant_out(term, collection, constant, absorbing):
+    """Move an adjoined constant out of a collection of adjoined elements.
+
+    A neutral constant is dropped, and a collection of nothing but the
+    constant is the constant; an absorbing constant swallows the whole
+    collection.
+    """
+    if not isinstance(term, collection):
+        raise ShapeMismatch(f"{constant} out of {collection.__name__}: got {term}")
+    kept = []
+    for item in term.items:
+        if item == constant:
+            if absorbing:
+                return constant
+        elif isinstance(item, Inj):
+            kept.append(item.inner)
         else:
-            if not isinstance(factor, MSet):
-                raise ShapeMismatch(f"product-over-sum: factor {factor} is not a multiset")
-            choice_lists.append([(x, 1) for x in factor.items])
-    if sum_shape is IntComb:
-        pairs = []
-        for combo in cartesian(*choice_lists):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            pairs.append((product_shape(tuple(x for x, _ in combo)), coeff))
-        return IntComb(pairs)
-    monomials = [product_shape(tuple(x for x, _ in combo))
-                 for combo in cartesian(*choice_lists)]
-    return MSet(monomials)
+            raise ShapeMismatch(f"{constant} out of {collection.__name__}: {item} is not adjoined")
+    if kept or absorbing:
+        return Inj(collection(kept))
+    return constant
 
 
-def absorb_unit(term):
-    """Delete adjoined-unit factors from a word; an all-unit word is the unit."""
-    remaining = []
-    for factor in _factors(term, Seq, "unit-absorption"):
-        if factor == ONE:
-            continue
-        if isinstance(factor, Inj):
-            remaining.append(factor.inner)
-        else:
-            raise ShapeMismatch(f"unit-absorption: factor {factor} is not adjoined")
-    if not remaining:
-        return ONE
-    return Inj(Seq(remaining))
-
-
-def absorb_zero(term):
-    """A word with an adjoined-zero factor collapses to zero."""
-    remaining = []
-    for factor in _factors(term, Seq, "zero-annihilation"):
-        if factor == ZERO:
-            return ZERO
-        if isinstance(factor, Inj):
-            remaining.append(factor.inner)
-        else:
-            raise ShapeMismatch(f"zero-annihilation: factor {factor} is not adjoined")
-    return Inj(Seq(remaining))
-
-
-def drop_zero_summands(term):
-    """Delete adjoined-zero summands; an all-zero sum is zero."""
-    remaining = []
-    for summand in _factors(term, MSet, "zero-in-sum"):
-        if summand == ZERO:
-            continue
-        if isinstance(summand, Inj):
-            remaining.append(summand.inner)
-        else:
-            raise ShapeMismatch(f"zero-in-sum: summand {summand} is not adjoined")
-    if not remaining:
-        return ZERO
-    return Inj(MSet(remaining))
-
-
-def embed_point(term, sum_monad):
-    """The adjoined unit becomes the one-term sum; sums are reinjected."""
+def embed_point(term, monad):
+    """The point law over any monad: the adjoined unit becomes the monad's
+    unit on it, and an injected structure is reinjected elementwise."""
     if term == ONE:
-        return sum_monad.unit(ONE)
+        return monad.unit(ONE)
     if isinstance(term, Inj):
-        return sum_monad.fmap(Inj, term.inner)
-    raise ShapeMismatch(f"unit-into-sum: {term} is not an adjoined element")
-
-
-def swap_constants(term):
-    """Reassociate the two adjoined constants: a bijection on elements."""
-    if term == ONE:
-        return Inj(ONE)
-    if isinstance(term, Inj):
-        inner = term.inner
-        if inner == ZERO:
-            return ZERO
-        if isinstance(inner, Inj):
-            return Inj(Inj(inner.inner))
-        raise ShapeMismatch(f"unit-past-zero: {inner} is not an adjoined element")
-    raise ShapeMismatch(f"unit-past-zero: {term} is not an adjoined element")
+        return monad.fmap(Inj, term.inner)
+    raise ShapeMismatch(f"point-over-{monad.name}: {term} is not an adjoined element")
 
 
 LAW_PRODUCT_OVER_SUM_COMM = DistLaw(
@@ -150,7 +107,8 @@ LAW_PRODUCT_OVER_SUM_RIG = DistLaw(
     lambda t: expand_product_of_sums(t, Seq, MSet))
 
 LAW_UNIT_ABSORPTION = DistLaw(
-    "unit-absorption", FREE_SEMIGROUP, ADJOIN_UNIT, absorb_unit)
+    "unit-absorption", FREE_SEMIGROUP, ADJOIN_UNIT,
+    lambda t: move_constant_out(t, Seq, ONE, absorbing=False))
 
 LAW_UNIT_INTO_SUM_RING = DistLaw(
     "unit-into-sum-ring", ADJOIN_UNIT, FREE_ABELIAN_GROUP,
@@ -161,13 +119,16 @@ LAW_UNIT_INTO_SUM_RIG = DistLaw(
     lambda t: embed_point(t, FREE_COMM_SEMIGROUP))
 
 LAW_ZERO_ANNIHILATION = DistLaw(
-    "zero-annihilation", FREE_SEMIGROUP, ADJOIN_ZERO, absorb_zero)
+    "zero-annihilation", FREE_SEMIGROUP, ADJOIN_ZERO,
+    lambda t: move_constant_out(t, Seq, ZERO, absorbing=True))
 
 LAW_ZERO_IN_SUM = DistLaw(
-    "zero-in-sum", FREE_COMM_SEMIGROUP, ADJOIN_ZERO, drop_zero_summands)
+    "zero-in-sum", FREE_COMM_SEMIGROUP, ADJOIN_ZERO,
+    lambda t: move_constant_out(t, MSet, ZERO, absorbing=False))
 
 LAW_UNIT_PAST_ZERO = DistLaw(
-    "unit-past-zero", ADJOIN_UNIT, ADJOIN_ZERO, swap_constants)
+    "unit-past-zero", ADJOIN_UNIT, ADJOIN_ZERO,
+    lambda t: embed_point(t, ADJOIN_ZERO))
 
 REGISTERED_LAWS = {
     law.name: law

@@ -76,11 +76,14 @@ class DistributiveSeries:
         return len(self.monads)
 
     def monad(self, i):
+        if not 1 <= i <= len(self):
+            raise IndexOrder(f"series {self.name} has monads 1..{len(self)}, not {i}")
         return self.monads[i - 1]
 
     def law(self, i, j):
-        if not i > j:
-            raise IndexOrder(f"series laws are indexed with i > j, got ({i},{j})")
+        if not len(self) >= i > j >= 1:
+            raise IndexOrder(
+                f"series laws are indexed with {len(self)} >= i > j >= 1, got ({i},{j})")
         return self.laws[(i, j)]
 
     def __repr__(self):
@@ -247,8 +250,6 @@ def parse_route(text):
 def _compose_route(series, node):
     """Composite monad of a route's blocks, with the first and last leaf it covers."""
     if isinstance(node, int):
-        if not 1 <= node <= len(series):
-            raise ShapeMismatch(f"route leaf {node} out of range")
         return series.monad(node), node, node
     left, right = node
     lmonad, la, lb = _compose_route(series, left)

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distlaw.cli import COMMANDS, main
+from distlaw.errors import FileFormatError
+from distlaw.globular import load_gset
 from distlaw.normalize import THEORIES
 from distlaw.theories import SERIES
 
@@ -143,6 +146,51 @@ def test_routes_bad_bracketing_is_a_usage_error(capsys):
         assert "error: route" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("yang-baxter", "--theory", "ring3", "--triple", "5", "2", "1"),
+    ("yang-baxter", "--theory", "ring3", "--triple", "0", "-1", "-2"),
+    ("yang-baxter", "--theory", "ring3", "--triple", "1", "2", "3"),
+    ("yang-baxter", "--theory", "ring2", "--triple", "3", "2", "1"),
+    ("routes", "--theory", "ring3", "--route", "(0,(1,2))"),
+    ("routes", "--theory", "ring3", "--route", "(1,2)"),
+    ("routes", "--theory", "ring3", "--route", "((1,2),4)"),
+])
+def test_indices_outside_the_series_are_a_usage_error(argv, capsys):
+    code, out = run(*argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+MISTYPED_GSETS = {
+    "src-mapping": {"n": 1, "cells": [["x", "y"], ["f"]], "src": {"f": "x"}, "tgt": [{"f": "y"}]},
+    "src-nested-list": {"n": 1, "cells": [["x", "y"], ["f"]], "src": [["f"]], "tgt": [{"f": "y"}]},
+    "list-cell-name": {"n": 1, "cells": [["x", "y"], [["f"]]], "src": [{"f": "x"}],
+                       "tgt": [{"f": "y"}]},
+    "list-src-value": {"n": 1, "cells": [["x", "y"], ["f"]], "src": [{"f": ["x"]}],
+                       "tgt": [{"f": "y"}]},
+    "null-cells": {"n": 1, "cells": None, "src": [{}], "tgt": [{}]},
+    "string-cells": {"n": 1, "cells": "ab", "src": [{"b": "a"}], "tgt": [{"b": "a"}]},
+    "integer-names": {"n": 0, "cells": [[1, 2]], "src": [], "tgt": []},
+    "boolean-n": {"n": True, "cells": [["x"], []], "src": [{}], "tgt": [{}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED_GSETS))
+def test_mistyped_gset_fields_are_a_format_error(name, tmp_path, capsys):
+    text = json.dumps(MISTYPED_GSETS[name])
+    with pytest.raises(FileFormatError):
+        load_gset(text)
+    path = tmp_path / "mistyped.gset"
+    path.write_text(text, encoding="utf-8")
+    code, out = run("ncat", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: field ") and err.count("\n") == 1
+
+
 def test_ncat_counts_and_oracle():
     path = os.path.join(DATA, "two_cell.gset")
     code, out = run("ncat", "--input", path, "--bound", "2", "--compare-oracle")
@@ -184,13 +232,17 @@ CARRIER_OPTIONS = {"--generators": st.integers(-1, 2).map(str),
 THEORY_NAMES = st.sampled_from(sorted(set(SERIES) | set(THEORIES)) + ["nope"])
 INPUTS = st.sampled_from([os.path.join(DATA, "two_cell.gset"),
                           os.path.join(DATA, "broken.gset"),
+                          os.path.join(DATA, "mistyped.gset"),
                           os.path.join(DATA, "missing.gset")])
+TRIPLES = st.lists(st.integers(-1, 5).map(str), min_size=3, max_size=3)
+ROUTES = st.sampled_from(["(0,(1,2))", "(1,2)", "((1,2),3)", "(1,(2,(3,4)))"])
+REQUIRED = ("--theory", "--input")
 OPTIONS = {
     "laws": CARRIER_OPTIONS,
     "distlaw": CARRIER_OPTIONS,
-    "yang-baxter": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
+    "yang-baxter": {"--theory": THEORY_NAMES, "--triple": TRIPLES, **CARRIER_OPTIONS},
     "series": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
-    "routes": {"--theory": THEORY_NAMES, **CARRIER_OPTIONS},
+    "routes": {"--theory": THEORY_NAMES, "--route": ROUTES, **CARRIER_OPTIONS},
     "normalize": {"--theory": THEORY_NAMES,
                   "--names": CARRIER_OPTIONS["--names"]},
     "ncat": {"--input": INPUTS, "--bound": BOUNDS},
@@ -198,14 +250,15 @@ OPTIONS = {
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_every_argv_gets_an_exit_code(data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     argv = [command]
     for flag, values in OPTIONS[command].items():
-        if data.draw(st.booleans()):
-            argv += [flag, data.draw(values)]
+        if flag in REQUIRED or data.draw(st.booleans()):
+            value = data.draw(values)
+            argv += [flag, *value] if isinstance(value, list) else [flag, value]
     if command == "normalize":
         argv.append(data.draw(st.sampled_from(["(a+b)*(a-b)", "a*2 + 1", "b", "a +"])))
     assert main(argv, out=io.StringIO()) in (0, 1, 2)

@@ -276,6 +276,13 @@ def test_globular_yang_baxter(theta_3gset):
         check_globular_yang_baxter(0, 1, 2, theta_3gset, 2)
 
 
+def test_composition_dimensions_outside_the_set_are_rejected(parallel_2gset):
+    with pytest.raises(IndexOrder):
+        check_interchange(5, 0, parallel_2gset, 1)
+    with pytest.raises(IndexOrder):
+        check_globular_yang_baxter(5, 1, 0, parallel_2gset, 1)
+
+
 def test_padding_candidate_fails_with_value_witnesses(chain_2gset):
     report = check_globular_distlaw(
         0, 1, lambda c: padded_transpose_candidate(c, 1, 0), chain_2gset, 2,

@@ -8,8 +8,8 @@ from distlaw.laws import (LAW_PRODUCT_OVER_SUM_COMM, LAW_PRODUCT_OVER_SUM_RIG,
                           LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION,
                           LAW_UNIT_INTO_SUM_RIG, LAW_UNIT_INTO_SUM_RING,
                           LAW_UNIT_PAST_ZERO, LAW_ZERO_ANNIHILATION,
-                          LAW_ZERO_IN_SUM, REGISTERED_LAWS)
-from distlaw.monads import FREE_ABELIAN_GROUP, FREE_MONOID
+                          LAW_ZERO_IN_SUM, REGISTERED_LAWS, embed_point)
+from distlaw.monads import ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, ZOO
 from distlaw.series import check_distlaw
 
 from oracles import MAT_ZERO, eval_ring_nf_matrix, mat_add, mat_mul, random_matrix
@@ -125,6 +125,15 @@ def test_every_registered_law_passes_its_diagrams():
     for law in REGISTERED_LAWS.values():
         report = check_distlaw(law, X2, 3)
         assert report.passed, (law.name, report.all_witnesses()[:1])
+
+
+@pytest.mark.parametrize("monad", list(ZOO.values()), ids=list(ZOO))
+def test_the_point_law_holds_over_every_monad(monad):
+    law = DistLaw(f"point-over-{monad.name}", ADJOIN_UNIT, monad,
+                  lambda t: embed_point(t, monad))
+    report = check_distlaw(law, X2, 3)
+    assert report.passed, report.all_witnesses()[:1]
+    assert report.total_checked() > 0
 
 
 def test_unit_triangles_pass_trivially_at_bound_one():

@@ -149,9 +149,25 @@ def test_route_utilities():
             parse_route(text)
     with pytest.raises(ShapeMismatch):
         compose_series(RING3_SERIES, ((1, 3), 2))
-    for route in (((1, 2), (2, 3)), (2, (1, 3)), ((1, 2), 3), (((1, 2), 3), 5)):
+    for route in (((1, 2), (2, 3)), (2, (1, 3)), ((1, 2), 3)):
         with pytest.raises(ShapeMismatch):
             compose_series(RIG_SERIES, route)
+    for route in ((((1, 2), 3), 5), (0, ((1, 2), (3, 4)))):
+        with pytest.raises(IndexOrder):
+            compose_series(RIG_SERIES, route)
+
+
+def test_series_indices_outside_one_to_n_are_rejected():
+    for i in (0, -1, 4, 5):
+        with pytest.raises(IndexOrder):
+            RING3_SERIES.monad(i)
+    for i, j in ((5, 1), (4, 3), (2, 0), (1, -1)):
+        with pytest.raises(IndexOrder):
+            RING3_SERIES.law(i, j)
+    for i, j, k in ((5, 2, 1), (4, 2, 1), (3, 2, 0), (0, -1, -2)):
+        with pytest.raises(IndexOrder):
+            check_yang_baxter(RING3_SERIES, i, j, k, X1, 1)
+    assert RING3_SERIES.monad(3) is FREE_SEMIGROUP
 
 
 def test_route_independence_ring3_and_rig():
