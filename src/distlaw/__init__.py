@@ -29,8 +29,8 @@ from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
 from .normalize import THEORIES, abelianize, format_normal, normalize_expr
 from .series import (CompositeMonad, DistributiveSeries, all_routes,
                      check_distlaw, check_route_independence,
-                     check_yang_baxter, compose_pair, compose_series,
-                     derive_block_law, parse_route, validate_series)
+                     check_yang_baxter, compose_series, derive_block_law,
+                     parse_route, validate_series)
 from .terms import (Carrier, Gen, Inj, IntComb, MSet, ONE, One, Seq, Term,
                     ZERO, Zero, functions_between, gen_count)
 from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES, SERIES

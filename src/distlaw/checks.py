@@ -1,7 +1,8 @@
 """Bounded exhaustive verification of monad laws, with failure witnesses."""
 
 from .errors import DistlawError
-from .monads import enum_stack
+from .monads import _check_bound, enum_stack
+from .terms import Carrier, functions_between
 
 
 class Witness:
@@ -143,24 +144,32 @@ def check_functoriality(monad, carrier, bound, function_pairs):
     return merge_reports(f"functoriality[{monad.name}]", sections)
 
 
-def check_monad_naturality(monad, src_carrier, functions, bound):
-    """Unit and mult are natural in the carrier, for the given maps."""
-    base = list(src_carrier)
-    level2 = enum_stack([monad, monad], base, bound)
-    sections = []
-    for idx, f in enumerate(functions):
-        fn = lambda x, f=f: f[x]
-        unit_nat = compare(
-            f"naturality[{monad.name}]:unit#{idx}",
-            base,
-            lambda x, fn=fn: monad.fmap(fn, monad.unit(x)),
-            lambda x, fn=fn: monad.unit(fn(x)),
-        )
-        mult_nat = compare(
-            f"naturality[{monad.name}]:mult#{idx}",
-            level2,
-            lambda t, fn=fn: monad.fmap(fn, monad.mult(t)),
-            lambda t, fn=fn: monad.mult(monad.fmap(lambda s: monad.fmap(fn, s), t)),
-        )
-        sections.extend([unit_nat, mult_nat])
-    return merge_reports(f"naturality[{monad.name}]", sections)
+def _naturality(carrier, diagrams):
+    """Naturality sections: one per map out of the carrier and per diagram.
+
+    A term carrier (a ``Carrier``) maps into each standard carrier of
+    size one to three; other carriers, such as globular sets, have no
+    maps, and their inputs are never enumerated.  A diagram is a triple
+    ``(check_id, inputs, legs)``: ``inputs()`` enumerates its inputs and
+    ``legs(fn)`` gives its two legs at the map ``fn``; section ids end
+    in ``#k`` for the k-th map.
+    """
+    if not isinstance(carrier, Carrier):
+        return []
+    maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
+    diagrams = [(check_id, inputs(), legs) for check_id, inputs, legs in diagrams]
+    return [compare(f"{check_id}#{idx}", inputs, *legs(lambda x, f=f: f[x]))
+            for idx, f in enumerate(maps) for check_id, inputs, legs in diagrams]
+
+
+def check_monad_naturality(monad, carrier, bound):
+    """Unit and mult are natural in the carrier."""
+    _check_bound(bound)
+    return merge_reports(f"naturality[{monad.name}]", _naturality(carrier, [
+        (f"naturality[{monad.name}]:unit", lambda: list(carrier),
+         lambda fn: (lambda x: monad.fmap(fn, monad.unit(x)),
+                     lambda x: monad.unit(fn(x)))),
+        (f"naturality[{monad.name}]:mult", lambda: enum_stack([monad, monad], list(carrier), bound),
+         lambda fn: (lambda t: monad.fmap(fn, monad.mult(t)),
+                     lambda t: monad.mult(monad.fmap(lambda s: monad.fmap(fn, s), t)))),
+    ]))

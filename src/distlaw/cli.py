@@ -10,8 +10,7 @@ import argparse
 import sys
 
 from .checks import check_monad_laws
-from .errors import (DistlawError, FileFormatError, IndexOrder, ParseError, ShapeMismatch,
-                     UnknownGenerator, UnsupportedNode)
+from .errors import DistlawError, FileFormatError, IndexOrder, ShapeMismatch, UnknownGenerator
 from .expr import parse_expr, tokenize
 from .globular import brute_force_oracle, free_ncat, load_gset
 from .laws import REGISTERED_LAWS
@@ -40,100 +39,82 @@ def _carrier(args):
     return Carrier(names)
 
 
-def _series(name):
-    if name not in SERIES:
-        raise UsageError(f"unknown theory {name!r}; known: {', '.join(sorted(SERIES))}")
-    return SERIES[name]
+def _lookup(kind, table, name, has_all=False):
+    """The entries of ``table`` that ``name`` selects: its own, or every one for ``all``."""
+    if has_all and name == "all":
+        return list(table.values())
+    if name not in table:
+        known = ", ".join([*table, "all"] if has_all else table)
+        raise UsageError(f"unknown {kind} {name!r}; known: {known}")
+    return [table[name]]
 
 
-def _emit(report, out):
-    for line in report.lines():
-        print(line, file=out)
-    return report.passed
+def _report(reports, summary, out):
+    """Print each report's CHECK lines as it finishes, then ``PASS|FAIL: <summary>``."""
+    ok = True
+    for report in reports:
+        for line in report.lines():
+            print(line, file=out)
+        ok &= report.passed
+    print(f"{'PASS' if ok else 'FAIL'}: {summary}", file=out)
+    return ok
 
 
 def cmd_laws(args, out):
-    if args.monad == "all":
-        monads = list(ZOO.values())
-    elif args.monad in ZOO:
-        monads = [ZOO[args.monad]]
-    else:
-        raise UsageError(f"unknown monad {args.monad!r}; known: {', '.join(ZOO)}, all")
+    monads = _lookup("monad", ZOO, args.monad, has_all=True)
     carrier = _carrier(args)
-    ok = True
-    for monad in monads:
-        ok &= _emit(check_monad_laws(monad, carrier, args.bound), out)
-    print(f"{'PASS' if ok else 'FAIL'}: {len(monads)} monads", file=out)
-    return ok
+    return _report((check_monad_laws(m, carrier, args.bound) for m in monads),
+                   f"{len(monads)} monads", out)
 
 
 def cmd_distlaw(args, out):
-    if args.law == "all":
-        laws = list(REGISTERED_LAWS.values())
-    elif args.law in REGISTERED_LAWS:
-        laws = [REGISTERED_LAWS[args.law]]
-    else:
-        raise UsageError(
-            f"unknown law {args.law!r}; known: {', '.join(REGISTERED_LAWS)}, all")
+    laws = _lookup("law", REGISTERED_LAWS, args.law, has_all=True)
     carrier = _carrier(args)
-    ok = True
-    for law in laws:
-        ok &= _emit(check_distlaw(law, carrier, args.bound), out)
-    print(f"{'PASS' if ok else 'FAIL'}: {len(laws)} laws", file=out)
-    return ok
+    return _report((check_distlaw(law, carrier, args.bound) for law in laws),
+                   f"{len(laws)} laws", out)
 
 
 def cmd_yang_baxter(args, out):
-    series = _series(args.theory)
+    series, = _lookup("theory", SERIES, args.theory)
     carrier = _carrier(args)
-    n = len(series)
-    triples = [(i, j, k) for i in range(3, n + 1) for j in range(2, i) for k in range(1, j)]
+    triples = series.triples()
+    if not triples:
+        raise UsageError(f"series {series.name} has {len(series)} monads; "
+                         "a Yang-Baxter hexagon needs three")
     if args.triple:
         if tuple(args.triple) not in triples:
-            raise UsageError(f"--triple needs {n} >= I > J > K >= 1, got {args.triple}")
+            raise UsageError(f"--triple needs {len(series)} >= I > J > K >= 1, got {args.triple}")
         triples = [tuple(args.triple)]
-    ok = True
-    for i, j, k in triples:
-        ok &= _emit(check_yang_baxter(series, i, j, k, carrier, args.bound), out)
-    print(f"{'PASS' if ok else 'FAIL'}: {len(triples)} YB triples", file=out)
-    return ok
+    return _report((check_yang_baxter(series, *t, carrier, args.bound) for t in triples),
+                   f"{len(triples)} YB triples", out)
 
 
 def cmd_series(args, out):
-    series = _series(args.theory)
+    series, = _lookup("theory", SERIES, args.theory)
     carrier = _carrier(args)
-    report = validate_series(series, carrier, args.bound)
-    _emit(report, out)
-    n = len(series)
-    pairs = n * (n - 1) // 2
-    triples = n * (n - 1) * (n - 2) // 6
-    print(f"{report.verdict}: {n} monads, {pairs} laws, {triples} YB triples", file=out)
-    return report.passed
+    return _report([validate_series(series, carrier, args.bound)],
+                   f"{len(series)} monads, {len(series.pairs())} laws, "
+                   f"{len(series.triples())} YB triples", out)
 
 
 def cmd_routes(args, out):
-    series = _series(args.theory)
+    series, = _lookup("theory", SERIES, args.theory)
     carrier = _carrier(args)
-    if args.route:
-        try:
-            route = parse_route(args.route)
-            compose_series(series, route)
-        except (ValueError, ShapeMismatch, IndexOrder) as exc:
-            raise UsageError(str(exc)) from None
-        report = compare_routes(series, [all_routes(len(series))[0], route],
-                                carrier, args.bound)
-        _emit(report, out)
-        print(f"{report.verdict}: route {args.route.replace(' ', '')} agrees", file=out)
-        return report.passed
-    report = check_route_independence(series, carrier, args.bound)
-    _emit(report, out)
-    print(f"{report.verdict}: {len(all_routes(len(series)))} routes agree", file=out)
-    return report.passed
+    if not args.route:
+        return _report([check_route_independence(series, carrier, args.bound)],
+                       f"{len(all_routes(len(series)))} routes agree", out)
+    try:
+        route = parse_route(args.route)
+        compose_series(series, route)
+    except (ValueError, ShapeMismatch, IndexOrder) as exc:
+        raise UsageError(str(exc)) from None
+    return _report([compare_routes(series, [all_routes(len(series))[0], route],
+                                   carrier, args.bound)],
+                   f"route {args.route.replace(' ', '')} agrees", out)
 
 
 def cmd_normalize(args, out):
-    if args.theory not in THEORIES:
-        raise UsageError(f"unknown theory {args.theory!r}; known: {', '.join(THEORIES)}")
+    _lookup("theory", THEORIES, args.theory)
     if args.names:
         carrier = _carrier(args)
     else:
@@ -249,9 +230,6 @@ def main(argv=None, out=None):
     except (UsageError, FileFormatError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, UnsupportedNode) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DistlawError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

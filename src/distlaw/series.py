@@ -10,26 +10,25 @@ by bounded exhaustive evaluation.
 
 import ast
 
-from .checks import CheckReport, check_monad_laws, compare, merge_reports
+from .checks import CheckReport, _naturality, check_monad_laws, compare, merge_reports
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
 from .monads import MonadSpec, enum_stack
-from .terms import Carrier, functions_between
 
 
 class CompositeMonad(MonadSpec):
-    """The canonical monad on ``outer∘inner`` induced by a distributive law.
+    """The canonical monad on T∘S induced by a distributive law S∘T => T∘S.
 
-    ``law`` must transform inner∘outer into outer∘inner.  Multiplication
-    pushes the middle inner layer out through the law, then multiplies
-    both layers; the unit is the composite of the units.
+    The law names both monads: T is the outer one, S the inner one.
+    Multiplication pushes the middle S layer out through the law, then
+    multiplies both layers; the unit is the composite of the units.
     """
 
-    def __init__(self, outer, inner, law):
-        self.outer = outer
-        self.inner = inner
+    def __init__(self, law):
+        self.outer = law.t_monad
+        self.inner = law.s_monad
         self.law = law
-        self.name = f"({outer.name}.{inner.name})"
+        self.name = f"({self.outer.name}.{self.inner.name})"
 
     def unit(self, x):
         return self.outer.unit(self.inner.unit(x))
@@ -46,15 +45,6 @@ class CompositeMonad(MonadSpec):
         return self.outer.enumerate(self.inner.enumerate(domain, bound), bound)
 
 
-def compose_pair(s_monad, t_monad, law):
-    """The composite monad on ``t_monad∘s_monad`` given law S∘T => T∘S."""
-    if law.s_monad is not s_monad or law.t_monad is not t_monad:
-        raise ShapeMismatch(
-            f"law {law.name} connects {law.s_monad.name}/{law.t_monad.name}, "
-            f"not {s_monad.name}/{t_monad.name}")
-    return CompositeMonad(outer=t_monad, inner=s_monad, law=law)
-
-
 class DistributiveSeries:
     """Ordered monads plus one distributive law per out-of-order pair."""
 
@@ -62,18 +52,24 @@ class DistributiveSeries:
         self.name = name
         self.monads = list(monads)
         self.laws = dict(laws)
-        n = len(self.monads)
-        for i in range(2, n + 1):
-            for j in range(1, i):
-                if (i, j) not in self.laws:
-                    raise ShapeMismatch(f"series {name}: missing law for pair ({i},{j})")
-                law = self.laws[(i, j)]
-                if law.s_monad is not self.monads[i - 1] or law.t_monad is not self.monads[j - 1]:
-                    raise ShapeMismatch(
-                        f"series {name}: law {law.name} does not match positions ({i},{j})")
+        for i, j in self.pairs():
+            if (i, j) not in self.laws:
+                raise ShapeMismatch(f"series {name}: missing law for pair ({i},{j})")
+            law = self.laws[(i, j)]
+            if law.s_monad is not self.monads[i - 1] or law.t_monad is not self.monads[j - 1]:
+                raise ShapeMismatch(
+                    f"series {name}: law {law.name} does not match positions ({i},{j})")
 
     def __len__(self):
         return len(self.monads)
+
+    def pairs(self):
+        """The index pairs n >= i > j >= 1, one per law, in lexicographic order."""
+        return [(i, j) for i in range(2, len(self) + 1) for j in range(1, i)]
+
+    def triples(self):
+        """The index triples n >= i > j > k >= 1, one per hexagon, in lexicographic order."""
+        return [(i, j, k) for i, j in self.pairs() for k in range(1, j)]
 
     def monad(self, i):
         if not 1 <= i <= len(self):
@@ -95,10 +91,8 @@ def check_distlaw(law, carrier, bound):
 
     The two triangles run over every enumerated T(X) and S(X) term, the
     two pentagons over every S(S(T(X))) and S(T(T(X))) term within the
-    bound.  On a term carrier (a ``Carrier``) naturality is spot-checked
-    against every function from the carrier into the standard carriers
-    of size one to three; other carriers, such as globular sets, have no
-    such maps and get the four diagrams only.
+    bound.  Naturality in the carrier is checked by
+    ``checks._naturality``, which gives globular sets none.
     """
     S, T = law.s_monad, law.t_monad
     base = list(carrier)
@@ -128,20 +122,12 @@ def check_distlaw(law, carrier, bound):
             lambda c: T.mult(T.fmap(law.transform, law.transform(c))),
         ),
     ]
-    if isinstance(carrier, Carrier):
-        inputs = enum_stack([S, T], base, bound)
-        idx = 0
-        for k in (1, 2, 3):
-            target = Carrier.of_size(k)
-            for f in functions_between(carrier, target):
-                fn = lambda x, f=f: f[x]
-                sections.append(compare(
-                    f"distlaw[{law.name}]:naturality#{idx}",
-                    inputs,
-                    lambda c, fn=fn: law.transform(S.fmap(lambda t: T.fmap(fn, t), c)),
-                    lambda c, fn=fn: T.fmap(lambda s: S.fmap(fn, s), law.transform(c)),
-                ))
-                idx += 1
+    sections += _naturality(carrier, [(
+        f"distlaw[{law.name}]:naturality",
+        lambda: enum_stack([S, T], base, bound),
+        lambda fn: (lambda c: law.transform(S.fmap(lambda t: T.fmap(fn, t), c)),
+                    lambda c: T.fmap(lambda s: S.fmap(fn, s), law.transform(c))),
+    )])
     return merge_reports(f"distlaw[{law.name}]", sections)
 
 
@@ -168,15 +154,9 @@ def check_yang_baxter(series, i, j, k, carrier, bound):
 
 def validate_series(series, carrier, bound):
     """Monad laws for every member, every pairwise law, every hexagon."""
-    n = len(series)
     sections = [check_monad_laws(m, carrier, bound) for m in series.monads]
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            sections.append(check_distlaw(series.law(i, j), carrier, bound))
-    for i in range(3, n + 1):
-        for j in range(2, i):
-            for k in range(1, j):
-                sections.append(check_yang_baxter(series, i, j, k, carrier, bound))
+    sections += [check_distlaw(series.law(i, j), carrier, bound) for i, j in series.pairs()]
+    sections += [check_yang_baxter(series, *t, carrier, bound) for t in series.triples()]
     return merge_reports(f"series[{series.name}]", sections)
 
 
@@ -263,7 +243,7 @@ def _compose_route(series, node):
             f"{series.name}-block({ra}..{rb})({la}..{lb})",
             rmonad, lmonad,
             _block_swap(series, right, left, rmonad, lmonad))
-    return CompositeMonad(outer=lmonad, inner=rmonad, law=law), la, rb
+    return CompositeMonad(law), la, rb
 
 
 def compose_series(series, route):

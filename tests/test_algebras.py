@@ -3,7 +3,7 @@ from itertools import product as cartesian
 import pytest
 
 from distlaw import (Algebra, Gen, Inj, IntComb, ONE, Seq,
-                     algebra_from_function, check_algebra, compose_pair,
+                     CompositeMonad, algebra_from_function, check_algebra,
                      lift_to_algebras)
 from distlaw.errors import NotAnAlgebra
 from distlaw.laws import (LAW_PRODUCT_OVER_SUM_COMM, LAW_UNIT_ABSORPTION)
@@ -105,7 +105,7 @@ def _all_composite_algebras(monad, carrier, bound):
 def test_composite_algebras_split_and_recombine():
     """A composite algebra is an inner algebra plus a lifted outer action."""
     S, T, law = FREE_SEMIGROUP, ADJOIN_UNIT, LAW_UNIT_ABSORPTION
-    PS = compose_pair(S, T, law)
+    PS = CompositeMonad(law)
     carrier = (Gen("x"), Gen("y"))
     algebras = _all_composite_algebras(PS, carrier, 2)
     assert algebras, "no composite algebras found at this bound"

@@ -151,6 +151,7 @@ def test_routes_bad_bracketing_is_a_usage_error(capsys):
     ("yang-baxter", "--theory", "ring3", "--triple", "0", "-1", "-2"),
     ("yang-baxter", "--theory", "ring3", "--triple", "1", "2", "3"),
     ("yang-baxter", "--theory", "ring2", "--triple", "3", "2", "1"),
+    ("yang-baxter", "--theory", "ring2"),
     ("routes", "--theory", "ring3", "--route", "(0,(1,2))"),
     ("routes", "--theory", "ring3", "--route", "(1,2)"),
     ("routes", "--theory", "ring3", "--route", "((1,2),4)"),

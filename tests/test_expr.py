@@ -212,14 +212,17 @@ def test_format_signed_sums():
     assert format_normal("ring2", nf("ring2", "a*a - b")) == "a*a - b"
 
 
-_vars = st.sampled_from([Var("a"), Var("b"), OneLit(), ZeroLit()])
-_exprs = st.recursive(
-    _vars,
-    lambda sub: st.one_of(
-        st.tuples(sub, sub).map(lambda p: Add(*p)),
-        st.tuples(sub, sub).map(lambda p: Mul(*p)),
-        sub.map(Neg)),
-    max_leaves=8)
+_leaves = st.sampled_from([Var("a"), Var("b"), OneLit(), ZeroLit(), IntLit(2), IntLit(3)])
+
+
+def _sums_and_products(sub):
+    return st.one_of(st.tuples(sub, sub).map(lambda p: Add(*p)),
+                     st.tuples(sub, sub).map(lambda p: Mul(*p)))
+
+
+_exprs = st.recursive(_leaves, lambda sub: st.one_of(_sums_and_products(sub), sub.map(Neg)),
+                      max_leaves=8)
+_rig_exprs = st.recursive(_leaves, _sums_and_products, max_leaves=8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,3 +242,17 @@ def test_normalization_is_stable_and_sound(expr):
 def test_commutative_image_of_word_normal_form(expr):
     assert abelianize(normalize_expr("ring3", expr)) == \
         normalize_expr("ring2", expr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rig_exprs)
+def test_rig_normal_form_agrees_with_both_oracles(expr):
+    """The Boolean rig checks which words occur, 2x2 matrices how often."""
+    normal = normalize_expr("rig", expr)
+    for assignment in _all_bool_assignments(("a", "b")):
+        assert eval_expr_bool(expr, assignment) == eval_rig_nf_bool(normal, assignment)
+    words = () if normal == ZERO else normal.inner.items
+    rng = random.Random(29)
+    assignment = {n: random_matrix(rng) for n in ("a", "b")}
+    assert eval_expr_matrix(expr, assignment) == \
+        eval_ring_nf_matrix(IntComb(tuple((word, 1) for word in words)), assignment)

@@ -184,9 +184,12 @@ def test_functoriality_identity_and_composition():
 
 def test_naturality_of_unit_and_mult():
     for monad in ZOO.values():
-        for size in (1, 2, 3):
-            funcs = functions_between(X2, Carrier.of_size(size))
-            assert check_monad_naturality(monad, X2, funcs, 2).passed
+        report = check_monad_naturality(monad, X2, 2)
+        assert report.passed
+        # unit and mult at each of the 1 + 4 + 9 maps into sizes 1, 2 and 3
+        assert [s.title for s in report.sections[:2]] == \
+            [f"naturality[{monad.name}]:unit#0", f"naturality[{monad.name}]:mult#0"]
+        assert len(report.sections) == 2 * (1 + 4 + 9)
 
 
 def test_enum_ceiling_raises(monkeypatch):

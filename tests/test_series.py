@@ -1,11 +1,12 @@
+from math import comb
+
 import pytest
 
-from distlaw import (Carrier, DistLaw, DistributiveSeries, Gen, GlobularSet,
-                     ONE, Seq, ZERO, all_routes, check_distlaw,
-                     check_monad_laws, check_route_independence,
-                     check_yang_baxter, compose_pair, compose_series,
-                     composition_series, derive_block_law, enum_stack,
-                     parse_route, validate_series)
+from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
+                     GlobularSet, ONE, REGISTERED_LAWS, Seq, ZERO, all_routes,
+                     check_distlaw, check_monad_laws, check_route_independence,
+                     check_yang_baxter, compose_series, composition_series,
+                     derive_block_law, enum_stack, parse_route, validate_series)
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import ADJOIN_UNIT, FREE_MONOID, FREE_SEMIGROUP, IDENTITY
@@ -26,6 +27,38 @@ def test_series_checks_law_endpoints():
     with pytest.raises(ShapeMismatch):
         DistributiveSeries("broken", [ADJOIN_UNIT, FREE_SEMIGROUP],
                            {(2, 1): LAW_ZERO_IN_SUM})
+
+
+def _identity_series(n):
+    laws = {(i, j): DistLaw(f"identity-{i}-{j}", IDENTITY, IDENTITY, lambda t: t)
+            for i in range(2, n + 1) for j in range(1, i)}
+    return DistributiveSeries(f"identity{n}", [IDENTITY] * n, laws)
+
+
+@pytest.mark.parametrize("series", [_identity_series(n) for n in range(1, 6)]
+                         + [RING2_SERIES, RING3_SERIES, RIG_SERIES],
+                         ids=lambda s: s.name)
+def test_pairs_and_triples_follow_validate_series(series):
+    n = len(series)
+    pairs, triples = series.pairs(), series.triples()
+    assert len(pairs) == comb(n, 2)
+    assert len(triples) == comb(n, 3)
+    assert all(n >= i > j >= 1 for i, j in pairs)
+    assert all(n >= i > j > k >= 1 for i, j, k in triples)
+    assert set(pairs) == set(series.laws)
+    sections = validate_series(series, X1, 1).sections
+    assert [s.title for s in sections[n:]] == \
+        [f"distlaw[{series.law(i, j).name}]" for i, j in pairs] + \
+        [f"yang-baxter[{series.name}]({i},{j},{k})" for i, j, k in triples]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED_LAWS))
+def test_a_composite_takes_its_monads_from_its_law(name):
+    law = REGISTERED_LAWS[name]
+    composite = CompositeMonad(law)
+    assert composite.outer is law.t_monad
+    assert composite.inner is law.s_monad
+    assert composite.law is law
 
 
 def test_yang_baxter_passes_for_ring3_and_rig():
@@ -109,7 +142,7 @@ def test_every_split_induces_a_distributive_law(series, split):
 
 
 def test_composite_of_unit_and_semigroup_is_the_free_monoid():
-    PS = compose_pair(FREE_SEMIGROUP, ADJOIN_UNIT, LAW_UNIT_ABSORPTION)
+    PS = CompositeMonad(LAW_UNIT_ABSORPTION)
     assert check_monad_laws(PS, X2, 3).passed
 
     def to_word(t):
@@ -132,7 +165,7 @@ def test_composite_of_unit_and_semigroup_is_the_free_monoid():
 
 def test_composition_with_the_identity_monad_changes_nothing():
     triv_in = DistLaw("identity-under", IDENTITY, FREE_MONOID, lambda t: t)
-    monad = compose_pair(IDENTITY, FREE_MONOID, triv_in)
+    monad = CompositeMonad(triv_in)
     assert check_monad_laws(monad, X2, 3).passed
     assert monad.enumerate(list(X2), 3) == FREE_MONOID.enumerate(list(X2), 3)
     for tt in enum_stack([FREE_MONOID, FREE_MONOID], list(X2), 3):
