@@ -1,23 +1,21 @@
 """Finite algebras of a monad and their lifting through a distributive law."""
 
-from .checks import CheckReport, Witness, merge_reports
+from .checks import CheckReport, Witness
 from .errors import NotAnAlgebra
 from .monads import enum_stack
+from .terms import weight
 
 
 class _OutOfTable(NotAnAlgebra):
-    """An action lookup fell outside the bounded table (not a law failure)."""
-
-    def __init__(self, term):
-        super().__init__(f"action table has no entry for {term}")
-        self.term = term
+    """An action lookup beyond the table's bound (not a law failure)."""
 
 
 class Algebra:
     """A finite algebra: carrier elements plus an action table.
 
     The action maps every enumerated structure over the carrier (within
-    the stated bound) to a carrier element.
+    the stated bound) to a carrier element.  A lookup that finds no entry
+    raises ``_OutOfTable`` beyond the bound and ``NotAnAlgebra`` within it.
     """
 
     def __init__(self, monad, carrier, action, bound):
@@ -30,7 +28,8 @@ class Algebra:
         try:
             return self.action[term]
         except KeyError:
-            raise _OutOfTable(term) from None
+            error = _OutOfTable if weight(term) > self.bound else NotAnAlgebra
+            raise error(f"action table has no entry for {term}") from None
 
     def __repr__(self):
         return f"<algebra of {self.monad.name} on {len(self.carrier)} elements>"
@@ -42,7 +41,10 @@ def algebra_from_function(monad, carrier, fn, bound):
 
 
 def _compare(check_id, inputs, left_leg, right_leg):
-    """Pointwise comparison that skips instances leaving the bounded table."""
+    """Pointwise comparison that skips instances leaving the bounded table.
+
+    An instance whose lookup misses an entry within the bound fails.
+    """
     witnesses = []
     checked = 0
     for t in inputs:
@@ -51,6 +53,8 @@ def _compare(check_id, inputs, left_leg, right_leg):
             rhs = right_leg(t)
         except _OutOfTable:
             continue
+        except NotAnAlgebra as exc:
+            lhs, rhs = f"error:{exc}", None
         checked += 1
         if lhs != rhs:
             witnesses.append(Witness(check_id, t, lhs, rhs))
@@ -73,7 +77,7 @@ def check_algebra(alg):
         lambda t: alg.act(monad.mult(t)),
         lambda t: alg.act(monad.fmap(alg.act, t)),
     )
-    return merge_reports(f"algebra[{monad.name}]", [unit_law, assoc_law])
+    return CheckReport(f"algebra[{monad.name}]", sections=[unit_law, assoc_law])
 
 
 def lift_to_algebras(law, alg):
@@ -103,8 +107,7 @@ def lift_to_algebras(law, alg):
         lifted = algebra_from_function(S, carrier, lifted_action, bound)
     except _OutOfTable as exc:
         raise NotAnAlgebra(
-            f"action table too small for lift at bound {bound}: no entry for {exc.args[0]}"
-        ) from None
+            f"action table too small for lift at bound {bound}: {exc}") from None
 
     problems = [check_algebra(lifted)]
     problems.append(_compare(
@@ -124,7 +127,7 @@ def lift_to_algebras(law, alg):
         lambda s: lifted.act(S.fmap(T.mult, s)),
         lambda s: T.mult(doubled_action(s)),
     ))
-    verification = merge_reports(f"lift[{law.name}]", problems)
+    verification = CheckReport(f"lift[{law.name}]", sections=problems)
     if not verification.passed:
         witness = verification.all_witnesses()[0]
         raise NotAnAlgebra(f"lifted structure failed verification: {witness!r}")

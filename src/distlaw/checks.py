@@ -63,10 +63,6 @@ class CheckReport:
         return f"CheckReport({self.title}: {self.verdict}, {self.total_checked()} checked)"
 
 
-def merge_reports(title, reports):
-    return CheckReport(title, sections=list(reports))
-
-
 def compare(check_id, inputs, left_leg, right_leg):
     """Evaluate two legs pointwise; a leg that raises a package error agrees with no leg."""
     witnesses = []
@@ -119,7 +115,7 @@ def check_monad_laws(monad, carrier, bound):
         lambda t: monad.mult(monad.mult(t)),
         lambda t: monad.mult(monad.fmap(monad.mult, t)),
     )
-    return merge_reports(f"monad-laws[{monad.name}]", [left_unit, right_unit, assoc])
+    return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
 
 
 def check_functoriality(monad, carrier, bound, function_pairs):
@@ -141,7 +137,7 @@ def check_functoriality(monad, carrier, bound, function_pairs):
             lambda t, f=f, g=g: monad.fmap(lambda x: g[x], monad.fmap(lambda x: f[x], t)),
         )
         sections.append(comp)
-    return merge_reports(f"functoriality[{monad.name}]", sections)
+    return CheckReport(f"functoriality[{monad.name}]", sections=sections)
 
 
 def _naturality(carrier, diagrams):
@@ -165,7 +161,7 @@ def _naturality(carrier, diagrams):
 def check_monad_naturality(monad, carrier, bound):
     """Unit and mult are natural in the carrier."""
     _check_bound(bound)
-    return merge_reports(f"naturality[{monad.name}]", _naturality(carrier, [
+    return CheckReport(f"naturality[{monad.name}]", sections=_naturality(carrier, [
         (f"naturality[{monad.name}]:unit", lambda: list(carrier),
          lambda fn: (lambda x: monad.fmap(fn, monad.unit(x)),
                      lambda x: monad.unit(fn(x)))),

@@ -24,7 +24,7 @@ unchanged.
 
 import json
 
-from .checks import CheckReport, Witness, merge_reports
+from .checks import CheckReport, Witness
 from .errors import (ComposabilityError, DimensionError, FileFormatError,
                      IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
@@ -130,10 +130,6 @@ def boundary(cell, side, d):
     return boundary_to(cell, side, d)
 
 
-def composable(left, right, i):
-    return boundary_to(left, "tgt", i) == boundary_to(right, "src", i)
-
-
 class GlobularSet:
     """A finite tower of cell lists with structurally computed boundaries."""
 
@@ -174,7 +170,14 @@ def validate_globular(gset):
         sections.append(CheckReport(f"globular:dim{m}",
                                     checked=len(gset.cells_at(m)),
                                     witnesses=witnesses))
-    return merge_reports("globular", sections)
+    return CheckReport("globular", sections=sections)
+
+
+def _require_globular(gset, error):
+    """Raise ``error`` naming the first cell at which ``gset`` is not globular."""
+    report = validate_globular(gset)
+    if not report.passed:
+        raise error(f"globularity fails at cell {report.all_witnesses()[0].input!r}")
 
 
 def globular_set_from_names(n, cells, src, tgt):
@@ -203,10 +206,7 @@ def globular_set_from_names(n, cells, src, tgt):
                 layer[name] = GenCell(name, m, below[src[m - 1][name]], below[tgt[m - 1][name]])
         layers.append(layer)
     gset = GlobularSet(n, [tuple(layer.values()) for layer in layers])
-    report = validate_globular(gset)
-    if not report.passed:
-        bad = report.all_witnesses()[0].input
-        raise FileFormatError(f"globularity fails at cell {bad!r}")
+    _require_globular(gset, FileFormatError)
     return gset
 
 
@@ -248,6 +248,16 @@ def load_gset(source):
     return globular_set_from_names(n, data["cells"], data["src"], data["tgt"])
 
 
+def _nested(cell, outer, inner, what):
+    """The entries of a string along ``outer`` whose entries are strings along ``inner``."""
+    if not isinstance(cell, StringCell) or cell.along != outer:
+        raise ShapeMismatch(f"{what}: {cell} is not a string along {outer}")
+    for entry in cell.entries:
+        if not isinstance(entry, StringCell) or entry.along != inner:
+            raise ShapeMismatch(f"{what}: entry {entry} is not a string along {inner}")
+    return cell.entries
+
+
 class CompositionMonad(MonadSpec):
     """The monad composing cells freely along dimension ``i`` of n-globular sets.
 
@@ -273,25 +283,18 @@ class CompositionMonad(MonadSpec):
         i = self.i
         if cell.dim <= i:
             return cell
-        if not isinstance(cell, StringCell) or cell.along != i:
-            raise ShapeMismatch(f"mult along {i}: {cell} is not a string along {i}")
-        if not cell.entries:
+        entries = _nested(cell, i, i, f"mult along {i}")
+        if not entries:
             return cell
-        flat = []
-        anchors = []
-        for entry in cell.entries:
-            if not isinstance(entry, StringCell) or entry.along != i:
-                raise ShapeMismatch(f"mult along {i}: entry {entry} is not a string along {i}")
-            flat.extend(entry.entries)
-            if not entry.entries:
-                anchors.append(entry.anchor)
+        flat = [c for entry in entries for c in entry.entries]
         if not flat:
+            anchors = [entry.anchor for entry in entries]
             if any(a != anchors[0] for a in anchors):
                 raise ComposabilityError(
                     f"flattening identities with different anchors: {anchors}")
             return StringCell(i, cell.dim, (), anchors[0])
         for left, right in zip(flat, flat[1:]):
-            if not composable(left, right, i):
+            if boundary_to(left, "tgt", i) != boundary_to(right, "src", i):
                 raise ComposabilityError(
                     f"flattened entries {left} and {right} do not meet along {i}")
         return StringCell(i, cell.dim, tuple(flat))
@@ -353,9 +356,8 @@ def interchange_law(cell, i, j):
         raise IndexOrder(f"interchange needs i > j, got ({i},{j})")
     if cell.dim <= i:
         return cell
-    if not isinstance(cell, StringCell) or cell.along != i:
-        raise ShapeMismatch(f"interchange: {cell} is not a string along {i}")
-    if not cell.entries:
+    rows = _nested(cell, i, j, "interchange")
+    if not rows:
         anchor = cell.anchor
         if not isinstance(anchor, StringCell) or anchor.along != j:
             raise ShapeMismatch(f"interchange: anchor {anchor} is not a string along {j}")
@@ -363,11 +365,6 @@ def interchange_law(cell, i, j):
             return StringCell(j, cell.dim, (), anchor.anchor)
         return StringCell(j, cell.dim,
                           tuple(StringCell(i, cell.dim, (), a) for a in anchor.entries))
-    rows = []
-    for entry in cell.entries:
-        if not isinstance(entry, StringCell) or entry.along != j:
-            raise ShapeMismatch(f"interchange: entry {entry} is not a string along {j}")
-        rows.append(entry)
     lengths = {len(r.entries) for r in rows}
     if len(lengths) != 1:
         raise RaggedGrid(f"inner strings have lengths {sorted(lengths)}")
@@ -412,15 +409,9 @@ def padded_transpose_candidate(cell, i, j):
         raise IndexOrder(f"padding candidate needs i > j, got ({i},{j})")
     if cell.dim <= i:
         return cell
-    if not isinstance(cell, StringCell) or cell.along != j:
-        raise ShapeMismatch(f"padding candidate: {cell} is not a string along {j}")
-    if not cell.entries:
+    columns = _nested(cell, j, i, "padding candidate")
+    if not columns:
         return StringCell(i, cell.dim, (), StringCell(j, i, (), cell.anchor))
-    columns = []
-    for entry in cell.entries:
-        if not isinstance(entry, StringCell) or entry.along != i:
-            raise ShapeMismatch(f"padding candidate: entry {entry} is not a string along {i}")
-        columns.append(entry)
     height = max(len(c.entries) for c in columns)
     if height == 0:
         anchors = tuple(c.anchor for c in columns)
@@ -436,10 +427,7 @@ def padded_transpose_candidate(cell, i, j):
 
 def free_ncat(gset, bound):
     """Free strict n-category: compose along n-1, then n-2, ..., then 0."""
-    report = validate_globular(gset)
-    if not report.passed:
-        bad = report.all_witnesses()[0].input
-        raise ShapeMismatch(f"input is not globular at {bad!r}")
+    _require_globular(gset, ShapeMismatch)
     out = gset
     for i in range(gset.n - 1, -1, -1):
         out = CompositionMonad(i, gset.n).apply(out, bound)

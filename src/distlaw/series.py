@@ -10,7 +10,7 @@ by bounded exhaustive evaluation.
 
 import ast
 
-from .checks import CheckReport, _naturality, check_monad_laws, compare, merge_reports
+from .checks import CheckReport, _naturality, check_monad_laws, compare
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
 from .monads import MonadSpec, enum_stack
@@ -128,7 +128,7 @@ def check_distlaw(law, carrier, bound):
         lambda fn: (lambda c: law.transform(S.fmap(lambda t: T.fmap(fn, t), c)),
                     lambda c: T.fmap(lambda s: S.fmap(fn, s), law.transform(c))),
     )])
-    return merge_reports(f"distlaw[{law.name}]", sections)
+    return CheckReport(f"distlaw[{law.name}]", sections=sections)
 
 
 def check_yang_baxter(series, i, j, k, carrier, bound):
@@ -157,7 +157,7 @@ def validate_series(series, carrier, bound):
     sections = [check_monad_laws(m, carrier, bound) for m in series.monads]
     sections += [check_distlaw(series.law(i, j), carrier, bound) for i, j in series.pairs()]
     sections += [check_yang_baxter(series, *t, carrier, bound) for t in series.triples()]
-    return merge_reports(f"series[{series.name}]", sections)
+    return CheckReport(f"series[{series.name}]", sections=sections)
 
 
 def _block_swap(series, upper, lower, umonad, lmonad):
@@ -279,4 +279,4 @@ def compare_routes(series, routes, carrier, bound):
             reference.mult,
             composite.mult,
         ))
-    return merge_reports(f"routes[{series.name}]", sections)
+    return CheckReport(f"routes[{series.name}]", sections=sections)

@@ -20,7 +20,7 @@ from .errors import ShapeMismatch, UnknownGenerator
 
 
 class Keyed:
-    """An immutable value compared, ordered and hashed by the key its ``_seal`` sets."""
+    """An immutable value compared and hashed by the key its ``_seal`` sets."""
 
     __slots__ = ("_key", "_hash")
 
@@ -30,9 +30,6 @@ class Keyed:
 
     def __eq__(self, other):
         return isinstance(other, Keyed) and self._key == other._key
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __hash__(self):
         return self._hash

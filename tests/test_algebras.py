@@ -35,6 +35,27 @@ def test_lift_rejects_a_non_algebra():
         lift_to_algebras(LAW_UNIT_ABSORPTION, broken)
 
 
+def test_a_missing_entry_within_the_bound_fails_the_law():
+    empty = Algebra(FREE_SEMIGROUP, (a,), {}, 2)
+    report = check_algebra(empty)
+    assert not report.passed
+    unit = report.sections[0]
+    assert unit.title == "algebra[free-semigroup]:unit"
+    assert [w.input for w in unit.witnesses] == [a]
+    with pytest.raises(NotAnAlgebra) as info:
+        lift_to_algebras(LAW_UNIT_ABSORPTION, empty)
+    assert str(info.value).startswith("input algebra violates its laws: ")
+
+
+def test_a_lookup_beyond_the_bound_is_skipped():
+    # the unit on the weight-3 element weighs 3, beyond the table's bound
+    heavy = Seq((a, a, a))
+    alg = algebra_from_function(FREE_SEMIGROUP, (a, heavy), lambda w: a, 2)
+    unit = check_algebra(alg).sections[0]
+    assert unit.passed
+    assert unit.checked == 1
+
+
 def test_lift_rejects_an_algebra_of_the_wrong_monad():
     wrong = algebra_from_function(FREE_COMM_MONOID, (a,), lambda w: a, 2)
     with pytest.raises(NotAnAlgebra):

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from distlaw.normalize import THEORIES
 from distlaw.theories import SERIES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(*argv):
@@ -190,6 +193,24 @@ def test_mistyped_gset_fields_are_a_format_error(name, tmp_path, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: field ") and err.count("\n") == 1
+
+
+def test_readme_commands_succeed(monkeypatch):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", f.read(), re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 9
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "distlaw"
+        code, out = run(*argv)
+        assert code == 0, argv
+        if argv[0] == "normalize":
+            assert out == comment.strip() + "\n" == "a*c + a*d + b*c + b*d\n"
+        if argv[:5] == ["routes", "--theory", "rig", "--bound", "2"]:
+            assert out.endswith("PASS: 5 routes agree\n")
 
 
 def test_ncat_counts_and_oracle():

@@ -173,6 +173,32 @@ def test_mult_shape_and_composability_errors(fg_graph):
         T.mult(two_anchors)
 
 
+@pytest.mark.parametrize("transform, wrap, message", [
+    (lambda c: CompositionMonad(1, 2).mult(c), None,
+     "mult along 1: a1 is not a string along 1"),
+    (lambda c: CompositionMonad(1, 2).mult(c), 1,
+     "mult along 1: entry a1 is not a string along 1"),
+    (lambda c: interchange_law(c, 1, 0), None,
+     "interchange: a1 is not a string along 1"),
+    (lambda c: interchange_law(c, 1, 0), 1,
+     "interchange: entry a1 is not a string along 0"),
+    (lambda c: padded_transpose_candidate(c, 1, 0), None,
+     "padding candidate: a1 is not a string along 0"),
+    (lambda c: padded_transpose_candidate(c, 1, 0), 0,
+     "padding candidate: entry a1 is not a string along 1"),
+], ids=["mult", "mult-entry", "interchange", "interchange-entry",
+        "padding", "padding-entry"])
+def test_cell_transforms_name_the_misshapen_cell(chain_2gset, transform, wrap, message):
+    # a bare 2-cell is no string; wrapped once along the outer dimension,
+    # its only entry is no string along the inner one
+    cell = cells_by_name(chain_2gset, 2)["a1"]
+    if wrap is not None:
+        cell = StringCell(wrap, 2, (cell,))
+    with pytest.raises(ShapeMismatch) as info:
+        transform(cell)
+    assert str(info.value) == message
+
+
 def test_globular_monad_laws(fg_graph, parallel_2gset):
     assert check_monad_laws(CompositionMonad(0, 1), fg_graph, 2).passed
     assert check_monad_laws(CompositionMonad(0, 2), parallel_2gset, 2).passed
