@@ -1,7 +1,7 @@
 """Bounded exhaustive verification of monad laws, with failure witnesses."""
 
 from .errors import DistlawError
-from .monads import _check_bound, enum_stack
+from .monads import _check_bound, _guard, enum_stack
 from .terms import Carrier, functions_between
 
 
@@ -148,10 +148,11 @@ def _naturality(carrier, diagrams):
     maps, and their inputs are never enumerated.  A diagram is a triple
     ``(check_id, inputs, legs)``: ``inputs()`` enumerates its inputs and
     ``legs(fn)`` gives its two legs at the map ``fn``; section ids end
-    in ``#k`` for the k-th map.
+    in ``#k`` for the k-th map.  The maps count against ``ENUM_CEILING``.
     """
     if not isinstance(carrier, Carrier):
         return []
+    _guard(sum(size ** len(carrier) for size in (1, 2, 3)))
     maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
     diagrams = [(check_id, inputs(), legs) for check_id, inputs, legs in diagrams]
     return [compare(f"{check_id}#{idx}", inputs, *legs(lambda x, f=f: f[x]))

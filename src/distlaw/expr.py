@@ -7,10 +7,11 @@ Grammar (whitespace insignificant)::
     factor := ["-"] atom
     atom   := IDENT | INT | "(" expr ")"
     IDENT  := [a-zA-Z_][a-zA-Z0-9_]*
-    INT    := [0-9]+
+    INT    := DIGIT+
 
-Subtraction desugars to addition of a negation at parse time; the
-literals 0 and 1 parse to the dedicated Zero/One nodes.
+Subtraction desugars to addition of a negation at parse time.  Every
+integer literal, 0 and 1 included, is one ``IntLit`` node; a DIGIT is any
+character that ``str.isdecimal`` accepts.
 """
 
 from dataclasses import dataclass
@@ -45,17 +46,7 @@ class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class OneLit:
-    pass
-
-
-@dataclass(frozen=True)
-class ZeroLit:
-    pass
-
-
-Expr = Var | IntLit | Add | Mul | Neg | OneLit | ZeroLit
+Expr = Var | IntLit | Add | Mul | Neg
 
 
 def tokenize(src):
@@ -70,9 +61,9 @@ def tokenize(src):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < len(src) and src[pos].isdigit():
+            while pos < len(src) and src[pos].isdecimal():
                 pos += 1
             tokens.append(("INT", int(src[start:pos]), start))
             continue
@@ -112,10 +103,6 @@ def parse_expr(src, carrier):
             return Var(value)
         if kind == "INT":
             idx += 1
-            if value == 0:
-                return ZeroLit()
-            if value == 1:
-                return OneLit()
             return IntLit(value)
         if kind == "(":
             idx += 1

@@ -321,6 +321,8 @@ class CompositionMonad(MonadSpec):
             frontier = [(c,) for c in layers[m]] if bound else []
             cells.extend(StringCell(i, m, chain) for chain in frontier)
             for _ in range(bound - 1):
+                if not frontier:
+                    break
                 frontier = [chain + (c,) for chain in frontier
                             for c in starting_at.get(boundary_to(chain[-1], "tgt", i), ())]
                 cells.extend(StringCell(i, m, chain) for chain in frontier)

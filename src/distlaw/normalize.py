@@ -18,21 +18,25 @@ from collections import Counter
 from itertools import groupby
 
 from .errors import UnsupportedNode
-from .expr import Add, IntLit, Mul, Neg, OneLit, Var, ZeroLit
-from .monads import FREE_COMM_MONOID, FREE_MONOID
+from .expr import Add, IntLit, Mul, Neg, Var
+from .monads import (ADJOIN_ZERO, FREE_ABELIAN_GROUP, FREE_COMM_MONOID,
+                     FREE_COMM_SEMIGROUP, FREE_MONOID)
 from .series import compose_series
 from .terms import Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES
 
 
 class Theory:
-    """One normal-form theory: a monad plus operator embeddings."""
+    """One normal-form theory: a monad, its operator embeddings, how an
+    evaluated term is finished, and how a finished normal form reads as
+    (coefficient, word) pieces."""
 
-    def __init__(self, name, monad, ops, finish=None):
+    def __init__(self, name, monad, ops, pieces, finish=lambda t: t):
         self.name = name
         self.monad = monad
         self._ops = ops
-        self._finish = finish or (lambda t: t)
+        self.pieces = pieces
+        self.finish = finish
 
     def op(self, kind, *args):
         embed = self._ops.get(kind)
@@ -40,94 +44,82 @@ class Theory:
             raise UnsupportedNode(f"theory {self.name!r} does not support {kind}")
         return embed(*args)
 
-    def finish(self, term):
-        return self._finish(term)
+
+def _collection(name, monad):
+    """Words or multisets: ``*`` and the literal 1 only."""
+    empty = monad.shape(())
+
+    def lit(k):
+        if k != 1:
+            raise UnsupportedNode(f"theory {name!r} does not support the literal {k}")
+        return empty
+
+    return Theory(name, monad, {"mul": lambda u, v: monad.mult(monad.shape((u, v))), "lit": lit},
+                  pieces=lambda w: [(1, w)])
+
+
+def _ring(name, ring, monomial, empty, finish=lambda t: t):
+    """Integer combinations of monomials; the literal k is k times ``empty``."""
+    return Theory(
+        name, ring,
+        {
+            "mul": lambda u, v: ring.mult(IntComb(((monomial(u, v), 1),))),
+            "add": lambda *us: ring.mult(IntComb(tuple((monomial(u), 1) for u in us))),
+            "neg": lambda u: ring.mult(IntComb(((monomial(u), -1),))),
+            "lit": lambda k: IntComb(((empty, k),)),
+        },
+        pieces=lambda t: [(c, m) for m, c in t.pairs], finish=finish)
+
+
+def _unit_word(*us):
+    return Inj(Seq(us))
+
+
+def _word(unit_word):
+    """A unit-extended word as a plain word: the unit is the empty word."""
+    return Seq(()) if unit_word == ONE else unit_word.inner
+
+
+def _rig_pieces(term):
+    if term == ZERO:
+        return []
+    counts = Counter(term.inner.items)
+    return [(counts[w], w) for w in sorted(counts, key=lambda t: t.key)]
 
 
 def _make_theories():
-    ring2 = compose_series(RING2_SERIES, (1, 2))
-    ring3 = compose_series(RING3_SERIES, ((1, 2), 3))
     rig = compose_series(RIG_SERIES, (((1, 2), 3), 4))
-
-    def word(u):
-        return Inj(Seq((u,)))
-
-    theories = {
-        "monoid": Theory(
-            "monoid", FREE_MONOID,
-            {
-                "mul": lambda u, v: FREE_MONOID.mult(Seq((u, v))),
-                "one": lambda: Seq(()),
-            }),
-        "cmonoid": Theory(
-            "cmonoid", FREE_COMM_MONOID,
-            {
-                "mul": lambda u, v: FREE_COMM_MONOID.mult(MSet((u, v))),
-                "one": lambda: MSet(()),
-            }),
-        "ring2": Theory(
-            "ring2", ring2,
-            {
-                "mul": lambda u, v: ring2.mult(IntComb(((MSet((u, v)), 1),))),
-                "add": lambda *us: ring2.mult(IntComb(tuple((MSet((u,)), 1) for u in us))),
-                "neg": lambda u: ring2.mult(IntComb(((MSet((u,)), -1),))),
-                "one": lambda: IntComb(((MSet(()), 1),)),
-                "lit": lambda k: IntComb(((MSet(()), k),)),
-                "zero": lambda: IntComb(()),
-            }),
-        "ring3": Theory(
-            "ring3", ring3,
-            {
-                "mul": lambda u, v: ring3.mult(IntComb(((Inj(Seq((u, v))), 1),))),
-                "add": lambda *us: ring3.mult(IntComb(tuple((word(u), 1) for u in us))),
-                "neg": lambda u: ring3.mult(IntComb(((word(u), -1),))),
-                "one": lambda: IntComb(((ONE, 1),)),
-                "lit": lambda k: IntComb(((ONE, k),)),
-                "zero": lambda: IntComb(()),
-            },
-            finish=collapse_unit_words),
-        "rig": Theory(
+    theories = (
+        _collection("monoid", FREE_MONOID),
+        _collection("cmonoid", FREE_COMM_MONOID),
+        _ring("ring2", compose_series(RING2_SERIES, (1, 2)), lambda *us: MSet(us), MSet(())),
+        _ring("ring3", compose_series(RING3_SERIES, ((1, 2), 3)), _unit_word, ONE,
+              finish=lambda t: FREE_ABELIAN_GROUP.fmap(_word, t)),
+        Theory(
             "rig", rig,
             {
-                "mul": lambda u, v: rig.mult(Inj(MSet((Inj(Seq((u, v))),)))),
-                "add": lambda *us: rig.mult(Inj(MSet(tuple(word(u) for u in us)))),
-                "one": lambda: Inj(MSet((ONE,))),
-                "lit": lambda k: Inj(MSet((ONE,) * k)),
-                "zero": lambda: ZERO,
+                "mul": lambda u, v: rig.mult(Inj(MSet((_unit_word(u, v),)))),
+                "add": lambda *us: rig.mult(Inj(MSet(tuple(_unit_word(u) for u in us)))),
+                "lit": lambda k: Inj(MSet((ONE,) * k)) if k else ZERO,
             },
-            finish=collapse_rig),
-    }
-    return theories
-
-
-def _unit_word_to_seq(item):
-    if item == ONE:
-        return Seq(())
-    if isinstance(item, Inj) and isinstance(item.inner, Seq):
-        return item.inner
-    raise UnsupportedNode(f"not a unit-extended word: {item}")
-
-
-def collapse_unit_words(term):
-    """Rewrite a combination over unit-extended words as one over plain words."""
-    return IntComb(tuple((_unit_word_to_seq(t), c) for t, c in term.pairs))
-
-
-def collapse_rig(term):
-    """Rewrite a rig normal form over plain words (zero stays zero)."""
-    if term == ZERO:
-        return ZERO
-    return Inj(MSet(tuple(_unit_word_to_seq(t) for t in term.inner.items)))
+            pieces=_rig_pieces,
+            finish=lambda t: ADJOIN_ZERO.fmap(lambda s: FREE_COMM_SEMIGROUP.fmap(_word, s), t)),
+    )
+    return {t.name: t for t in theories}
 
 
 THEORIES = _make_theories()
 
 
+def _theory(name):
+    if name not in THEORIES:
+        raise UnsupportedNode(f"unknown theory {name!r}")
+    return THEORIES[name]
+
+
 def normalize_expr(theory_name, node):
     """Evaluate an AST inside the theory's monad; return its normal form."""
-    if theory_name not in THEORIES:
-        raise UnsupportedNode(f"unknown theory {theory_name!r}")
-    theory = THEORIES[theory_name]
+    theory = _theory(theory_name)
 
     def eval_node(n):
         # a long sum or product nests to the left: walk that spine in a loop,
@@ -138,10 +130,6 @@ def normalize_expr(theory_name, node):
             n = n.left
         if isinstance(n, Var):
             value = theory.monad.unit(Gen(n.name))
-        elif isinstance(n, OneLit):
-            value = theory.op("one")
-        elif isinstance(n, ZeroLit):
-            value = theory.op("zero")
         elif isinstance(n, IntLit):
             value = theory.op("lit", n.value)
         elif isinstance(n, Neg):
@@ -168,9 +156,9 @@ def abelianize(comb_over_words):
     return IntComb(tuple((MSet(w.items), c) for w, c in comb_over_words.pairs))
 
 
-def _format_word(items, empty="1"):
+def _format_word(items):
     if not items:
-        return empty
+        return "1"
     return "*".join(str(g) for g in items)
 
 
@@ -194,14 +182,5 @@ def _format_signed_sum(pieces):
 
 def format_normal(theory_name, term):
     """Deterministic plain-text rendering of a theory's normal form."""
-    if theory_name in ("monoid", "cmonoid"):
-        return _format_word(term.items)
-    if theory_name in ("ring2", "ring3"):
-        return _format_signed_sum([(c, _format_word(m.items)) for m, c in term.pairs])
-    if theory_name == "rig":
-        if term == ZERO:
-            return "0"
-        counts = Counter(term.inner.items)
-        pieces = [(counts[w], _format_word(w.items)) for w in sorted(counts, key=lambda t: t.key)]
-        return _format_signed_sum(pieces)
-    raise UnsupportedNode(f"unknown theory {theory_name!r}")
+    pieces = _theory(theory_name).pieces(term)
+    return _format_signed_sum([(c, _format_word(w.items)) for c, w in pieces])

@@ -8,7 +8,7 @@ directly against the arithmetic, never through the package's monads.
 
 import random
 
-from distlaw.expr import Add, IntLit, Mul, Neg, OneLit, Var, ZeroLit
+from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.terms import Seq, ZERO
 
 MAT_ID = ((1, 0), (0, 1))
@@ -40,10 +40,6 @@ def random_matrix(rng):
 def eval_expr_matrix(node, assignment):
     if isinstance(node, Var):
         return assignment[node.name]
-    if isinstance(node, OneLit):
-        return MAT_ID
-    if isinstance(node, ZeroLit):
-        return MAT_ZERO
     if isinstance(node, IntLit):
         return mat_scale(node.value, MAT_ID)
     if isinstance(node, Neg):
@@ -87,10 +83,6 @@ def eval_expr_bool(node, assignment):
     """The two-element rig: or as addition, and as multiplication."""
     if isinstance(node, Var):
         return assignment[node.name]
-    if isinstance(node, OneLit):
-        return 1
-    if isinstance(node, ZeroLit):
-        return 0
     if isinstance(node, IntLit):
         return 1 if node.value else 0
     if isinstance(node, Add):
@@ -120,9 +112,9 @@ def random_expression(rng, names, max_leaves):
             if kind == 0:
                 return Var(rng.choice(names)), 1
             if kind == 1:
-                return OneLit(), 1
+                return IntLit(1), 1
             if kind == 2:
-                return ZeroLit(), 1
+                return IntLit(0), 1
             return IntLit(rng.randint(2, 3)), 1
         if rng.random() < 0.2:
             inner, used = build(budget)

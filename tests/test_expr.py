@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from distlaw import Carrier, Gen, IntComb, MSet, Seq, ZERO, abelianize, \
     format_normal, normalize_expr, parse_expr
 from distlaw.errors import ParseError, UnknownGenerator, UnsupportedNode
-from distlaw.expr import Add, IntLit, Mul, Neg, OneLit, Var, ZeroLit
+from distlaw.expr import Add, IntLit, Mul, Neg, Var
 
 from oracles import (eval_expr_bool, eval_expr_matrix, eval_ring2_nf_matrix,
                      eval_ring_nf_matrix, eval_rig_nf_bool, mat_mul,
@@ -27,8 +27,8 @@ def test_subtraction_desugars():
 
 def test_integer_literals():
     assert parse_expr("2*(x+y)", X) == Mul(IntLit(2), Add(Var("x"), Var("y")))
-    assert parse_expr("0", X) == ZeroLit()
-    assert parse_expr("1", X) == OneLit()
+    assert parse_expr("0", X) == IntLit(0)
+    assert parse_expr("1", X) == IntLit(1)
 
 
 def test_precedence_and_unary_minus():
@@ -212,7 +212,7 @@ def test_format_signed_sums():
     assert format_normal("ring2", nf("ring2", "a*a - b")) == "a*a - b"
 
 
-_leaves = st.sampled_from([Var("a"), Var("b"), OneLit(), ZeroLit(), IntLit(2), IntLit(3)])
+_leaves = st.sampled_from([Var("a"), Var("b"), IntLit(1), IntLit(0), IntLit(2), IntLit(3)])
 
 
 def _sums_and_products(sub):

@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -414,6 +415,24 @@ def test_composition_monads_keep_an_empty_top_layer():
     cells = compose_series(composition_series(1), 1).enumerate(gset, 2)
     counts = [sum(1 for c in cells if c.dim == d) for d in range(2)]
     assert counts == brute_force_oracle(gset, 2) == [1, 1]
+
+
+def test_string_enumeration_stops_when_nothing_extends(monkeypatch):
+    import distlaw.globular
+    path = os.path.join(os.path.dirname(__file__), "data", "two_cell.gset")
+    with open(path, encoding="utf-8") as handle:
+        gset = load_gset(handle.read())
+    expected = free_ncat(gset, 2).counts()
+    rounds = []
+    guard = distlaw.globular._guard
+
+    def counted(count):
+        rounds.append(count)
+        guard(count)
+
+    monkeypatch.setattr(distlaw.globular, "_guard", counted)
+    assert free_ncat(gset, 10 ** 6).counts() == expected == [2, 4, 5]
+    assert len(rounds) <= 10
 
 
 def test_free_ncat_rejects_non_globular_input():

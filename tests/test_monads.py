@@ -192,6 +192,14 @@ def test_naturality_of_unit_and_mult():
         assert len(report.sections) == 2 * (1 + 4 + 9)
 
 
+def test_naturality_maps_count_against_the_ceiling(monkeypatch):
+    import distlaw.monads
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 20)
+    # 1 + 8 + 27 = 36 maps out of three generators, before any enumeration
+    with pytest.raises(BoundTooLarge):
+        check_monad_naturality(FREE_MONOID, Carrier.of_size(3), 0)
+
+
 def test_enum_ceiling_raises(monkeypatch):
     import distlaw.monads
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 2)
