@@ -474,42 +474,65 @@ def _compose_nested(a, b, i):
                       tuple(_compose_nested(x, y, i) for x, y in zip(a.entries, b.entries)))
 
 
+def _fit_along_0(a, b, bound):
+    """Whether composing along 0 keeps the outer string within the bound."""
+    return not (a.entries and b.entries) or len(a.entries) + len(b.entries) <= bound
+
+
 def _oracle_closure(gset, bound):
     """All formal composites of embedded generators and identities.
 
-    Closure of the embedded cells under taking identities and binary
-    composition along every dimension, keeping only normal forms whose
-    string layers stay within the bound.  Composition is interpreted
-    directly on normal forms: concatenation at the composition layer,
-    entrywise descent above it.
+    The least set of normal forms that holds the embedded generators and
+    is closed under identities and binary composition along every
+    dimension, keeping only forms whose string layers stay within the
+    bound.  Composition acts directly on normal forms: concatenation at
+    the composition layer, entrywise descent above it.
+
+    The fixpoint is semi-naive.  Each round indexes the previous round's
+    new cells, computing their boundaries once, takes their identities,
+    and composes each new ``m``-cell ``a`` along each ``i < m`` only with
+    partners from two indexes: one keyed by ``(m, i, src_i)`` and looked
+    up with ``a``'s ``tgt_i``, one keyed by ``(m, i, tgt_i)`` and looked
+    up with ``a``'s ``src_i``.  Every pair is met in the round where its
+    later cell is new.  Pairs are pruned by the length of the outer
+    string along 0: along 0, two non-empty strings whose lengths sum past
+    the bound are skipped; along ``i > 0``, equal ``i``-boundaries, taken
+    entry by entry, already force the equal lengths that composing needs.
     """
     _check_bound(bound)
-    members = {m: {e for e in map(_embed, gset.cells_at(m)) if _within_bounds(e, bound)}
-               for m in range(gset.n + 1)}
-    changed = True
-    while changed:
-        changed = False
-        for m in range(gset.n):
-            for cell in list(members[m]):
-                ident = identity_cell(cell)
-                if _within_bounds(ident, bound) and ident not in members[m + 1]:
-                    members[m + 1].add(ident)
-                    changed = True
-        for m in range(1, gset.n + 1):
-            current = list(members[m])
-            for a in current:
-                for b in current:
-                    for i in range(m):
-                        if boundary_to(a, "tgt", i) != boundary_to(b, "src", i):
-                            continue
-                        try:
-                            combined = _compose_nested(a, b, i)
-                        except ComposabilityError:
-                            continue
-                        if _within_bounds(combined, bound) and combined not in members[m]:
-                            members[m].add(combined)
-                            changed = True
-            _guard(len(members[m]))
+    members = {m: set() for m in range(gset.n + 1)}
+    by_src, by_tgt = {}, {}
+    fresh = []
+
+    def add(cell):
+        layer = members[cell.dim]
+        if cell not in layer and _within_bounds(cell, bound):
+            layer.add(cell)
+            _guard(len(layer))
+            fresh.append(cell)
+
+    for cell in gset:
+        add(_embed(cell))
+    while fresh:
+        rows = []
+        for a in fresh:
+            ends = [(boundary_to(a, "src", i), boundary_to(a, "tgt", i)) for i in range(a.dim)]
+            for i, (src, tgt) in enumerate(ends):
+                by_src.setdefault((a.dim, i, src), []).append(a)
+                by_tgt.setdefault((a.dim, i, tgt), []).append(a)
+            rows.append((a, ends))
+        fresh = []
+        for a, ends in rows:
+            m = a.dim
+            if m < gset.n:
+                add(identity_cell(a))
+            for i, (src, tgt) in enumerate(ends):
+                for b in by_src.get((m, i, tgt), ()):
+                    if i or _fit_along_0(a, b, bound):
+                        add(_compose_nested(a, b, i))
+                for b in by_tgt.get((m, i, src), ()):
+                    if i or _fit_along_0(b, a, bound):
+                        add(_compose_nested(b, a, i))
     return members
 
 

@@ -20,7 +20,7 @@ from itertools import groupby
 from .errors import UnsupportedNode
 from .expr import Add, IntLit, Mul, Neg, Var
 from .monads import (ADJOIN_ZERO, FREE_ABELIAN_GROUP, FREE_COMM_MONOID,
-                     FREE_COMM_SEMIGROUP, FREE_MONOID)
+                     FREE_COMM_SEMIGROUP, FREE_MONOID, _guard)
 from .series import compose_series
 from .terms import Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES
@@ -87,6 +87,12 @@ def _rig_pieces(term):
     return [(counts[w], w) for w in sorted(counts, key=lambda t: t.key)]
 
 
+def _rig_lit(k):
+    """The literal ``k`` as ``k`` copies of the unit, at most ``ENUM_CEILING`` of them."""
+    _guard(k)
+    return Inj(MSet((ONE,) * k)) if k else ZERO
+
+
 def _make_theories():
     rig = compose_series(RIG_SERIES, (((1, 2), 3), 4))
     theories = (
@@ -100,7 +106,7 @@ def _make_theories():
             {
                 "mul": lambda u, v: rig.mult(Inj(MSet((_unit_word(u, v),)))),
                 "add": lambda *us: rig.mult(Inj(MSet(tuple(_unit_word(u) for u in us)))),
-                "lit": lambda k: Inj(MSet((ONE,) * k)) if k else ZERO,
+                "lit": _rig_lit,
             },
             pieces=_rig_pieces,
             finish=lambda t: ADJOIN_ZERO.fmap(lambda s: FREE_COMM_SEMIGROUP.fmap(_word, s), t)),

@@ -36,6 +36,33 @@ def loop_2gset():
 
 
 @pytest.fixture
+def loop_set_2gset():
+    """One object, two endo-1-cells, both 2-cells on one of them."""
+    return globular_set_from_names(
+        2, [["x"], ["e", "f"], ["u", "v"]],
+        [{"e": "x", "f": "x"}, {"u": "e", "v": "e"}],
+        [{"e": "x", "f": "x"}, {"u": "e", "v": "e"}])
+
+
+@pytest.fixture
+def swap_set_2gset():
+    """One object, two endo-1-cells, 2-cells u: e => f and v: f => e."""
+    return globular_set_from_names(
+        2, [["x"], ["e", "f"], ["u", "v"]],
+        [{"e": "x", "f": "x"}, {"u": "e", "v": "f"}],
+        [{"e": "x", "f": "x"}, {"u": "f", "v": "e"}])
+
+
+@pytest.fixture
+def two_object_2gset():
+    """Two objects, a 2-cell between parallel 1-cells and one on an endo-1-cell."""
+    return globular_set_from_names(
+        2, [["x", "y"], ["f", "g", "h"], ["a", "b"]],
+        [{"f": "x", "g": "x", "h": "y"}, {"a": "f", "b": "h"}],
+        [{"f": "y", "g": "y", "h": "y"}, {"a": "g", "b": "h"}])
+
+
+@pytest.fixture
 def theta_3gset():
     """Parallel 3-cells between parallel 2-cells between parallel 1-cells."""
     return globular_set_from_names(

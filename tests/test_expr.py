@@ -104,6 +104,15 @@ def test_integer_literals_desugar_to_repeated_units():
             assert nf(theory, f"{k}*a") == nf(theory, "+".join(["a"] * k))
 
 
+def test_rig_literal_past_the_ceiling_is_refused(monkeypatch):
+    import distlaw.monads
+    from distlaw.errors import BoundTooLarge
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 20)
+    assert nf("rig", "20*a") == nf("rig", "+".join(["a"] * 20))
+    with pytest.raises(BoundTooLarge):
+        nf("rig", "21*a")
+
+
 def test_monoid_and_cmonoid_normal_forms():
     assert nf("monoid", "a*b*1*c") == Seq((Gen("a"), Gen("b"), Gen("c")))
     assert nf("cmonoid", "c*a*b") == MSet((Gen("a"), Gen("b"), Gen("c")))

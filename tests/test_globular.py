@@ -1,5 +1,6 @@
 import json
 import os
+import types
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from distlaw import (CompositionMonad, GlobularSet, StringCell, all_routes,
 from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
-from distlaw.globular import boundary_to, identity_at
+from distlaw.globular import _oracle_closure, boundary_to, identity_at
 
 
 def cells_by_name(gset, dim):
@@ -371,15 +372,45 @@ def tiny_2gsets(draw):
 @settings(max_examples=25, deadline=None)
 @given(tiny_2gsets())
 def test_free_ncat_counts_match_the_oracle_on_random_sets(gset):
-    assert free_ncat(gset, 2).counts() == brute_force_oracle(gset, 2)
+    for bound in (2, 3):
+        assert free_ncat(gset, bound).counts() == brute_force_oracle(gset, bound)
 
 
-def test_free_ncat_cells_equal_oracle_cells(parallel_2gset):
-    from distlaw.globular import _oracle_closure
-    result = free_ncat(parallel_2gset, 2)
-    members = _oracle_closure(parallel_2gset, 2)
-    for dim in range(parallel_2gset.n + 1):
-        assert set(result.cells_at(dim)) == members[dim]
+def test_free_ncat_cells_equal_oracle_cells(parallel_2gset, chain_2gset, loop_2gset,
+                                            theta_3gset, loop_set_2gset, swap_set_2gset,
+                                            two_object_2gset):
+    for gset, bound in ((parallel_2gset, 2), (chain_2gset, 3), (loop_2gset, 3),
+                        (theta_3gset, 3), (loop_set_2gset, 2), (swap_set_2gset, 2),
+                        (two_object_2gset, 3), (swap_set_2gset, 3)):
+        result = free_ncat(gset, bound)
+        members = _oracle_closure(gset, bound)
+        for dim in range(gset.n + 1):
+            assert set(result.cells_at(dim)) == members[dim]
+    # the last case, the swap set at bound 3, pinned
+    assert [len(members[dim]) for dim in range(3)] == [1, 15, 585]
+
+
+def _names_used(function, seen):
+    """Global names read by ``function`` and by the ``distlaw.globular`` functions it calls."""
+    seen.add(function)
+    codes, names = [function.__code__], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for name in sorted(names):
+        callee = function.__globals__.get(name)
+        if (isinstance(callee, types.FunctionType) and callee not in seen
+                and callee.__module__ == "distlaw.globular"):
+            names |= _names_used(callee, seen)
+    return names
+
+
+def test_the_oracle_does_not_use_the_composition_engine():
+    engine = {"CompositionMonad", "free_ncat", "compose_series", "composition_series",
+              "_strings"}
+    for function in (_oracle_closure, brute_force_oracle):
+        assert not _names_used(function, set()) & engine
 
 
 def test_route_independence_of_the_free_strict_3_category(theta_3gset):
