@@ -479,6 +479,15 @@ def _fit_along_0(a, b, bound):
     return not (a.entries and b.entries) or len(a.entries) + len(b.entries) <= bound
 
 
+def _atomic_along(cell, i):
+    """Whether every string along ``i`` in a nested normal form has at most one entry."""
+    if not isinstance(cell, StringCell) or cell.along > i:
+        return True
+    if cell.along == i:
+        return len(cell.entries) <= 1
+    return all(_atomic_along(e, i) for e in cell.entries)
+
+
 def _oracle_closure(gset, bound):
     """All formal composites of embedded generators and identities.
 
@@ -488,20 +497,38 @@ def _oracle_closure(gset, bound):
     bound.  Composition acts directly on normal forms: concatenation at
     the composition layer, entrywise descent above it.
 
+    The recursion is linear: a composite along ``i`` is formed only when
+    its left factor is ``i``-atomic, that is, every string along ``i`` in
+    it has at most one entry.  This reaches the same fixpoint.  Take a
+    cell ``c`` of the bounded free n-category in which some string along
+    ``i`` has two or more entries.  Its left factor keeps the first entry
+    of each string along ``i`` (an identity where a string is empty) and
+    its right factor the rest (an identity on the first entry's target
+    where only one entry was left).  Then ``c`` is the left factor
+    composed along ``i`` with the right one; the left factor is
+    ``i``-atomic; both have fewer entries than ``c`` and no string longer
+    than ``c``'s, so both are cells of the bounded free n-category too.
+    A cell that is atomic along every dimension is an embedded generator
+    or an identity on one.  By induction on the number of entries, the
+    closure reaches every cell of the bounded free n-category, which is
+    all that unrestricted composition reaches.
+
     The fixpoint is semi-naive.  Each round indexes the previous round's
-    new cells, computing their boundaries once, takes their identities,
-    and composes each new ``m``-cell ``a`` along each ``i < m`` only with
-    partners from two indexes: one keyed by ``(m, i, src_i)`` and looked
-    up with ``a``'s ``tgt_i``, one keyed by ``(m, i, tgt_i)`` and looked
-    up with ``a``'s ``src_i``.  Every pair is met in the round where its
-    later cell is new.  Pairs are pruned by the length of the outer
-    string along 0: along 0, two non-empty strings whose lengths sum past
-    the bound are skipped; along ``i > 0``, equal ``i``-boundaries, taken
-    entry by entry, already force the equal lengths that composing needs.
+    new cells under ``(m, i, src_i)``, and the ``i``-atomic ones among
+    them under ``(m, i, tgt_i)`` in their own index, computing each
+    cell's boundaries once.  It takes their identities, composes each new
+    ``i``-atomic ``a`` on the left of the partners found under ``a``'s
+    ``tgt_i``, and composes each new ``a`` on the right of the ``i``-atomic
+    partners found under ``a``'s ``src_i``.  Every pair is met in the
+    round where its later cell is new.  Pairs are pruned by the length of
+    the outer string along 0: along 0, two non-empty strings whose
+    lengths sum past the bound are skipped; along ``i > 0``, equal
+    ``i``-boundaries, taken entry by entry, already force the equal
+    lengths that composing needs.
     """
     _check_bound(bound)
     members = {m: set() for m in range(gset.n + 1)}
-    by_src, by_tgt = {}, {}
+    by_src, atomic_by_tgt = {}, {}
     fresh = []
 
     def add(cell):
@@ -516,21 +543,24 @@ def _oracle_closure(gset, bound):
     while fresh:
         rows = []
         for a in fresh:
-            ends = [(boundary_to(a, "src", i), boundary_to(a, "tgt", i)) for i in range(a.dim)]
-            for i, (src, tgt) in enumerate(ends):
+            ends = [(i, boundary_to(a, "src", i), boundary_to(a, "tgt", i), _atomic_along(a, i))
+                    for i in range(a.dim)]
+            for i, src, tgt, atomic in ends:
                 by_src.setdefault((a.dim, i, src), []).append(a)
-                by_tgt.setdefault((a.dim, i, tgt), []).append(a)
+                if atomic:
+                    atomic_by_tgt.setdefault((a.dim, i, tgt), []).append(a)
             rows.append((a, ends))
         fresh = []
         for a, ends in rows:
             m = a.dim
             if m < gset.n:
                 add(identity_cell(a))
-            for i, (src, tgt) in enumerate(ends):
-                for b in by_src.get((m, i, tgt), ()):
-                    if i or _fit_along_0(a, b, bound):
-                        add(_compose_nested(a, b, i))
-                for b in by_tgt.get((m, i, src), ()):
+            for i, src, tgt, atomic in ends:
+                if atomic:
+                    for b in by_src.get((m, i, tgt), ()):
+                        if i or _fit_along_0(a, b, bound):
+                            add(_compose_nested(a, b, i))
+                for b in atomic_by_tgt.get((m, i, src), ()):
                     if i or _fit_along_0(b, a, bound):
                         add(_compose_nested(b, a, i))
     return members

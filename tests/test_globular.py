@@ -18,7 +18,8 @@ from distlaw import (CompositionMonad, GlobularSet, StringCell, all_routes,
 from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
-from distlaw.globular import _oracle_closure, boundary_to, identity_at
+from distlaw.globular import (_atomic_along, _compose_nested, _embed, _oracle_closure,
+                              boundary_to, identity_at)
 
 
 def cells_by_name(gset, dim):
@@ -351,43 +352,129 @@ def test_free_ncat_counts_match_the_oracle(fg_graph, arrow_graph, point_2gset,
     assert free_ncat(parallel_2gset, 0).counts() == [2, 2, 2]
 
 
-@st.composite
-def tiny_2gsets(draw):
+def _gset_from_pairs(objects, layers):
+    """A globular set from its objects and layers of name -> (source, target) maps."""
+    return globular_set_from_names(
+        len(layers), [objects] + [sorted(layer) for layer in layers],
+        [{c: s for c, (s, _) in layer.items()} for layer in layers],
+        [{c: t for c, (_, t) in layer.items()} for layer in layers])
+
+
+def _draw_parallel(draw, below, prefix, count):
+    """``count`` named cells, each between two parallel cells of ``below``."""
+    cells = {}
+    for k in range(count):
+        s = draw(st.sampled_from(sorted(below)))
+        cells[f"{prefix}{k}"] = (s, draw(st.sampled_from(sorted(c for c in below
+                                                                 if below[c] == below[s]))))
+    return cells
+
+
+def _tiny_layers(draw):
     """2-3 objects in a line, two forward 1-cells, 2-cells between parallel 1-cells."""
     objects = [f"x{i}" for i in range(draw(st.integers(2, 3)))]
     ones = {}
     for k in range(2):
         i = draw(st.integers(0, len(objects) - 2))
         ones[f"f{k}"] = (objects[i], objects[draw(st.integers(i + 1, len(objects) - 1))])
-    twos = {}
-    for k in range(draw(st.integers(1, 2))):
-        f = draw(st.sampled_from(sorted(ones)))
-        twos[f"u{k}"] = (f, draw(st.sampled_from(sorted(h for h in ones if ones[h] == ones[f]))))
-    return globular_set_from_names(
-        2, [objects, sorted(ones), sorted(twos)],
-        [{f: s for f, (s, _) in ones.items()}, {u: f for u, (f, _) in twos.items()}],
-        [{f: t for f, (_, t) in ones.items()}, {u: g for u, (_, g) in twos.items()}])
+    return objects, [ones, _draw_parallel(draw, ones, "u", draw(st.integers(1, 2)))]
+
+
+@st.composite
+def tiny_2gsets(draw):
+    return _gset_from_pairs(*_tiny_layers(draw))
+
+
+@st.composite
+def tiny_3gsets(draw):
+    """The tiny layers above plus one or two 3-cells between parallel 2-cells.
+
+    The oracle closes each of the 976 sets this can draw at bound 2 in
+    under 0.2 s (2 shared cores, Python 3.11), so 25 examples cost a few
+    seconds at most.
+    """
+    objects, layers = _tiny_layers(draw)
+    layers.append(_draw_parallel(draw, layers[-1], "t", draw(st.integers(1, 2))))
+    return _gset_from_pairs(objects, layers)
 
 
 @settings(max_examples=25, deadline=None)
-@given(tiny_2gsets())
-def test_free_ncat_counts_match_the_oracle_on_random_sets(gset):
-    for bound in (2, 3):
+@given(tiny_2gsets(), tiny_3gsets())
+def test_free_ncat_counts_match_the_oracle_on_random_sets(gset2, gset3):
+    for gset, bound in ((gset2, 2), (gset2, 3), (gset3, 2)):
         assert free_ncat(gset, bound).counts() == brute_force_oracle(gset, bound)
 
 
 def test_free_ncat_cells_equal_oracle_cells(parallel_2gset, chain_2gset, loop_2gset,
                                             theta_3gset, loop_set_2gset, swap_set_2gset,
                                             two_object_2gset):
+    pinned = {(swap_set_2gset, 3): [1, 15, 585], (loop_set_2gset, 3): [1, 15, 4369]}
     for gset, bound in ((parallel_2gset, 2), (chain_2gset, 3), (loop_2gset, 3),
                         (theta_3gset, 3), (loop_set_2gset, 2), (swap_set_2gset, 2),
-                        (two_object_2gset, 3), (swap_set_2gset, 3)):
+                        (two_object_2gset, 3), (swap_set_2gset, 3), (loop_set_2gset, 3)):
         result = free_ncat(gset, bound)
         members = _oracle_closure(gset, bound)
         for dim in range(gset.n + 1):
             assert set(result.cells_at(dim)) == members[dim]
-    # the last case, the swap set at bound 3, pinned
-    assert [len(members[dim]) for dim in range(3)] == [1, 15, 585]
+        if (gset, bound) in pinned:
+            assert [len(members[dim]) for dim in range(3)] == pinned[gset, bound]
+
+
+def _split_along(cell, i):
+    """The first entry of each string along ``i`` in a normal form, and the rest."""
+    if cell.along == i and cell.entries:
+        first, rest = cell.entries[0], cell.entries[1:]
+        tail = (StringCell(i, cell.dim, rest) if rest
+                else StringCell(i, cell.dim, (), boundary_to(first, "tgt", i)))
+        return StringCell(i, cell.dim, (first,)), tail
+    if cell.along == i or not cell.entries:
+        return cell, cell
+    lefts, rights = zip(*(_split_along(e, i) for e in cell.entries))
+    return StringCell(cell.along, cell.dim, lefts), StringCell(cell.along, cell.dim, rights)
+
+
+def _entry_count(cell):
+    if not isinstance(cell, StringCell):
+        return 0
+    return len(cell.entries) + sum(_entry_count(e) for e in cell.entries)
+
+
+def _assert_composites_split(gset, bound):
+    """The splitting lemma behind the linear closure, on every cell it finds."""
+    members = _oracle_closure(gset, bound)
+    atoms = {identity_at(_embed(g), dim) for g in gset for dim in range(g.dim, gset.n + 1)}
+    splits = 0
+    for dim, cells in members.items():
+        for cell in cells:
+            composite = False
+            for i in range(dim):
+                left, right = _split_along(cell, i)
+                if left == cell:
+                    assert _atomic_along(cell, i)
+                    continue
+                composite = True
+                assert not _atomic_along(cell, i) and _atomic_along(left, i)
+                assert left in members[dim] and right in members[dim]
+                assert max(_entry_count(left), _entry_count(right)) < _entry_count(cell)
+                assert _compose_nested(left, right, i) == cell
+                splits += 1
+            assert composite or cell in atoms
+    return splits
+
+
+def test_every_composite_splits_behind_an_atomic_left_factor(
+        chain_2gset, loop_2gset, theta_3gset, loop_set_2gset, swap_set_2gset,
+        two_object_2gset):
+    cases = ((chain_2gset, 3), (loop_2gset, 3), (theta_3gset, 3), (loop_set_2gset, 2),
+             (swap_set_2gset, 3), (two_object_2gset, 3))
+    assert sum(_assert_composites_split(gset, bound) for gset, bound in cases) > 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_2gsets(), tiny_3gsets())
+def test_every_composite_splits_on_random_sets(gset2, gset3):
+    for gset in (gset2, gset3):
+        _assert_composites_split(gset, 2)
 
 
 def _names_used(function, seen):
