@@ -32,5 +32,5 @@ from .series import (CompositeMonad, DistributiveSeries, all_routes,
                      check_yang_baxter, compose_series, derive_block_law,
                      parse_route, validate_series)
 from .terms import (Carrier, Gen, Inj, IntComb, MSet, ONE, One, Seq, Term,
-                    ZERO, Zero, functions_between, gen_count)
+                    ZERO, Zero, functions_between)
 from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES, SERIES

@@ -103,7 +103,7 @@ class FreeCollection(MonadSpec):
     def fmap(self, f, t):
         if not isinstance(t, self.shape):
             raise ShapeMismatch(f"{self.name}: fmap expects a {self.shape.__name__}, got {t}")
-        return self.shape(tuple(f(x) for x in t.items))
+        return self.shape(map(f, t.items))
 
 
 class FreeMonoid(FreeCollection):
@@ -182,7 +182,7 @@ class FreeAbelianGroup(MonadSpec):
     def fmap(self, f, t):
         if not isinstance(t, IntComb):
             raise ShapeMismatch(f"{self.name}: fmap expects a combination, got {t}")
-        return IntComb(tuple((f(x), c) for x, c in t.pairs))
+        return IntComb([(f(x), c) for x, c in t.pairs])
 
     def enumerate(self, domain, bound):
         _check_bound(bound)

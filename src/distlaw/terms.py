@@ -16,11 +16,13 @@ empty word, the empty multiset and the zero combination weigh one and
 every enumeration over nested domains stays finite.
 """
 
-from .errors import ShapeMismatch, UnknownGenerator
+from operator import attrgetter
+
+from .errors import UnknownGenerator
 
 
 class Keyed:
-    """An immutable value compared and hashed by the key its ``_seal`` sets."""
+    """An immutable value compared by the key its ``_seal`` sets; equal keys hash equal."""
 
     __slots__ = ("_key", "_hash")
 
@@ -39,14 +41,19 @@ class Keyed:
 
 
 class Term(Keyed):
-    """Base class; subclasses populate ``_key`` and ``_weight`` eagerly."""
+    """Base class; each constructor seals its key, weight and hash eagerly."""
 
     __slots__ = ("_weight",)
 
-    def _seal(self, key, weight):
+    def _seal(self, key, weight, shallow=None):
+        """Hash a structure's ``shallow`` tuple (tag, children's hashes, coefficients),
+        not its nested key, which would walk the whole term; equal keys hash equal."""
         self._key = key
         self._weight = weight
-        self._hash = hash(key)
+        self._hash = hash(key if shallow is None else shallow)
+
+
+_KEY = attrgetter("_key")
 
 
 class Gen(Term):
@@ -99,52 +106,55 @@ class Inj(Term):
     def __init__(self, inner):
         assert isinstance(inner, Term)
         self.inner = inner
-        self._seal(("i", inner._key), inner._weight)
+        self._seal(("i", inner._key), inner._weight, ("i", inner._hash))
 
     def __str__(self):
         return str(self.inner)
 
 
-class Seq(Term):
+class _Collection(Term):
+    """A word or a multiset: a tuple of items, keyed under a one-letter tag."""
+
+    __slots__ = ("items",)
+
+    def _seal_items(self, tag, items):
+        """Check each item, build the key and the hash and sum the weight in one pass."""
+        key = [tag]
+        hashes = [tag]
+        total = 0
+        for t in items:
+            assert isinstance(t, Term)
+            key.append(t._key)
+            hashes.append(t._hash)
+            total += t._weight
+        self.items = items
+        self._seal(tuple(key), total or 1, tuple(hashes))
+
+    def __len__(self):
+        return len(self.items)
+
+    def __str__(self):
+        return self._brackets[0] + ".".join(str(t) for t in self.items) + self._brackets[1]
+
+
+class Seq(_Collection):
     """A word: the free monoid / free semigroup shape.  Order significant."""
 
-    __slots__ = ("items",)
+    __slots__ = ()
+    _brackets = "()"
 
     def __init__(self, items):
-        items = tuple(items)
-        assert all(isinstance(t, Term) for t in items)
-        self.items = items
-        self._seal(("s",) + tuple(t._key for t in items),
-                   max(sum(t._weight for t in items), 1))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __str__(self):
-        if not self.items:
-            return "()"
-        return "(" + ".".join(str(t) for t in self.items) + ")"
+        self._seal_items("s", tuple(items))
 
 
-class MSet(Term):
+class MSet(_Collection):
     """A multiset, stored as a sorted tuple with repetitions."""
 
-    __slots__ = ("items",)
+    __slots__ = ()
+    _brackets = "{}"
 
     def __init__(self, items):
-        items = tuple(sorted(items, key=lambda t: t._key))
-        assert all(isinstance(t, Term) for t in items)
-        self.items = items
-        self._seal(("m",) + tuple(t._key for t in items),
-                   max(sum(t._weight for t in items), 1))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __str__(self):
-        if not self.items:
-            return "{}"
-        return "{" + ".".join(str(t) for t in self.items) + "}"
+        self._seal_items("m", tuple(sorted(items, key=_KEY)))
 
 
 class IntComb(Term):
@@ -160,15 +170,20 @@ class IntComb(Term):
         merged = {}
         for term, coeff in pairs:
             assert isinstance(term, Term) and isinstance(coeff, int)
-            if term in merged:
-                merged[term] += coeff
-            else:
-                merged[term] = coeff
-        kept = tuple(sorted(((t, c) for t, c in merged.items() if c != 0),
-                            key=lambda pair: pair[0]._key))
-        self.pairs = kept
-        self._seal(("z",) + tuple((t._key, c) for t, c in kept),
-                   max(sum(abs(c) * t._weight for t, c in kept), 1))
+            merged[term] = merged[term] + coeff if term in merged else coeff
+        kept = []
+        key = ["z"]
+        hashes = ["z"]
+        total = 0
+        for t in sorted(merged, key=_KEY) if len(merged) > 1 else merged:
+            c = merged[t]
+            if c:
+                kept.append((t, c))
+                key.append((t._key, c))
+                hashes += (t._hash, c)
+                total += abs(c) * t._weight
+        self.pairs = tuple(kept)
+        self._seal(tuple(key), total or 1, tuple(hashes))
 
     def __len__(self):
         return len(self.pairs)
@@ -182,21 +197,6 @@ class IntComb(Term):
 def weight(term):
     """The measure every enumeration bound limits: at least one."""
     return term._weight
-
-
-def gen_count(term):
-    """Number of generator occurrences, ignoring adjoined constants."""
-    if isinstance(term, Gen):
-        return 1
-    if isinstance(term, (One, Zero)):
-        return 0
-    if isinstance(term, Inj):
-        return gen_count(term.inner)
-    if isinstance(term, (Seq, MSet)):
-        return sum(gen_count(t) for t in term.items)
-    if isinstance(term, IntComb):
-        return sum(abs(c) * gen_count(t) for t, c in term.pairs)
-    raise ShapeMismatch(f"not a term: {term!r}")
 
 
 class Carrier:

@@ -4,12 +4,14 @@ The ring oracle interprets expressions and normal forms in the ring of
 2x2 integer matrices (noncommutative, so word order matters); the rig
 oracle interprets them in the two-element Boolean rig.  Both are written
 directly against the arithmetic, never through the package's monads.
+The term oracles restate, plainly, what a constructor must build and
+how many generators a term holds.
 """
 
 import random
 
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
-from distlaw.terms import Seq, ZERO
+from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
 MAT_ID = ((1, 0), (0, 1))
 MAT_ZERO = ((0, 0), (0, 0))
@@ -132,3 +134,42 @@ def random_expression(rng, names, max_leaves):
 def word_to_tuple(word):
     assert isinstance(word, Seq)
     return tuple(g.name for g in word.items)
+
+
+def gen_count(term):
+    """Generator occurrences in a term; adjoined constants count none."""
+    if isinstance(term, Gen):
+        return 1
+    if isinstance(term, Inj):
+        return gen_count(term.inner)
+    if isinstance(term, IntComb):
+        return sum(abs(c) * gen_count(t) for t, c in term.pairs)
+    if isinstance(term, (Seq, MSet)):
+        return sum(gen_count(t) for t in term.items)
+    return 0
+
+
+def reference_normal_form(shape, inputs):
+    """The ``(items or pairs, key, weight)`` a ``shape`` constructor owes.
+
+    A word keeps its items in order and a multiset sorts them by key.  A
+    combination adds the coefficients of equal keys under the first term
+    seen with that key, drops zero sums and sorts by key.  A structure
+    weighs the sum of its items, a coefficient scaling its term's weight
+    by its absolute value, and at least one.  ``Inj`` takes one input.
+    """
+    if shape is Inj:
+        return inputs, ("i", inputs.key), weight(inputs)
+    if shape is IntComb:
+        first, total = {}, {}
+        for term, coeff in inputs:
+            first.setdefault(term.key, term)
+            total[term.key] = total.get(term.key, 0) + coeff
+        pairs = tuple((first[k], total[k]) for k in sorted(total) if total[k] != 0)
+        key = ("z",) + tuple((t.key, c) for t, c in pairs)
+        return pairs, key, max(sum(abs(c) * weight(t) for t, c in pairs), 1)
+    items = tuple(inputs)
+    if shape is MSet:
+        items = tuple(sorted(items, key=lambda t: t.key))
+    key = ("s" if shape is Seq else "m",) + tuple(t.key for t in items)
+    return items, key, max(sum(weight(t) for t in items), 1)

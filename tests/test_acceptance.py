@@ -21,9 +21,9 @@ from distlaw.errors import RaggedGrid
 from distlaw.globular import StringCell, globular_set_from_names
 from distlaw.laws import LAW_UNIT_ABSORPTION
 from distlaw.monads import ADJOIN_UNIT, FREE_MONOID, FREE_SEMIGROUP, FreeMonoid
-from distlaw.terms import ONE, gen_count
+from distlaw.terms import ONE
 
-from oracles import (eval_expr_matrix, eval_ring_nf_matrix,
+from oracles import (eval_expr_matrix, eval_ring_nf_matrix, gen_count,
                      random_expression, random_matrix)
 
 X1 = Carrier.of_size(1)

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from distlaw import Carrier, Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from distlaw.errors import UnknownGenerator
-from distlaw.terms import functions_between, gen_count, weight
+from distlaw.terms import functions_between, weight
+
+from oracles import reference_normal_form
 
 a, b, c = Gen("a"), Gen("b"), Gen("c")
 
@@ -73,13 +75,6 @@ def test_functions_between_counts():
     assert len(functions_between(Y, X)) == 8
 
 
-def test_gen_count_ignores_constants():
-    assert gen_count(Seq((a, b, a))) == 3
-    assert gen_count(ONE) == 0
-    assert gen_count(Inj(MSet((ONE, Inj(Seq((a,))))))) == 1
-    assert gen_count(IntComb(((Seq((a, b)), -2),))) == 4
-
-
 @given(st.lists(st.sampled_from([a, b, c, ONE]), max_size=6))
 def test_multiset_order_invariance(items):
     assert MSet(items) == MSet(list(reversed(items)))
@@ -90,3 +85,59 @@ def test_intcomb_coefficients_add(pairs):
     doubled = IntComb(tuple(pairs) + tuple(pairs))
     single = IntComb(tuple((t, 2 * k) for t, k in pairs))
     assert doubled == single
+
+
+def _with_cancellations(pairs_and_negate):
+    pairs, negate = pairs_and_negate
+    return pairs + [(spec, -k) for spec, k in pairs[:negate]]
+
+
+def _term_specs(children):
+    items = st.lists(children, max_size=4)
+    pairs = st.tuples(st.lists(st.tuples(children, st.integers(-2, 2)), max_size=4),
+                      st.integers(0, 2)).map(_with_cancellations)
+    return st.one_of(st.tuples(st.just(Seq), items), st.tuples(st.just(MSet), items),
+                     st.tuples(st.just(IntComb), pairs), st.tuples(st.just(Inj), children))
+
+
+TERM_SPECS = st.recursive(st.sampled_from([a, b, ONE, ZERO]), _term_specs, max_leaves=16)
+
+
+def _build_checked(spec, built):
+    """Build ``spec`` bottom-up, fresh objects for equal subspecs, and
+    check every constructor against the reference normal form."""
+    if not isinstance(spec, tuple):
+        return spec
+    shape, body = spec
+    if shape is Inj:
+        inputs = _build_checked(body, built)
+        term = Inj(inputs)
+        got = term.inner
+    elif shape is IntComb:
+        inputs = [(_build_checked(s, built), k) for s, k in body]
+        term = IntComb(iter(inputs))
+        got = term.pairs
+    else:
+        inputs = [_build_checked(s, built) for s in body]
+        term = shape(iter(inputs))
+        got = term.items
+    want, key, want_weight = reference_normal_form(shape, inputs)
+    assert got == want and term.key == key and weight(term) == want_weight
+    if shape is IntComb:
+        assert all(t is u for (t, _), (u, _) in zip(got, want))
+    elif shape is not Inj:
+        assert all(t is u for t, u in zip(got, want))
+    built.append(term)
+    return term
+
+
+@given(st.lists(TERM_SPECS, min_size=1, max_size=3))
+def test_constructors_agree_with_the_reference_normal_form(specs):
+    built = []
+    for spec in specs:
+        _build_checked(spec, built)
+    for s in built:
+        for t in built:
+            assert (s == t) == (s.key == t.key)
+            if s == t:
+                assert hash(s) == hash(t)
