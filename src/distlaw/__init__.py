@@ -9,8 +9,7 @@ sets whose interchange laws build free strict n-categories.
 """
 
 from .algebras import Algebra, algebra_from_function, check_algebra, lift_to_algebras
-from .checks import (CheckReport, Witness, check_functoriality,
-                     check_monad_laws, check_monad_naturality)
+from .checks import CheckReport, Witness, check_monad_laws, check_monad_naturality
 from .errors import (BoundTooLarge, ComposabilityError, DimensionError,
                      DistlawError, FileFormatError, IndexOrder, NotAnAlgebra,
                      ParseError, RaggedGrid, ShapeMismatch, SplitOutOfRange,

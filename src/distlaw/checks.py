@@ -118,28 +118,6 @@ def check_monad_laws(monad, carrier, bound):
     return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
 
 
-def check_functoriality(monad, carrier, bound, function_pairs):
-    """fmap preserves identities and composition on sampled functions."""
-    base = list(carrier)
-    terms = monad.enumerate(base, bound)
-    identity = compare(
-        f"functor[{monad.name}]:identity",
-        terms,
-        lambda t: monad.fmap(lambda x: x, t),
-        lambda t: t,
-    )
-    sections = [identity]
-    for idx, (f, g) in enumerate(function_pairs):
-        comp = compare(
-            f"functor[{monad.name}]:compose#{idx}",
-            terms,
-            lambda t, f=f, g=g: monad.fmap(lambda x: g[f[x]], t),
-            lambda t, f=f, g=g: monad.fmap(lambda x: g[x], monad.fmap(lambda x: f[x], t)),
-        )
-        sections.append(comp)
-    return CheckReport(f"functoriality[{monad.name}]", sections=sections)
-
-
 def _naturality(carrier, diagrams):
     """Naturality sections: one per map out of the carrier and per diagram.
 

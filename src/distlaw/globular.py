@@ -28,7 +28,7 @@ from .checks import CheckReport, Witness
 from .errors import (ComposabilityError, DimensionError, FileFormatError,
                      IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
-from .monads import MonadSpec, _check_bound, _guard
+from .monads import MonadSpec, _check_bound, _guard, _walks
 from .series import DistributiveSeries, check_distlaw, check_yang_baxter
 from .terms import Keyed
 
@@ -38,9 +38,10 @@ class Cell(Keyed):
 
     __slots__ = ("dim",)
 
-    def _seal(self, key, dim):
+    def _seal(self, key, dim, shallow):
+        """Hash ``shallow`` (see ``Keyed``), not the nested key."""
         self._key = key
-        self._hash = hash(key)
+        self._hash = hash(shallow)
         self.dim = dim
 
 
@@ -54,10 +55,11 @@ class GenCell(Cell):
         self.name = name
         self.src = src
         self.tgt = tgt
-        key = ("g", dim, name,
-               None if src is None else src._key,
-               None if tgt is None else tgt._key)
-        self._seal(key, dim)
+        if src is None:
+            self._seal(("g", dim, name, None, None), dim, ("g", dim, name))
+        else:
+            self._seal(("g", dim, name, src._key, tgt._key), dim,
+                       ("g", dim, name, src._hash, tgt._hash))
 
     def __str__(self):
         return self.name
@@ -89,10 +91,11 @@ class StringCell(Cell):
         self.entries = entries
         self.anchor = anchor
         if entries:
-            key = ("s", dim, along, tuple(e._key for e in entries))
+            self._seal(("s", dim, along, tuple(e._key for e in entries)), dim,
+                       ("s", dim, along) + tuple(e._hash for e in entries))
         else:
-            key = ("s", dim, along, ("anchor", anchor._key))
-        self._seal(key, dim)
+            self._seal(("s", dim, along, ("anchor", anchor._key)), dim,
+                       ("s", dim, along, "anchor", anchor._hash))
 
     def __str__(self):
         if not self.entries:
@@ -309,7 +312,8 @@ class CompositionMonad(MonadSpec):
         return StringCell(self.i, cell.dim, tuple(f(e) for e in cell.entries))
 
     def _strings(self, layers, bound):
-        """Layer by layer: all strings of length up to ``bound`` above ``i``."""
+        """Layer by layer above ``i``: the strings of length up to ``bound``,
+        walks in the graph of the layer's cells and their ``i``-boundaries."""
         _check_bound(bound)
         i = self.i
         out = list(layers[:i + 1])
@@ -318,15 +322,9 @@ class CompositionMonad(MonadSpec):
             starting_at = {}
             for c in layers[m]:
                 starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
-            frontier = [(c,) for c in layers[m]] if bound else []
-            cells.extend(StringCell(i, m, chain) for chain in frontier)
-            for _ in range(bound - 1):
-                if not frontier:
-                    break
-                frontier = [chain + (c,) for chain in frontier
-                            for c in starting_at.get(boundary_to(chain[-1], "tgt", i), ())]
-                cells.extend(StringCell(i, m, chain) for chain in frontier)
-                _guard(len(cells))
+            onward = lambda c: starting_at.get(boundary_to(c, "tgt", i), ())
+            walks = _walks(layers[m], onward, lambda c: 1, bound)
+            cells.extend(StringCell(i, m, walk) for walk in walks)
             out.append(cells)
         return out
 
@@ -436,16 +434,6 @@ def free_ncat(gset, bound):
     return out
 
 
-def _within_bounds(cell, bound):
-    if isinstance(cell, StringCell):
-        if len(cell.entries) > bound:
-            return False
-        if cell.entries:
-            return all(_within_bounds(e, bound) for e in cell.entries)
-        return _within_bounds(cell.anchor, bound)
-    return True
-
-
 def _embed(cell):
     """Fully nested singleton form of a generating cell."""
     out = cell
@@ -454,8 +442,12 @@ def _embed(cell):
     return out
 
 
-def _compose_nested(a, b, i):
-    """Concatenate two nested normal forms at layer ``i`` (zip above it)."""
+def _compose_nested(a, b, i, bound):
+    """Concatenate two nested normal forms at layer ``i`` (zip above it).
+
+    Only the strings at layer ``i`` grow, so the bound is tested exactly
+    where they are concatenated: ``None`` when one would outgrow it.
+    """
     if not (isinstance(a, StringCell) and isinstance(b, StringCell)
             and a.along == b.along):
         raise ShapeMismatch(f"cannot compose {a} with {b}")
@@ -465,18 +457,20 @@ def _compose_nested(a, b, i):
             return b
         if not b.entries:
             return a
+        if len(a.entries) + len(b.entries) > bound:
+            return None
         return StringCell(i, a.dim, a.entries + b.entries)
     if not a.entries and not b.entries:
         return a
     if len(a.entries) != len(b.entries):
         raise ComposabilityError(f"layer-{j} lengths differ between {a} and {b}")
-    return StringCell(j, a.dim,
-                      tuple(_compose_nested(x, y, i) for x, y in zip(a.entries, b.entries)))
-
-
-def _fit_along_0(a, b, bound):
-    """Whether composing along 0 keeps the outer string within the bound."""
-    return not (a.entries and b.entries) or len(a.entries) + len(b.entries) <= bound
+    parts = []
+    for x, y in zip(a.entries, b.entries):
+        part = _compose_nested(x, y, i, bound)
+        if part is None:
+            return None
+        parts.append(part)
+    return StringCell(j, a.dim, tuple(parts))
 
 
 def _atomic_along(cell, i):
@@ -520,11 +514,14 @@ def _oracle_closure(gset, bound):
     ``i``-atomic ``a`` on the left of the partners found under ``a``'s
     ``tgt_i``, and composes each new ``a`` on the right of the ``i``-atomic
     partners found under ``a``'s ``src_i``.  Every pair is met in the
-    round where its later cell is new.  Pairs are pruned by the length of
-    the outer string along 0: along 0, two non-empty strings whose
-    lengths sum past the bound are skipped; along ``i > 0``, equal
-    ``i``-boundaries, taken entry by entry, already force the equal
-    lengths that composing needs.
+    round where its later cell is new.  Composing along ``i`` lengthens
+    only the strings along ``i`` that it concatenates, and identities
+    lengthen none, so ``_compose_nested`` prunes exactly: it gives up at
+    the first concatenation past the bound, before building the cell.
+    Along ``i > 0``, equal ``i``-boundaries, taken entry by entry, already
+    force the equal lengths that composing needs.  An embedded generator
+    of dimension one or more holds strings of length one, so at bound 0
+    only the objects are embedded.
     """
     _check_bound(bound)
     members = {m: set() for m in range(gset.n + 1)}
@@ -532,14 +529,17 @@ def _oracle_closure(gset, bound):
     fresh = []
 
     def add(cell):
+        if cell is None:
+            return
         layer = members[cell.dim]
-        if cell not in layer and _within_bounds(cell, bound):
+        if cell not in layer:
             layer.add(cell)
             _guard(len(layer))
             fresh.append(cell)
 
     for cell in gset:
-        add(_embed(cell))
+        if bound or not cell.dim:
+            add(_embed(cell))
     while fresh:
         rows = []
         for a in fresh:
@@ -558,11 +558,9 @@ def _oracle_closure(gset, bound):
             for i, src, tgt, atomic in ends:
                 if atomic:
                     for b in by_src.get((m, i, tgt), ()):
-                        if i or _fit_along_0(a, b, bound):
-                            add(_compose_nested(a, b, i))
+                        add(_compose_nested(a, b, i, bound))
                 for b in atomic_by_tgt.get((m, i, src), ()):
-                    if i or _fit_along_0(b, a, bound):
-                        add(_compose_nested(b, a, i))
+                    add(_compose_nested(b, a, i, bound))
     return members
 
 

@@ -8,9 +8,15 @@ sorted by (weight, structural key); the empty collection and the
 adjoined constant weigh one but are emitted at every bound, bound 0
 included.  So for bounds of at least one an enumeration, and an
 ``enum_stack``, is a prefix of the one at the next bound.
+
+Words, multisets, integer combinations and the strings of cells of
+``globular`` all come from one bounded walk, ``_walks``: a word is a
+walk that may step to any element, a multiset one that never steps
+back, and a string of cells one whose next cell starts where the last
+ends.  Each walk counts against ``ENUM_CEILING`` as it is built.
 """
 
-from itertools import product
+from itertools import chain
 
 from .errors import BoundTooLarge, ShapeMismatch
 from .terms import Inj, IntComb, MSet, ONE, Seq, ZERO, weight
@@ -55,23 +61,31 @@ def _guard(count):
         raise BoundTooLarge(f"enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _multiplicities(domain, bound):
-    """Every choice of (element, multiplicity) pairs within the weight bound.
+def _walks(starts, after, cost, bound):
+    """Every nonempty walk whose cost is at most ``bound``, shortest walks first.
 
-    Elements are distinct, multiplicities positive, and the weights times
-    multiplicities sum to at most ``bound``; the empty choice comes first.
+    A walk is a tuple of steps: its first is one of ``starts`` and each
+    next one is one of ``after(last)``.  Both list their steps in
+    non-decreasing ``cost``, so a scan stops at the first step that does
+    not fit; every step costs at least one, so a walk at the bound is not
+    extended.  A walk counts against ``ENUM_CEILING`` when it is built.
     """
-    domain = _by_weight(domain)
-    stack = [(0, (), 0)]
-    while stack:
-        start, chosen, used = stack.pop()
-        yield chosen
-        for idx in range(start, len(domain)):
-            w = weight(domain[idx])
-            if used + w > bound:
-                break
-            for c in range(1, (bound - used) // w + 1):
-                stack.append((idx + 1, chosen + ((domain[idx], c),), used + c * w))
+    built = 0
+    frontier = [((), 0, starts)]
+    while frontier:
+        grown = []
+        for walk, used, steps in frontier:
+            for x in steps:
+                spent = used + cost(x)
+                if spent > bound:
+                    break
+                built += 1
+                _guard(built)  # a global, so a test can patch it
+                walk_x = walk + (x,)
+                yield walk_x
+                if spent < bound:
+                    grown.append((walk_x, spent, after(x)))
+        frontier = grown
 
 
 class FreeCollection(MonadSpec):
@@ -116,17 +130,7 @@ class FreeMonoid(FreeCollection):
         _check_bound(bound)
         domain = _by_weight(domain)
         out = [] if self.nonempty else [Seq(())]
-        stack = [((), 0)]
-        while stack:
-            prefix, used = stack.pop()
-            for x in domain:
-                w = used + weight(x)
-                if w > bound:
-                    break
-                ext = prefix + (x,)
-                out.append(Seq(ext))
-                _guard(len(out))
-                stack.append((ext, w))
+        out.extend(map(Seq, _walks(domain, lambda x: domain, weight, bound)))
         return _by_weight(out)
 
 
@@ -145,11 +149,11 @@ class FreeCommutativeMonoid(FreeCollection):
 
     def enumerate(self, domain, bound):
         _check_bound(bound)
-        out = []
-        for chosen in _multiplicities(domain, bound):
-            if chosen or not self.nonempty:
-                out.append(MSet([x for x, c in chosen for _ in range(c)]))
-                _guard(len(out))
+        domain = _by_weight(domain)
+        walks = _walks(range(len(domain)), lambda k: range(k, len(domain)),
+                       lambda k: weight(domain[k]), bound)
+        out = [] if self.nonempty else [MSet(())]
+        out.extend(MSet([domain[k] for k in walk]) for walk in walks)
         return _by_weight(out)
 
 
@@ -185,12 +189,15 @@ class FreeAbelianGroup(MonadSpec):
         return IntComb([(f(x), c) for x, c in t.pairs])
 
     def enumerate(self, domain, bound):
+        """Signed multisets: ascending walks over (element, sign) steps that
+        may repeat a step but never switch an element's sign."""
         _check_bound(bound)
-        out = []
-        for chosen in _multiplicities(domain, bound):
-            for signs in product((1, -1), repeat=len(chosen)):
-                out.append(IntComb(tuple((x, s * c) for (x, c), s in zip(chosen, signs))))
-                _guard(len(out))
+        steps = [(x, s) for x in _by_weight(domain) for s in (1, -1)]
+        walks = _walks(range(len(steps)),
+                       lambda k: chain((k,), range(k + 2 - k % 2, len(steps))),
+                       lambda k: weight(steps[k][0]), bound)
+        out = [IntComb(())]
+        out.extend(IntComb([steps[k] for k in walk]) for walk in walks)
         return _by_weight(out)
 
 

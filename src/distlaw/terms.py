@@ -22,7 +22,12 @@ from .errors import UnknownGenerator
 
 
 class Keyed:
-    """An immutable value compared by the key its ``_seal`` sets; equal keys hash equal."""
+    """An immutable value compared by the key its ``_seal`` sets.
+
+    Equal keys hash equal.  A structure hashes a shallow tuple of its tag,
+    its own scalars and its children's cached hashes, never its nested
+    key, which would walk the whole value on every construction.
+    """
 
     __slots__ = ("_key", "_hash")
 
@@ -46,8 +51,7 @@ class Term(Keyed):
     __slots__ = ("_weight",)
 
     def _seal(self, key, weight, shallow=None):
-        """Hash a structure's ``shallow`` tuple (tag, children's hashes, coefficients),
-        not its nested key, which would walk the whole term; equal keys hash equal."""
+        """Hash ``shallow`` (see ``Keyed``), or the key of a term with no children."""
         self._key = key
         self._weight = weight
         self._hash = hash(key if shallow is None else shallow)
@@ -180,7 +184,7 @@ class IntComb(Term):
             if c:
                 kept.append((t, c))
                 key.append((t._key, c))
-                hashes += (t._hash, c)
+                hashes += (t._hash, 2 * c)  # hash(-1) == hash(-2); 2 * c avoids -1
                 total += abs(c) * t._weight
         self.pairs = tuple(kept)
         self._seal(tuple(key), total or 1, tuple(hashes))

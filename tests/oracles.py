@@ -5,11 +5,13 @@ The ring oracle interprets expressions and normal forms in the ring of
 oracle interprets them in the two-element Boolean rig.  Both are written
 directly against the arithmetic, never through the package's monads.
 The term oracles restate, plainly, what a constructor must build and
-how many generators a term holds.
+how many generators a term holds, and ``check_functoriality`` checks
+that a monad's ``fmap`` is a functor.
 """
 
 import random
 
+from distlaw.checks import CheckReport, compare
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
@@ -147,6 +149,21 @@ def gen_count(term):
     if isinstance(term, (Seq, MSet)):
         return sum(gen_count(t) for t in term.items)
     return 0
+
+
+def check_functoriality(monad, carrier, bound, function_pairs):
+    """fmap preserves identities and composition on sampled functions."""
+    terms = monad.enumerate(list(carrier), bound)
+    sections = [compare(f"functor[{monad.name}]:identity", terms,
+                        lambda t: monad.fmap(lambda x: x, t), lambda t: t)]
+    for idx, (f, g) in enumerate(function_pairs):
+        sections.append(compare(
+            f"functor[{monad.name}]:compose#{idx}",
+            terms,
+            lambda t, f=f, g=g: monad.fmap(lambda x: g[f[x]], t),
+            lambda t, f=f, g=g: monad.fmap(lambda x: g[x], monad.fmap(lambda x: f[x], t)),
+        ))
+    return CheckReport(f"functoriality[{monad.name}]", sections=sections)
 
 
 def reference_normal_form(shape, inputs):

@@ -456,7 +456,7 @@ def _assert_composites_split(gset, bound):
                 assert not _atomic_along(cell, i) and _atomic_along(left, i)
                 assert left in members[dim] and right in members[dim]
                 assert max(_entry_count(left), _entry_count(right)) < _entry_count(cell)
-                assert _compose_nested(left, right, i) == cell
+                assert _compose_nested(left, right, i, bound) == cell
                 splits += 1
             assert composite or cell in atoms
     return splits
@@ -535,22 +535,65 @@ def test_composition_monads_keep_an_empty_top_layer():
     assert counts == brute_force_oracle(gset, 2) == [1, 1]
 
 
+def _count_guard_calls(monkeypatch):
+    """Record every count the walk hands to ``monads._guard``."""
+    import distlaw.monads
+    counts = []
+    guard = distlaw.monads._guard
+
+    def counted(count):
+        counts.append(count)
+        guard(count)
+
+    monkeypatch.setattr(distlaw.monads, "_guard", counted)
+    return counts
+
+
 def test_string_enumeration_stops_when_nothing_extends(monkeypatch):
-    import distlaw.globular
     path = os.path.join(os.path.dirname(__file__), "data", "two_cell.gset")
     with open(path, encoding="utf-8") as handle:
         gset = load_gset(handle.read())
     expected = free_ncat(gset, 2).counts()
-    rounds = []
-    guard = distlaw.globular._guard
-
-    def counted(count):
-        rounds.append(count)
-        guard(count)
-
-    monkeypatch.setattr(distlaw.globular, "_guard", counted)
+    walks = _count_guard_calls(monkeypatch)
     assert free_ncat(gset, 10 ** 6).counts() == expected == [2, 4, 5]
-    assert len(rounds) <= 10
+    # one walk per nonempty string: [al] along 1; f, g and three 2-cells along 0
+    assert len(walks) == 6
+
+
+def test_string_enumeration_stops_at_the_ceiling(monkeypatch):
+    import distlaw.monads
+    from distlaw.errors import BoundTooLarge
+    names = [f"e{k}" for k in range(60)]
+    gset = globular_set_from_names(1, [["x"], names], [dict.fromkeys(names, "x")],
+                                   [dict.fromkeys(names, "x")])
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 100)
+    walks = _count_guard_calls(monkeypatch)
+    built = []
+    init = StringCell.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(StringCell, "__init__", counted_init)
+    with pytest.raises(BoundTooLarge):
+        CompositionMonad(0, 1).enumerate(gset, 3)
+    # 60 + 3600 + 216000 strings are due; the walk stops at the 101st
+    assert len(walks) == 101
+    # the identity on x, then one string per walk that fit under the ceiling
+    assert len(built) == 1 + 100
+
+
+def test_equal_cells_hash_equal(parallel_2gset, chain_2gset, loop_2gset, loop_set_2gset,
+                                swap_set_2gset, two_object_2gset, theta_3gset, fg_graph):
+    for gset in (parallel_2gset, chain_2gset, loop_2gset, loop_set_2gset, swap_set_2gset,
+                 two_object_2gset, theta_3gset, fg_graph):
+        hashes = {}
+        # each enumeration builds its strings anew, so equal keys meet in new objects
+        for bound in (2, 2, 3):
+            for cell in free_ncat(gset, bound):
+                assert hashes.setdefault(cell.key, hash(cell)) == hash(cell)
+        assert len(hashes) == sum(free_ncat(gset, 3).counts())
 
 
 def test_free_ncat_rejects_non_globular_input():

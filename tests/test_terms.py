@@ -30,6 +30,14 @@ def test_structural_equality_and_hash():
     assert Inj(Inj(a)) != Inj(a)
 
 
+def test_coefficients_minus_one_and_minus_two_hash_apart():
+    # CPython hashes -1 as -2; a combination hashes 2 * c, which is never -1
+    assert hash(-1) == hash(-2)
+    for x in (a, Seq((a, b))):
+        assert hash(IntComb(((x, -1),))) != hash(IntComb(((x, -2),)))
+        assert hash(IntComb(((x, -1), (b, 3)))) != hash(IntComb(((x, -2), (b, 3))))
+
+
 def test_weights_floor_at_one_per_structure():
     assert weight(a) == 1 and weight(Inj(a)) == 1
     assert weight(ONE) == 1 and weight(ZERO) == 1
