@@ -34,7 +34,12 @@ class CheckReport:
 
     @property
     def verdict(self):
-        return "PASS" if self.passed else "FAIL"
+        """``FAIL`` on any witness, else ``EMPTY`` if a leaf checked nothing, else ``PASS``."""
+        if not self.passed:
+            return "FAIL"
+        if not self.sections:
+            return "PASS" if self.checked else "EMPTY"
+        return "EMPTY" if any(s.verdict == "EMPTY" for s in self.sections) else "PASS"
 
     def total_checked(self):
         return self.checked + sum(s.total_checked() for s in self.sections)

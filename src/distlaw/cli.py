@@ -1,15 +1,16 @@
 """Batch command-line front end.
 
-Exit status: 0 when every check passes, 1 when a check fails or an
-expression cannot be normalised, 2 for usage errors (unknown names,
-malformed files, bad arguments).  Output is deterministic: one CHECK
-line per diagram instance class, witnesses on failure, then a summary.
+Exit status: 0 when every check passes, 1 when a check fails, checks
+nothing (``EMPTY``) or an expression cannot be normalised, 2 for usage
+errors (unknown names, malformed files, bad arguments).  Output is
+deterministic: one CHECK line per diagram instance class, witnesses on
+failure, then a summary with the worst verdict.
 """
 
 import argparse
 import sys
 
-from .checks import check_monad_laws
+from .checks import CheckReport, check_monad_laws
 from .errors import DistlawError, FileFormatError, IndexOrder, ShapeMismatch, UnknownGenerator
 from .expr import parse_expr, tokenize
 from .globular import brute_force_oracle, free_ncat, load_gset
@@ -50,14 +51,15 @@ def _lookup(kind, table, name, has_all=False):
 
 
 def _report(reports, summary, out):
-    """Print each report's CHECK lines as it finishes, then ``PASS|FAIL: <summary>``."""
-    ok = True
+    """Print each report's CHECK lines as it finishes, then ``<worst verdict>: <summary>``."""
+    done = []
     for report in reports:
         for line in report.lines():
             print(line, file=out)
-        ok &= report.passed
-    print(f"{'PASS' if ok else 'FAIL'}: {summary}", file=out)
-    return ok
+        done.append(report)
+    verdict = CheckReport(summary, sections=done).verdict
+    print(f"{verdict}: {summary}", file=out)
+    return verdict == "PASS"
 
 
 def cmd_laws(args, out):
@@ -137,7 +139,7 @@ def cmd_ncat(args, out):
     result = free_ncat(gset, args.bound)
     for dim, count in enumerate(result.counts()):
         print(f"dim {dim}: {count} cells", file=out)
-    if args.compare_oracle:
+    if args.command == "oracle-compare":
         oracle = brute_force_oracle(gset, args.bound)
         if oracle == result.counts():
             print("ORACLE MATCH", file=out)
@@ -194,12 +196,10 @@ def build_parser():
     p = sub.add_parser("ncat", help="free n-category cell counts from a file")
     p.add_argument("--input", required=True)
     p.add_argument("--bound", type=int, default=STRING_BOUND)
-    p.add_argument("--compare-oracle", action="store_true")
 
     p = sub.add_parser("oracle-compare", help="free n-category versus brute force")
     p.add_argument("--input", required=True)
     p.add_argument("--bound", type=int, default=STRING_BOUND)
-    p.set_defaults(compare_oracle=True)
 
     return parser
 

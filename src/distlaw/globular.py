@@ -507,17 +507,18 @@ def _oracle_closure(gset, bound):
     closure reaches every cell of the bounded free n-category, which is
     all that unrestricted composition reaches.
 
-    The fixpoint is semi-naive.  Each round indexes the previous round's
-    new cells under ``(m, i, src_i)``, and the ``i``-atomic ones among
-    them under ``(m, i, tgt_i)`` in their own index, computing each
-    cell's boundaries once.  It takes their identities, composes each new
-    ``i``-atomic ``a`` on the left of the partners found under ``a``'s
-    ``tgt_i``, and composes each new ``a`` on the right of the ``i``-atomic
-    partners found under ``a``'s ``src_i``.  Every pair is met in the
-    round where its later cell is new.  Composing along ``i`` lengthens
-    only the strings along ``i`` that it concatenates, and identities
-    lengthen none, so ``_compose_nested`` prunes exactly: it gives up at
-    the first concatenation past the bound, before building the cell.
+    The fixpoint is one worklist.  A cell taken off it adds its identity
+    and, along each ``i`` below its dimension ``m``: is indexed under
+    ``(m, i, src_i)``; if ``i``-atomic, composes on the left of the
+    partners indexed under its ``tgt_i``; composes on the right of the
+    ``i``-atomic partners indexed under its ``src_i``; and only then, if
+    ``i``-atomic, is indexed under ``(m, i, tgt_i)``.  So every
+    composable pair, a cell with itself included, is composed exactly
+    once, when its later cell comes off the list.  Composing along ``i``
+    lengthens only the strings along ``i`` that it concatenates, and
+    identities lengthen none, so ``_compose_nested`` prunes exactly: it
+    gives up at the first concatenation past the bound, before building
+    the cell.
     Along ``i > 0``, equal ``i``-boundaries, taken entry by entry, already
     force the equal lengths that composing needs.  An embedded generator
     of dimension one or more holds strings of length one, so at bound 0
@@ -525,49 +526,38 @@ def _oracle_closure(gset, bound):
     """
     _check_bound(bound)
     members = {m: set() for m in range(gset.n + 1)}
-    by_src, atomic_by_tgt = {}, {}
-    fresh = []
+    by_src, atomic_by_tgt, todo = {}, {}, []
 
     def add(cell):
-        if cell is None:
-            return
-        layer = members[cell.dim]
-        if cell not in layer:
-            layer.add(cell)
-            _guard(len(layer))
-            fresh.append(cell)
+        if cell is not None and cell not in members[cell.dim]:
+            members[cell.dim].add(cell)
+            _guard(len(members[cell.dim]))
+            todo.append(cell)
 
     for cell in gset:
         if bound or not cell.dim:
             add(_embed(cell))
-    while fresh:
-        rows = []
-        for a in fresh:
-            ends = [(i, boundary_to(a, "src", i), boundary_to(a, "tgt", i), _atomic_along(a, i))
-                    for i in range(a.dim)]
-            for i, src, tgt, atomic in ends:
-                by_src.setdefault((a.dim, i, src), []).append(a)
-                if atomic:
-                    atomic_by_tgt.setdefault((a.dim, i, tgt), []).append(a)
-            rows.append((a, ends))
-        fresh = []
-        for a, ends in rows:
-            m = a.dim
-            if m < gset.n:
-                add(identity_cell(a))
-            for i, src, tgt, atomic in ends:
-                if atomic:
-                    for b in by_src.get((m, i, tgt), ()):
-                        add(_compose_nested(a, b, i, bound))
-                for b in atomic_by_tgt.get((m, i, src), ()):
-                    add(_compose_nested(b, a, i, bound))
+    while todo:
+        a = todo.pop()
+        m = a.dim
+        if m < gset.n:
+            add(identity_cell(a))
+        for i in range(m):
+            src, tgt = boundary_to(a, "src", i), boundary_to(a, "tgt", i)
+            atomic = _atomic_along(a, i)
+            by_src.setdefault((m, i, src), []).append(a)
+            for b in (by_src.get((m, i, tgt), ()) if atomic else ()):
+                add(_compose_nested(a, b, i, bound))
+            for b in atomic_by_tgt.get((m, i, src), ()):
+                add(_compose_nested(b, a, i, bound))
+            if atomic:
+                atomic_by_tgt.setdefault((m, i, tgt), []).append(a)
     return members
 
 
 def brute_force_oracle(gset, bound):
     """Per-dimension counts of distinct formal-composite normal forms."""
-    members = _oracle_closure(gset, bound)
-    return [len(members[m]) for m in range(gset.n + 1)]
+    return [len(cells) for cells in _oracle_closure(gset, bound).values()]
 
 
 def composition_series(n):

@@ -104,6 +104,15 @@ def test_laws_all_monads():
     assert "CHECK monad[free-monoid]:unit-left PASS" in out
 
 
+def test_laws_that_check_nothing_are_empty():
+    code, out = run("laws", "--monad", "free-semigroup", "--bound", "0")
+    assert code == 1
+    assert out == ("CHECK monad[free-semigroup]:unit-left EMPTY\n"
+                   "CHECK monad[free-semigroup]:unit-right EMPTY\n"
+                   "CHECK monad[free-semigroup]:assoc EMPTY\n"
+                   "EMPTY: 1 monads\n")
+
+
 def test_laws_unknown_monad():
     code, _ = run("laws", "--monad", "nope")
     assert code == 2
@@ -243,9 +252,15 @@ def test_readme_commands_succeed(monkeypatch):
 
 def test_ncat_counts_and_oracle():
     path = os.path.join(DATA, "two_cell.gset")
-    code, out = run("ncat", "--input", path, "--bound", "2", "--compare-oracle")
+    code, out = run("oracle-compare", "--input", path, "--bound", "2")
     assert code == 0
     assert out == "dim 0: 2 cells\ndim 1: 4 cells\ndim 2: 5 cells\nORACLE MATCH\n"
+
+
+def test_ncat_has_no_oracle_flag():
+    path = os.path.join(DATA, "two_cell.gset")
+    assert run("ncat", "--input", path, "--compare-oracle")[0] == 2
+    assert run("ncat", "--input", path)[1] == "dim 0: 2 cells\ndim 1: 4 cells\ndim 2: 5 cells\n"
 
 
 def test_oracle_compare_subcommand():

@@ -15,6 +15,7 @@ from distlaw import (CompositionMonad, GlobularSet, StringCell, all_routes,
                      free_ncat, globular_set_from_names, identity_cell,
                      interchange_law, load_gset, padded_transpose_candidate,
                      validate_globular, validate_series)
+from distlaw import globular
 from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
@@ -475,6 +476,35 @@ def test_every_composite_splits_behind_an_atomic_left_factor(
 def test_every_composite_splits_on_random_sets(gset2, gset3):
     for gset in (gset2, gset3):
         _assert_composites_split(gset, 2)
+
+
+def test_the_oracle_composes_each_composable_pair_once(
+        monkeypatch, fg_graph, arrow_graph, point_2gset, parallel_2gset, chain_2gset,
+        loop_2gset, loop_set_2gset, swap_set_2gset, two_object_2gset, theta_3gset):
+    """Top-level compositions equal the ordered pairs ``(x, y)`` of result cells
+    of one dimension with ``x`` ``i``-atomic and ``tgt_i(x) == src_i(y)``."""
+    compose, depth, calls = _compose_nested, [0], [0]
+
+    def counting(a, b, i, bound):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return compose(a, b, i, bound)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(globular, "_compose_nested", counting)
+    for gset in (fg_graph, arrow_graph, point_2gset, parallel_2gset, chain_2gset, loop_2gset,
+                 loop_set_2gset, swap_set_2gset, two_object_2gset, theta_3gset):
+        for bound in (2, 3):
+            calls[0] = 0
+            pairs = 0
+            for m, cells in _oracle_closure(gset, bound).items():
+                for i in range(m):
+                    sources = Counter(boundary_to(y, "src", i) for y in cells)
+                    pairs += sum(sources[boundary_to(x, "tgt", i)]
+                                 for x in cells if _atomic_along(x, i))
+            assert calls[0] == pairs, (gset, bound)
 
 
 def _names_used(function, seen):

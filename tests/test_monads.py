@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from distlaw import (Carrier, Gen, Inj, IntComb, ONE, Seq, ZERO, ZOO,
                      check_monad_laws, check_monad_naturality, enum_stack)
-from distlaw.checks import compare
+from distlaw.checks import CheckReport, compare
 from distlaw.errors import BoundTooLarge, ShapeMismatch
 from distlaw.monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                             FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP,
@@ -72,6 +72,16 @@ def test_two_raising_legs_are_a_witness():
     report = compare("c", [1, 2, 3], bad, bad)
     assert report.verdict == "FAIL"
     assert len(report.witnesses) == 3
+
+
+def test_a_report_that_checks_nothing_is_empty():
+    empty, ok = compare("e", [], str, str), compare("p", [1], str, str)
+    failed = compare("f", [1], str, int)
+    assert (empty.verdict, ok.verdict, failed.verdict) == ("EMPTY", "PASS", "FAIL")
+    assert empty.passed and empty.lines() == ["CHECK e EMPTY"]
+    assert CheckReport("s", sections=[ok, empty]).verdict == "EMPTY"
+    assert CheckReport("s", sections=[empty, failed]).verdict == "FAIL"
+    assert CheckReport("s", sections=[ok, ok]).verdict == "PASS"
 
 
 def test_enumerations_have_no_duplicates_and_are_deterministic():
