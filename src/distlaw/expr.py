@@ -86,11 +86,16 @@ def parse_expr(src, carrier):
     def peek():
         return tokens[idx]
 
+    def unexpected(*expected):
+        kind, value, pos = tokens[idx]
+        shown = "end of input" if kind == "EOF" else repr(value)
+        raise ParseError(f"unexpected token {shown}", pos, expected=expected)
+
     def take(kind):
         nonlocal idx
         tok = tokens[idx]
         if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected=(kind,))
+            unexpected(kind)
         idx += 1
         return tok
 
@@ -109,8 +114,7 @@ def parse_expr(src, carrier):
             inner = expr()
             take(")")
             return inner
-        raise ParseError(f"unexpected token {value!r}", pos,
-                         expected=("IDENT", "INT", "("))
+        unexpected("IDENT", "INT", "(")
 
     def factor():
         nonlocal idx

@@ -323,7 +323,7 @@ class CompositionMonad(MonadSpec):
             for c in layers[m]:
                 starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
             onward = lambda c: starting_at.get(boundary_to(c, "tgt", i), ())
-            walks = _walks(layers[m], onward, lambda c: 1, bound)
+            walks = _walks(layers[m], onward, lambda c: 1, bound, self.name)
             cells.extend(StringCell(i, m, walk) for walk in walks)
             out.append(cells)
         return out
@@ -526,12 +526,13 @@ def _oracle_closure(gset, bound):
     """
     _check_bound(bound)
     members = {m: set() for m in range(gset.n + 1)}
+    labels = [f"cells of dimension {m} at bound {bound}" for m in members]
     by_src, atomic_by_tgt, todo = {}, {}, []
 
     def add(cell):
         if cell is not None and cell not in members[cell.dim]:
             members[cell.dim].add(cell)
-            _guard(len(members[cell.dim]))
+            _guard(len(members[cell.dim]), labels[cell.dim])
             todo.append(cell)
 
     for cell in gset:

@@ -55,21 +55,23 @@ def _check_bound(bound):
         raise ValueError(f"the enumeration bound must be non-negative, got {bound}")
 
 
-def _guard(count):
-    """Stop an enumeration past ``ENUM_CEILING`` elements (read at call time)."""
+def _guard(count, what):
+    """Stop an enumeration of ``what`` past ``ENUM_CEILING`` elements (read at call time)."""
     if count > ENUM_CEILING:
-        raise BoundTooLarge(f"enumeration exceeds ceiling of {ENUM_CEILING} elements")
+        raise BoundTooLarge(f"{what}: enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _walks(starts, after, cost, bound):
+def _walks(starts, after, cost, bound, what):
     """Every nonempty walk whose cost is at most ``bound``, shortest walks first.
 
     A walk is a tuple of steps: its first is one of ``starts`` and each
     next one is one of ``after(last)``.  Both list their steps in
     non-decreasing ``cost``, so a scan stops at the first step that does
     not fit; every step costs at least one, so a walk at the bound is not
-    extended.  A walk counts against ``ENUM_CEILING`` when it is built.
+    extended.  A walk counts against ``ENUM_CEILING`` when it is built;
+    past it the error names ``what``, the monad walked, and the bound.
     """
+    what = f"{what} at bound {bound}"
     built = 0
     frontier = [((), 0, starts)]
     while frontier:
@@ -80,7 +82,7 @@ def _walks(starts, after, cost, bound):
                 if spent > bound:
                     break
                 built += 1
-                _guard(built)  # a global, so a test can patch it
+                _guard(built, what)  # a global, so a test can patch it
                 walk_x = walk + (x,)
                 yield walk_x
                 if spent < bound:
@@ -130,7 +132,7 @@ class FreeMonoid(FreeCollection):
         _check_bound(bound)
         domain = _by_weight(domain)
         out = [] if self.nonempty else [Seq(())]
-        out.extend(map(Seq, _walks(domain, lambda x: domain, weight, bound)))
+        out.extend(map(Seq, _walks(domain, lambda x: domain, weight, bound, self.name)))
         return _by_weight(out)
 
 
@@ -151,7 +153,7 @@ class FreeCommutativeMonoid(FreeCollection):
         _check_bound(bound)
         domain = _by_weight(domain)
         walks = _walks(range(len(domain)), lambda k: range(k, len(domain)),
-                       lambda k: weight(domain[k]), bound)
+                       lambda k: weight(domain[k]), bound, self.name)
         out = [] if self.nonempty else [MSet(())]
         out.extend(MSet([domain[k] for k in walk]) for walk in walks)
         return _by_weight(out)
@@ -195,7 +197,7 @@ class FreeAbelianGroup(MonadSpec):
         steps = [(x, s) for x in _by_weight(domain) for s in (1, -1)]
         walks = _walks(range(len(steps)),
                        lambda k: chain((k,), range(k + 2 - k % 2, len(steps))),
-                       lambda k: weight(steps[k][0]), bound)
+                       lambda k: weight(steps[k][0]), bound, self.name)
         out = [IntComb(())]
         out.extend(IntComb([steps[k] for k in walk]) for walk in walks)
         return _by_weight(out)
@@ -230,7 +232,7 @@ class AdjoinConstant(MonadSpec):
         _check_bound(bound)
         out = [Inj(x) for x in domain if weight(x) <= bound]
         out.append(self.constant)
-        _guard(len(out))
+        _guard(len(out), f"{self.name} at bound {bound}")
         return _by_weight(out)
 
 

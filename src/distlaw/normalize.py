@@ -89,7 +89,7 @@ def _rig_pieces(term):
 
 def _rig_lit(k):
     """The literal ``k`` as ``k`` copies of the unit, at most ``ENUM_CEILING`` of them."""
-    _guard(k)
+    _guard(k, f"rig literal {k}")
     return Inj(MSet((ONE,) * k)) if k else ZERO
 
 

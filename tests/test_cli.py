@@ -83,6 +83,8 @@ def test_normalize_unknown_theory_is_a_usage_error():
 
 def test_normalize_syntax_error_is_a_normalization_failure(capsys):
     for expression, message in (("a +", "unexpected token"),
+                                ("", "unexpected token end of input at position 0"),
+                                ("((((", "unexpected token end of input at position 4"),
                                 ("(" * 1200 + "a" + ")" * 1200, "nested too deeply"),
                                 ("²", "unexpected character"),
                                 ("a+²", "unexpected character")):

@@ -571,9 +571,9 @@ def _count_guard_calls(monkeypatch):
     counts = []
     guard = distlaw.monads._guard
 
-    def counted(count):
+    def counted(count, what):
         counts.append(count)
-        guard(count)
+        guard(count, what)
 
     monkeypatch.setattr(distlaw.monads, "_guard", counted)
     return counts

@@ -218,6 +218,24 @@ def test_enum_ceiling_raises(monkeypatch):
             monad.enumerate(list(X2), 3)
 
 
+def test_bound_too_large_names_what_it_enumerates(monkeypatch):
+    import distlaw.monads
+    from distlaw import (CompositionMonad, brute_force_oracle, globular_set_from_names,
+                         normalize_expr, parse_expr)
+    loop = globular_set_from_names(1, [["x"], ["e"]], [{"e": "x"}], [{"e": "x"}])
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 2)
+    for overflow, what in (
+            (lambda: FREE_MONOID.enumerate(list(X2), 3), "free-monoid at bound 3"),
+            (lambda: ADJOIN_UNIT.enumerate(list(X2), 1), "adjoin-unit at bound 1"),
+            (lambda: CompositionMonad(0, 1).enumerate(loop, 3), "compose-along-0 at bound 3"),
+            (lambda: check_monad_naturality(FREE_MONOID, X1, 0), "naturality maps"),
+            (lambda: brute_force_oracle(loop, 2), "cells of dimension 1 at bound 2"),
+            (lambda: normalize_expr("rig", parse_expr("3*a", X1)), "rig literal 3")):
+        with pytest.raises(BoundTooLarge) as info:
+            overflow()
+        assert str(info.value) == f"{what}: enumeration exceeds ceiling of 2 elements"
+
+
 def test_enum_stack_counts_pointed_layers():
     # X ⊔ {*} ⊔ {*}: the two points stay distinct across layers
     terms = enum_stack([ADJOIN_UNIT, ADJOIN_UNIT], list(X2), 2)

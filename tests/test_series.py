@@ -3,16 +3,18 @@ from math import comb
 import pytest
 
 from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
-                     GlobularSet, ONE, REGISTERED_LAWS, Seq, ZERO, all_routes,
+                     GlobularSet, IntComb, ONE, REGISTERED_LAWS, Seq, ZERO, all_routes,
                      check_distlaw, check_monad_laws, check_route_independence,
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, parse_route, validate_series)
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
-from distlaw.monads import ADJOIN_UNIT, FREE_MONOID, FREE_SEMIGROUP, IDENTITY
+from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
+                            IDENTITY, ZOO)
 from distlaw.theories import RIG_SERIES, RING2_SERIES, RING3_SERIES
 
 from oracles import gen_count
+from test_monads import BrokenFreeMonoid
 
 X1 = Carrier.of_size(1)
 X2 = Carrier.of_size(2)
@@ -242,3 +244,65 @@ def test_naturality_is_checked_on_term_carriers_only():
     cells = GlobularSet(2, [[], [], []])
     sections = check_distlaw(composition_series(2).law(2, 1), cells, 2).sections
     assert [s.title.rsplit(":", 1)[1] for s in sections] == ["unit-S", "mult-S", "unit-T", "mult-T"]
+
+
+def _report_shape(report):
+    """Every node of a report tree: title, checked count and witness triples."""
+    rows = [(report.title, report.checked,
+             [(w.input, w.left, w.right) for w in report.witnesses])]
+    for section in report.sections:
+        rows.extend(_report_shape(section))
+    return rows
+
+
+def _dropping_a_summand(t):
+    return IntComb(REGISTERED_LAWS["product-over-sum-words"].transform(t).pairs[:-1])
+
+
+def _raising_on_pairs(t):
+    if len(t.items) == 2:
+        raise ShapeMismatch(f"refusing the pair {t}")
+    return REGISTERED_LAWS["product-over-sum-words"].transform(t)
+
+
+MUTANT_LAWS = [DistLaw(name, FREE_SEMIGROUP, FREE_ABELIAN_GROUP, transform)
+               for name, transform in (("drops-a-summand", _dropping_a_summand),
+                                       ("raises-on-pairs", _raising_on_pairs))]
+
+
+def test_the_per_check_caches_change_no_report(monkeypatch):
+    import distlaw.checks
+    import distlaw.series
+
+    def reports():
+        return ([check_distlaw(law, X2, 3) for law in [*REGISTERED_LAWS.values(), *MUTANT_LAWS]]
+                + [check_monad_laws(m, X2, 3) for m in [*ZOO.values(), BrokenFreeMonoid()]])
+
+    cached = reports()
+    monkeypatch.setattr(distlaw.series, "cache", lambda f: f)
+    monkeypatch.setattr(distlaw.checks, "cache", lambda f: f)
+    plain = reports()
+    assert [_report_shape(r) for r in cached] == [_report_shape(r) for r in plain]
+    # the mutants and the broken monad are seen to fail, one of them on errors
+    assert [r.passed for r in cached[9:]] == [False, False] + [True] * len(ZOO) + [False]
+    assert any(str(w.left).startswith("error:") for w in cached[10].all_witnesses())
+
+
+def test_a_law_component_is_computed_once_per_check():
+    words = REGISTERED_LAWS["product-over-sum-words"]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return words.transform(t)
+
+    S, T = words.s_monad, words.t_monad
+    check_distlaw(DistLaw("counted", S, T, counted), X2, 3)
+    # Words of empty sums lie in S(T(X)) and also in S(T(T(X))) and
+    # S(T(S(X))), where the two plain positions meet them once per input.
+    layer = set(enum_stack([S, T], list(X2), 3))
+    deeper = set(enum_stack([S, T, T], list(X2), 3)) | set(enum_stack([S, T, S], list(X2), 3))
+    only_below = layer - deeper
+    assert len(layer & deeper) == 3
+    in_layer = [t for t in calls if t in only_below]
+    assert len(in_layer) == len(set(in_layer)) == len(only_below)
