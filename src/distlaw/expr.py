@@ -47,6 +47,7 @@ class Neg:
 
 
 Expr = Var | IntLit | Add | Mul | Neg
+END = "end of input"  # the kind of the last token, as error messages name it
 
 
 def tokenize(src):
@@ -74,7 +75,7 @@ def tokenize(src):
             tokens.append(("IDENT", src[start:pos], start))
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("EOF", None, len(src)))
+    tokens.append((END, None, len(src)))
     return tokens
 
 
@@ -88,7 +89,7 @@ def parse_expr(src, carrier):
 
     def unexpected(*expected):
         kind, value, pos = tokens[idx]
-        shown = "end of input" if kind == "EOF" else repr(value)
+        shown = END if kind == END else repr(value)
         raise ParseError(f"unexpected token {shown}", pos, expected=expected)
 
     def take(kind):
@@ -142,5 +143,5 @@ def parse_expr(src, carrier):
         result = expr()
     except RecursionError:
         raise ParseError("expression nested too deeply", tokens[idx][2]) from None
-    take("EOF")
+    take(END)
     return result

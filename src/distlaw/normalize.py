@@ -128,8 +128,8 @@ def normalize_expr(theory_name, node):
     theory = _theory(theory_name)
 
     def eval_node(n):
-        # a long sum or product nests to the left: walk that spine in a loop,
-        # adding each run of summands in one step (products stay binary)
+        # a long sum or product nests to the left: walk that spine in a loop; a run of
+        # summands is one add, a run of factors a balanced, in-order tree of binary muls
         spine = []
         while isinstance(n, (Add, Mul)):
             spine.append(n)
@@ -146,8 +146,11 @@ def normalize_expr(theory_name, node):
             if is_sum:
                 value = theory.op("add", value, *(eval_node(op.right) for op in run))
             else:
-                for op in run:
-                    value = theory.op("mul", value, eval_node(op.right))
+                factors = [value, *(eval_node(op.right) for op in run)]
+                while len(factors) > 1:
+                    factors = [theory.op("mul", *factors[i:i + 2]) if i + 1 < len(factors)
+                               else factors[i] for i in range(0, len(factors), 2)]
+                value = factors[0]
         return value
 
     try:

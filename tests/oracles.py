@@ -4,12 +4,15 @@ The ring oracle interprets expressions and normal forms in the ring of
 2x2 integer matrices (noncommutative, so word order matters); the rig
 oracle interprets them in the two-element Boolean rig.  Both are written
 directly against the arithmetic, never through the package's monads.
+``left_fold_product`` is the plain evaluation order a normaliser's
+products must agree with: one binary ``mul`` at a time, left to right.
 The term oracles restate, plainly, what a constructor must build and
 how many generators a term holds, and ``check_functoriality`` checks
 that a monad's ``fmap`` is a functor.
 """
 
 import random
+from functools import reduce
 
 from distlaw.checks import CheckReport, compare
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
@@ -131,6 +134,26 @@ def random_expression(rng, names, max_leaves):
 
     node, _ = build(rng.randint(1, max_leaves))
     return node
+
+
+def left_fold_product(theory, factors):
+    """The finished product of AST ``factors`` in a ``normalize.Theory``.
+
+    Each factor is evaluated through ``theory.op`` with one binary
+    operation per node, and the factors are multiplied as a left fold of
+    binary ``mul``: ``((f1 * f2) * f3) * ...``.
+    """
+    def value(node):
+        if isinstance(node, Var):
+            return theory.monad.unit(Gen(node.name))
+        if isinstance(node, IntLit):
+            return theory.op("lit", node.value)
+        if isinstance(node, Neg):
+            return theory.op("neg", value(node.arg))
+        kind = {Add: "add", Mul: "mul"}[type(node)]
+        return theory.op(kind, value(node.left), value(node.right))
+
+    return theory.finish(reduce(lambda u, v: theory.op("mul", u, v), map(value, factors)))
 
 
 def word_to_tuple(word):

@@ -85,6 +85,7 @@ def test_normalize_syntax_error_is_a_normalization_failure(capsys):
     for expression, message in (("a +", "unexpected token"),
                                 ("", "unexpected token end of input at position 0"),
                                 ("((((", "unexpected token end of input at position 4"),
+                                ("a b", "token 'b' at position 2 (expected end of input)"),
                                 ("(" * 1200 + "a" + ")" * 1200, "nested too deeply"),
                                 ("²", "unexpected character"),
                                 ("a+²", "unexpected character")):

@@ -1,16 +1,19 @@
+import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlaw import Carrier, Gen, IntComb, MSet, Seq, ZERO, abelianize, \
+from distlaw import Carrier, Gen, IntComb, MSet, Seq, THEORIES, ZERO, abelianize, \
     format_normal, normalize_expr, parse_expr
 from distlaw.errors import ParseError, UnknownGenerator, UnsupportedNode
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
+from distlaw.terms import weight
 
 from oracles import (eval_expr_bool, eval_expr_matrix, eval_ring2_nf_matrix,
-                     eval_ring_nf_matrix, eval_rig_nf_bool, mat_mul,
+                     eval_ring_nf_matrix, eval_rig_nf_bool, left_fold_product, mat_mul,
                      random_expression, random_matrix)
 
 X = Carrier(("a", "b", "c", "d", "x", "y"))
@@ -265,3 +268,63 @@ def test_rig_normal_form_agrees_with_both_oracles(expr):
     assignment = {n: random_matrix(rng) for n in ("a", "b")}
     assert eval_expr_matrix(expr, assignment) == \
         eval_ring_nf_matrix(IntComb(tuple((word, 1) for word in words)), assignment)
+
+
+# per theory: factors drawn any number of times, then factors placed at most
+# four times, so sums and large rig literals keep a 40-factor product small
+_a, _b = Var("a"), Var("b")
+_RING_FACTORS = ((_a, _b, IntLit(1), IntLit(2), Neg(_a)),
+                 (Add(_a, _b), Add(_a, IntLit(1)), Neg(Add(_a, _b)), IntLit(0), IntLit(3)))
+_PRODUCT_FACTORS = {
+    "monoid": ((_a, _b, IntLit(1)), (IntLit(1),)),
+    "cmonoid": ((_a, _b, IntLit(1)), (IntLit(1),)),
+    "ring2": _RING_FACTORS,
+    "ring3": _RING_FACTORS,
+    "rig": ((_a, _b, IntLit(1)), (Add(_a, _b), Add(_a, IntLit(1)), IntLit(0), IntLit(2), IntLit(3))),
+}
+
+
+@st.composite
+def _factors(draw, theory):
+    common, rare = _PRODUCT_FACTORS[theory]
+    factors = draw(st.lists(st.sampled_from(common), min_size=1, max_size=40))
+    for at, factor in draw(st.lists(st.tuples(st.integers(0, 39), st.sampled_from(rare)),
+                                    max_size=4)):
+        factors[at % len(factors)] = factor
+    return factors
+
+
+@pytest.mark.parametrize("theory", sorted(_PRODUCT_FACTORS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_balanced_products_agree_with_the_left_fold(theory, data):
+    """Among 1-40 factors, some count leaves an odd factor over at each level of the tree."""
+    factors = data.draw(_factors(theory))
+    product = reduce(Mul, factors)
+    normal = normalize_expr(theory, product)
+    assert normal == left_fold_product(THEORIES[theory], factors)
+    if theory == "ring3":
+        rng = random.Random(31)
+        assignment = {n: random_matrix(rng) for n in ("a", "b")}
+        assert eval_expr_matrix(product, assignment) == eval_ring_nf_matrix(normal, assignment)
+    if theory == "rig":
+        for assignment in _all_bool_assignments(("a", "b")):
+            assert eval_expr_bool(product, assignment) == eval_rig_nf_bool(normal, assignment)
+
+
+@pytest.mark.parametrize("theory", ("ring2", "ring3", "rig"))
+def test_a_long_product_multiplies_operands_of_n_log_n_weight(theory, monkeypatch):
+    """Each level of the product tree multiplies operands of total weight n;
+    a left to right product would multiply about n*n/2."""
+    n = 3000
+    ops = THEORIES[theory]._ops
+    mul, operand_weight = ops["mul"], []
+
+    def counting_mul(u, v):
+        operand_weight.append(weight(u) + weight(v))
+        return mul(u, v)
+
+    monkeypatch.setitem(ops, "mul", counting_mul)
+    normal = normalize_expr(theory, reduce(Mul, [_a] * n))
+    assert sum(operand_weight) <= n * (math.ceil(math.log2(n)) + 1)
+    assert [(c, w.items) for c, w in THEORIES[theory].pieces(normal)] == [(1, (Gen("a"),) * n)]
