@@ -25,11 +25,11 @@ from .laws import REGISTERED_LAWS, DistLaw
 from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                      FREE_COMM_MONOID, FREE_COMM_SEMIGROUP, FREE_MONOID,
                      FREE_SEMIGROUP, IDENTITY, ZOO, MonadSpec, enum_stack)
-from .normalize import THEORIES, abelianize, format_normal, normalize_expr
+from .normalize import (RIG_SERIES, RING2_SERIES, RING3_SERIES, SERIES, THEORIES,
+                        abelianize, format_normal, normalize_expr)
 from .series import (CompositeMonad, DistributiveSeries, all_routes,
                      check_distlaw, check_route_independence,
                      check_yang_baxter, compose_series, derive_block_law,
                      parse_route, validate_series)
 from .terms import (Carrier, Gen, Inj, IntComb, MSet, ONE, One, Seq, Term,
                     ZERO, Zero, functions_between)
-from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES, SERIES

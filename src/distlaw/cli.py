@@ -16,11 +16,10 @@ from .expr import parse_expr, tokenize
 from .globular import brute_force_oracle, free_ncat, load_gset
 from .laws import REGISTERED_LAWS
 from .monads import ZOO
-from .normalize import THEORIES, format_normal, normalize_expr
+from .normalize import SERIES, THEORIES, format_normal, normalize_expr
 from .series import (all_routes, check_distlaw, check_route_independence, check_yang_baxter,
                      compare_routes, compose_series, parse_route, validate_series)
 from .terms import Carrier
-from .theories import SERIES
 
 TERM_BOUND = 3
 STRING_BOUND = 2
@@ -134,7 +133,7 @@ def cmd_ncat(args, out):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             gset = load_gset(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from None
     result = free_ncat(gset, args.bound)
     for dim, count in enumerate(result.counts()):

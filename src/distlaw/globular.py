@@ -221,19 +221,16 @@ def _list_of(value, test):
     return isinstance(value, list) and all(test(x) for x in value)
 
 
-def load_gset(source):
+def load_gset(text):
     """Load the structured text format: fields n, cells, src, tgt.
 
     ``n`` is a non-negative integer, ``cells`` a list of lists of names,
     ``src`` and ``tgt`` lists of name-to-name mappings; a name is a string.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"not valid structured text: {exc}") from None
-    else:
-        data = source
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FileFormatError(f"not valid structured text: {exc}") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be a mapping")
     for field in ("n", "cells", "src", "tgt"):
@@ -311,36 +308,30 @@ class CompositionMonad(MonadSpec):
             return StringCell(self.i, cell.dim, (), f(cell.anchor))
         return StringCell(self.i, cell.dim, tuple(f(e) for e in cell.entries))
 
-    def _strings(self, layers, bound):
-        """Layer by layer above ``i``: the strings of length up to ``bound``,
-        walks in the graph of the layer's cells and their ``i``-boundaries."""
+    def apply(self, carrier, bound):
+        """The carrier's cells and, in each dimension above ``i``, the strings
+        of length up to ``bound``: walks in the graph of the dimension's cells
+        and their ``i``-boundaries, kept as an n-globular set."""
         _check_bound(bound)
         i = self.i
-        out = list(layers[:i + 1])
+        layers = [[] for _ in range(self.n + 1)]
+        for cell in carrier:
+            if cell.dim > self.n:
+                raise DimensionError(f"{cell} lies above dimension {self.n} of {self.name}")
+            layers[cell.dim].append(cell)
         for m in range(i + 1, self.n + 1):
-            cells = [StringCell(i, m, (), a) for a in layers[i]]
             starting_at = {}
             for c in layers[m]:
                 starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
             onward = lambda c: starting_at.get(boundary_to(c, "tgt", i), ())
             walks = _walks(layers[m], onward, lambda c: 1, bound, self.name)
+            cells = [StringCell(i, m, (), a) for a in layers[i]]
             cells.extend(StringCell(i, m, walk) for walk in walks)
-            out.append(cells)
-        return out
+            layers[m] = cells
+        return GlobularSet(self.n, layers)
 
     def enumerate(self, domain, bound):
-        layers = [[] for _ in range(self.n + 1)]
-        for cell in domain:
-            if cell.dim > self.n:
-                raise DimensionError(f"{cell} lies above dimension {self.n} of {self.name}")
-            layers[cell.dim].append(cell)
-        return [c for layer in self._strings(layers, bound) for c in layer]
-
-    def apply(self, gset, bound):
-        """The same enumeration, kept as a ``GlobularSet``."""
-        if gset.n != self.n:
-            raise DimensionError(f"{self.name} acts on {self.n}-globular sets, not {gset.n}")
-        return GlobularSet(self.n, self._strings(gset.cells, bound))
+        return list(self.apply(domain, bound))
 
 
 def interchange_law(cell, i, j):
@@ -426,12 +417,12 @@ def padded_transpose_candidate(cell, i, j):
 
 
 def free_ncat(gset, bound):
-    """Free strict n-category: compose along n-1, then n-2, ..., then 0."""
+    """Free strict n-category: apply the monads of ``composition_series``, innermost first."""
+    _check_bound(bound)
     _require_globular(gset, ShapeMismatch)
-    out = gset
-    for i in range(gset.n - 1, -1, -1):
-        out = CompositionMonad(i, gset.n).apply(out, bound)
-    return out
+    for monad in reversed(composition_series(gset.n).monads):
+        gset = monad.apply(gset, bound)
+    return gset
 
 
 def _embed(cell):

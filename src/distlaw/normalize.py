@@ -10,8 +10,10 @@ Theories:
 * ``monoid``   - words; ``*`` and ``1`` only.
 * ``cmonoid``  - multisets; ``*`` and ``1`` only.
 * ``ring2``    - integer combinations of commutative monomials.
-* ``ring3``    - integer combinations of words (the empty word is 1).
-* ``rig``      - 0 or a positive sum of words over the carrier.
+* ``ring3``    - integer combinations of words (the empty word is 1): the
+  free ring monad, composite of the three monads of ``RING3_SERIES``.
+* ``rig``      - 0 or a positive sum of words: the free rig monad, composite
+  of the four monads of ``RIG_SERIES``.  Embeddings follow the series' order.
 """
 
 from collections import Counter
@@ -19,11 +21,42 @@ from itertools import groupby
 
 from .errors import UnsupportedNode
 from .expr import Add, IntLit, Mul, Neg, Var
-from .monads import (ADJOIN_ZERO, FREE_ABELIAN_GROUP, FREE_COMM_MONOID,
-                     FREE_COMM_SEMIGROUP, FREE_MONOID, _guard)
-from .series import compose_series
+from .laws import (LAW_PRODUCT_OVER_SUM_COMM, LAW_PRODUCT_OVER_SUM_RIG,
+                   LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION,
+                   LAW_UNIT_INTO_SUM_RIG, LAW_UNIT_INTO_SUM_RING,
+                   LAW_UNIT_PAST_ZERO, LAW_ZERO_ANNIHILATION, LAW_ZERO_IN_SUM)
+from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP, FREE_COMM_MONOID,
+                     FREE_COMM_SEMIGROUP, FREE_MONOID, FREE_SEMIGROUP, _guard)
+from .series import DistributiveSeries, compose_series
 from .terms import Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
-from .theories import RIG_SERIES, RING2_SERIES, RING3_SERIES
+
+RING2_SERIES = DistributiveSeries("ring2", [FREE_ABELIAN_GROUP, FREE_COMM_MONOID],
+                                  {(2, 1): LAW_PRODUCT_OVER_SUM_COMM})
+
+RING3_SERIES = DistributiveSeries(
+    "ring3",
+    [FREE_ABELIAN_GROUP, ADJOIN_UNIT, FREE_SEMIGROUP],
+    {
+        (2, 1): LAW_UNIT_INTO_SUM_RING,
+        (3, 1): LAW_PRODUCT_OVER_SUM_WORDS,
+        (3, 2): LAW_UNIT_ABSORPTION,
+    },
+)
+
+RIG_SERIES = DistributiveSeries(
+    "rig",
+    [ADJOIN_ZERO, FREE_COMM_SEMIGROUP, ADJOIN_UNIT, FREE_SEMIGROUP],
+    {
+        (2, 1): LAW_ZERO_IN_SUM,
+        (3, 1): LAW_UNIT_PAST_ZERO,
+        (3, 2): LAW_UNIT_INTO_SUM_RIG,
+        (4, 1): LAW_ZERO_ANNIHILATION,
+        (4, 2): LAW_PRODUCT_OVER_SUM_RIG,
+        (4, 3): LAW_UNIT_ABSORPTION,
+    },
+)
+
+SERIES = {s.name: s for s in (RING2_SERIES, RING3_SERIES, RIG_SERIES)}
 
 
 class Theory:
@@ -80,10 +113,13 @@ def _word(unit_word):
     return Seq(()) if unit_word == ONE else unit_word.inner
 
 
+def _summands(term):
+    """The words of a rig term, with repeats; none for 0."""
+    return () if term == ZERO else term.inner.items
+
+
 def _rig_pieces(term):
-    if term == ZERO:
-        return []
-    counts = Counter(term.inner.items)
+    counts = Counter(_summands(term))
     return [(counts[w], w) for w in sorted(counts, key=lambda t: t.key)]
 
 
@@ -95,6 +131,12 @@ def _rig_lit(k):
 
 def _make_theories():
     rig = compose_series(RIG_SERIES, (((1, 2), 3), 4))
+
+    def rig_mul(u, v):
+        """The product as one summand per pair of summands, at most ``ENUM_CEILING`` of them."""
+        _guard(len(_summands(u)) * len(_summands(v)), "rig product")
+        return rig.mult(Inj(MSet((_unit_word(u, v),))))
+
     theories = (
         _collection("monoid", FREE_MONOID),
         _collection("cmonoid", FREE_COMM_MONOID),
@@ -104,7 +146,7 @@ def _make_theories():
         Theory(
             "rig", rig,
             {
-                "mul": lambda u, v: rig.mult(Inj(MSet((_unit_word(u, v),)))),
+                "mul": rig_mul,
                 "add": lambda *us: rig.mult(Inj(MSet(tuple(_unit_word(u) for u in us)))),
                 "lit": _rig_lit,
             },

@@ -8,14 +8,18 @@ directly against the arithmetic, never through the package's monads.
 products must agree with: one binary ``mul`` at a time, left to right.
 The term oracles restate, plainly, what a constructor must build and
 how many generators a term holds, and ``check_functoriality`` checks
-that a monad's ``fmap`` is a functor.
+that a monad's ``fmap`` is a functor.  ``paste`` evaluates a pasting
+diagram of free n-category cells by composing them, never through the
+composition monads or their interchange laws.
 """
 
+import math
 import random
 from functools import reduce
 
 from distlaw.checks import CheckReport, compare
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
+from distlaw.globular import _compose_nested, identity_cell
 from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
 MAT_ID = ((1, 0), (0, 1))
@@ -213,3 +217,28 @@ def reference_normal_form(shape, inputs):
         items = tuple(sorted(items, key=lambda t: t.key))
     key = ("s" if shape is Seq else "m",) + tuple(t.key for t in items)
     return items, key, max(sum(weight(t) for t in items), 1)
+
+
+def paste(cell, n):
+    """Evaluate an element of the doubled stack of ``composition_series(n)``.
+
+    An m-cell of the stack is an outer string along 0 of outer strings
+    along 1, and so on down to along ``m - 1``, whose entries are cells of
+    the free n-category in nested normal form.  Each outer string is folded
+    with ``_compose_nested`` along its own dimension, with no bound, from
+    layer 0 inward; an empty one is the identity on its anchor, a cell of
+    the free n-category, raised with ``identity_cell`` to the string's
+    dimension.  (Power, "An n-categorical pasting theorem", 1991.)
+    """
+    def evaluate(c, layer):
+        if layer == n or c.dim <= layer:
+            return c
+        if not c.entries:
+            unit = c.anchor
+            while unit.dim < c.dim:
+                unit = identity_cell(unit)
+            return unit
+        return reduce(lambda a, b: _compose_nested(a, b, layer, math.inf),
+                      [evaluate(e, layer + 1) for e in c.entries])
+
+    return evaluate(cell, 0)

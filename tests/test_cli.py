@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from distlaw.cli import COMMANDS, main
 from distlaw.errors import FileFormatError
 from distlaw.globular import load_gset
-from distlaw.normalize import THEORIES
-from distlaw.theories import SERIES
+from distlaw.normalize import SERIES, THEORIES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -93,6 +92,14 @@ def test_normalize_syntax_error_is_a_normalization_failure(capsys):
         assert code == 1
         assert out == ""
         assert message in capsys.readouterr().err
+
+
+def test_a_rig_product_past_the_ceiling_fails_fast(capsys):
+    # 3**12 copies of the unit still fit under the ceiling; 3**13 do not
+    code, out = run("normalize", "--theory", "rig", "*".join(["3"] * 13))
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: rig product: enumeration exceeds ceiling")
 
 
 def test_normalize_unsupported_node():
@@ -230,6 +237,20 @@ def test_mistyped_gset_fields_are_a_format_error(name, tmp_path, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: field ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 200000, "error: not valid structured text: maximum recursion depth"),
+    (b"\xff" + json.dumps(MISTYPED_GSETS["boolean-n"]).encode(), "error: cannot read "),
+], ids=["nested-too-deeply", "not-utf-8"])
+def test_undecodable_gset_files_are_a_usage_error(content, message, tmp_path, capsys):
+    path = tmp_path / "undecodable.gset"
+    path.write_bytes(content)
+    code, out = run("ncat", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_readme_commands_succeed(monkeypatch):

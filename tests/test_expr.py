@@ -116,6 +116,15 @@ def test_rig_literal_past_the_ceiling_is_refused(monkeypatch):
         nf("rig", "21*a")
 
 
+def test_rig_product_past_the_ceiling_is_refused(monkeypatch):
+    import distlaw.monads
+    from distlaw.errors import BoundTooLarge
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 100)
+    assert format_normal("rig", nf("rig", "3*3*3*3")) == "81"
+    with pytest.raises(BoundTooLarge, match="rig product"):
+        nf("rig", "3*3*3*3*3")
+
+
 def test_monoid_and_cmonoid_normal_forms():
     assert nf("monoid", "a*b*1*c") == Seq((Gen("a"), Gen("b"), Gen("c")))
     assert nf("cmonoid", "c*a*b") == MSet((Gen("a"), Gen("b"), Gen("c")))

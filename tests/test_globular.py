@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlaw import (CompositionMonad, GlobularSet, StringCell, all_routes,
+from distlaw import (CompositionMonad, DistLaw, DistributiveSeries, GlobularSet, StringCell,
+                     all_routes,
                      boundary, brute_force_oracle, check_globular_distlaw,
                      check_globular_yang_baxter, check_interchange,
                      check_monad_laws, check_route_independence,
@@ -21,6 +22,8 @@ from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             ShapeMismatch)
 from distlaw.globular import (_atomic_along, _compose_nested, _embed, _oracle_closure,
                               boundary_to, identity_at)
+
+from oracles import paste
 
 
 def cells_by_name(gset, dim):
@@ -129,6 +132,9 @@ def test_negative_bound_is_rejected(loop_2gset):
         CompositionMonad(0, 2).enumerate(loop_2gset, -1)
     with pytest.raises(ValueError):
         free_ncat(loop_2gset, -1)
+    with pytest.raises(ValueError):
+        # a 0-globular set has no composition monad to apply
+        free_ncat(globular_set_from_names(0, [["x"]], [], []), -1)
     with pytest.raises(ValueError):
         brute_force_oracle(loop_2gset, -1)
     with pytest.raises(ValueError):
@@ -525,9 +531,68 @@ def _names_used(function, seen):
 
 def test_the_oracle_does_not_use_the_composition_engine():
     engine = {"CompositionMonad", "free_ncat", "compose_series", "composition_series",
-              "_strings"}
-    for function in (_oracle_closure, brute_force_oracle):
+              "apply", "interchange_law"}
+    for function in (_oracle_closure, brute_force_oracle, paste):
         assert not _names_used(function, set()) & engine
+
+
+def _product_or_error(mult, cell):
+    try:
+        return mult(cell)
+    except DistlawError as exc:
+        return exc
+
+
+def _pasting_disagreements(series, gset, bound):
+    """The doubled-stack inputs on which some route's ``mult`` is not their
+    pasting (an error is not), and how many inputs there are."""
+    stack = enum_stack(series.monads * 2, gset, bound)
+    assert stack
+    mults = [compose_series(series, route).mult for route in all_routes(gset.n)]
+    return [c for c in stack
+            if any(_product_or_error(mult, c) != paste(c, gset.n) for mult in mults)], len(stack)
+
+
+def test_every_route_multiplies_as_pasting(parallel_2gset, chain_2gset, loop_2gset,
+                                          theta_3gset):
+    for gset in (parallel_2gset, chain_2gset, loop_2gset, theta_3gset):
+        assert _pasting_disagreements(composition_series(gset.n), gset, 2)[0] == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_2gsets(), tiny_3gsets())
+def test_every_route_multiplies_as_pasting_on_random_sets(gset2, gset3):
+    for gset in (gset2, gset3):
+        assert _pasting_disagreements(composition_series(gset.n), gset, 1)[0] == []
+
+
+def _reversed_columns(grid):
+    return StringCell(0, grid.dim, grid.entries[::-1])
+
+
+def _each_column_reversed(grid):
+    return StringCell(0, grid.dim, tuple(StringCell(1, grid.dim, col.entries[::-1])
+                                         if col.entries else col for col in grid.entries))
+
+
+@pytest.mark.parametrize("reverse, fixture, counts", [
+    (_reversed_columns, "loop_2gset", (9996, 11571)),
+    (_each_column_reversed, "chain_2gset", (184, 1747)),
+], ids=["columns-reversed-on-loop", "each-column-reversed-on-chain"])
+def test_pasting_catches_a_wrong_interchange(reverse, fixture, counts, request):
+    # wrong laws: interchange, then reverse the grid; validate_series and
+    # check_route_independence both pass the first on loop, and on chain only
+    # validate_series fails the second
+    def mutant(cell):
+        grid = interchange_law(cell, 1, 0)
+        return reverse(grid) if cell.dim > 1 and grid.entries else grid
+
+    series = composition_series(2)
+    outer, inner = series.monads
+    wrong_series = DistributiveSeries("mutant", series.monads, {
+        (2, 1): DistLaw("interchange-reversed", inner, outer, mutant)})
+    wrong, inputs = _pasting_disagreements(wrong_series, request.getfixturevalue(fixture), 2)
+    assert (len(wrong), inputs) == counts
 
 
 def test_route_independence_of_the_free_strict_3_category(theta_3gset):

@@ -11,7 +11,7 @@ from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO)
-from distlaw.theories import RIG_SERIES, RING2_SERIES, RING3_SERIES
+from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
 
 from oracles import gen_count
 from test_monads import BrokenFreeMonoid
