@@ -1,8 +1,8 @@
 """Bounded exhaustive verification of monad laws, with failure witnesses."""
 
-from functools import cache
+from functools import cache, partial
 
-from .errors import DistlawError
+from .errors import DistlawError, ShapeMismatch
 from .monads import _check_bound, _guard, enum_stack
 from .terms import Carrier, functions_between
 
@@ -147,13 +147,25 @@ def _naturality(carrier, diagrams):
 
 
 def check_monad_naturality(monad, carrier, bound):
-    """Unit and mult are natural in the carrier."""
+    """Unit and mult are natural in the carrier, a term ``Carrier``.
+
+    The mult legs at each map ``fn`` memoise their inner
+    ``monad.fmap(fn, .)``, the per-check rule of ``series.check_distlaw``.
+    """
     _check_bound(bound)
+    if not isinstance(carrier, Carrier):
+        raise ShapeMismatch(f"naturality[{monad.name}] needs a term Carrier, "
+                            f"not {type(carrier).__name__}")
+
+    def mult_legs(fn):
+        inner = cache(partial(monad.fmap, fn))
+        return (lambda t: monad.fmap(fn, monad.mult(t)),
+                lambda t: monad.mult(monad.fmap(inner, t)))
+
     return CheckReport(f"naturality[{monad.name}]", sections=_naturality(carrier, [
         (f"naturality[{monad.name}]:unit", lambda: list(carrier),
          lambda fn: (lambda x: monad.fmap(fn, monad.unit(x)),
                      lambda x: monad.unit(fn(x)))),
         (f"naturality[{monad.name}]:mult", lambda: enum_stack([monad, monad], list(carrier), bound),
-         lambda fn: (lambda t: monad.fmap(fn, monad.mult(t)),
-                     lambda t: monad.mult(monad.fmap(lambda s: monad.fmap(fn, s), t)))),
+         mult_legs),
     ]))

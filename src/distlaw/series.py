@@ -9,7 +9,7 @@ by bounded exhaustive evaluation.
 """
 
 import ast
-from functools import cache
+from functools import cache, partial
 
 from .checks import CheckReport, _naturality, check_monad_laws, compare
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
@@ -23,6 +23,9 @@ class CompositeMonad(MonadSpec):
     The law names both monads: T is the outer one, S the inner one.
     Multiplication pushes the middle S layer out through the law, then
     multiplies both layers; the unit is the composite of the units.
+    ``mult`` reads the law's transform and the inner ``mult`` from
+    ``_swap`` and ``_inner_mult``, the plain maps unless a route check
+    memoises them (``_memoised``).
     """
 
     def __init__(self, law):
@@ -30,6 +33,7 @@ class CompositeMonad(MonadSpec):
         self.inner = law.s_monad
         self.law = law
         self.name = f"({self.outer.name}.{self.inner.name})"
+        self._swap, self._inner_mult = law.transform, self.inner.mult
 
     def unit(self, x):
         return self.outer.unit(self.inner.unit(x))
@@ -38,9 +42,9 @@ class CompositeMonad(MonadSpec):
         return self.outer.fmap(lambda s: self.inner.fmap(f, s), t)
 
     def mult(self, t):
-        swapped = self.outer.fmap(self.law.transform, t)
+        swapped = self.outer.fmap(self._swap, t)
         flat_outer = self.outer.mult(swapped)
-        return self.outer.fmap(self.inner.mult, flat_outer)
+        return self.outer.fmap(self._inner_mult, flat_outer)
 
     def enumerate(self, domain, bound):
         return self.outer.enumerate(self.inner.enumerate(domain, bound), bound)
@@ -95,14 +99,18 @@ def check_distlaw(law, carrier, bound):
     bound.  Naturality in the carrier is checked by
     ``checks._naturality``, which gives globular sets none.
 
-    A map applied to the layer just below a diagram's inputs, S(T(X)),
-    T(T(X)) or S(S(X)), meets the same arguments again and again across
-    the inputs above them, so ``law.transform``, ``S.mult`` and
-    ``T.mult`` are memoised there, in tables that live for this call
-    only.  A map applied to a section's own input (the mult-T right
-    leg's first transform) or to a deeper layer (the mult-S right leg's
-    outer transform, on S(T(S(X)))) sees each argument about once and
-    stays plain: a table there would only cost memory.
+    The per-check rule: a map applied to the layer just below a
+    diagram's inputs meets the same arguments again and again across
+    the inputs above them, so it is memoised there, in tables that live
+    for this call only.  Here that is ``law.transform``, ``S.mult`` and
+    ``T.mult`` on S(T(X)), T(T(X)) and S(S(X)), and, in the naturality
+    legs at each map ``fn``, the inner ``T.fmap(fn, .)`` and
+    ``S.fmap(fn, .)``.  ``check_monad_naturality`` and
+    ``compare_routes`` keep the same rule.  A map applied to a
+    section's own input (the mult-T right leg's first transform) or to
+    a deeper layer (the mult-S right leg's outer transform, on
+    S(T(S(X)))) sees each argument about once and stays plain: a table
+    there would only cost memory.
     """
     S, T = law.s_monad, law.t_monad
     swap, s_mult, t_mult = cache(law.transform), cache(S.mult), cache(T.mult)
@@ -133,12 +141,13 @@ def check_distlaw(law, carrier, bound):
             lambda c: T.mult(T.fmap(swap, law.transform(c))),
         ),
     ]
+
+    def natural_legs(fn):
+        t_fn, s_fn = cache(partial(T.fmap, fn)), cache(partial(S.fmap, fn))
+        return lambda c: swap(S.fmap(t_fn, c)), lambda c: T.fmap(s_fn, swap(c))
+
     sections += _naturality(carrier, [(
-        f"distlaw[{law.name}]:naturality",
-        lambda: enum_stack([S, T], base, bound),
-        lambda fn: (lambda c: swap(S.fmap(lambda t: T.fmap(fn, t), c)),
-                    lambda c: T.fmap(lambda s: S.fmap(fn, s), swap(c))),
-    )])
+        f"distlaw[{law.name}]:naturality", lambda: enum_stack([S, T], base, bound), natural_legs)])
     return CheckReport(f"distlaw[{law.name}]", sections=sections)
 
 
@@ -270,13 +279,26 @@ def check_route_independence(series, carrier, bound):
     return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
+def _memoised(composite):
+    """A copy of a composite that memoises, at every level, its law's
+    transform and its inner ``mult``, in tables owned by the copy."""
+    if not isinstance(composite, CompositeMonad):
+        return composite
+    copy = CompositeMonad(composite.law)
+    copy.outer, copy.inner = _memoised(composite.outer), _memoised(composite.inner)
+    copy._swap, copy._inner_mult = cache(composite.law.transform), cache(copy.inner.mult)
+    return copy
+
+
 def compare_routes(series, routes, carrier, bound):
     """The composite mult of each route against the first route's, pointwise.
 
     The inputs are all enumerated elements of the doubled composite
-    within bound.
+    within bound.  Each route is compared through its own ``_memoised``
+    copy, so its tables live for this call only; the composites of
+    ``compose_series`` keep their plain maps.
     """
-    composites = [compose_series(series, r) for r in routes]
+    composites = [_memoised(compose_series(series, r)) for r in routes]
     inputs = enum_stack(series.monads + series.monads, list(carrier), bound)
     reference = composites[0]
     sections = []

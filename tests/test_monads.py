@@ -202,6 +202,15 @@ def test_naturality_of_unit_and_mult():
         assert len(report.sections) == 2 * (1 + 4 + 9)
 
 
+def test_naturality_needs_a_term_carrier():
+    """A globular set has no maps to be natural in, so there is nothing to pass."""
+    from distlaw import globular_set_from_names
+    loop = globular_set_from_names(1, [["x"], ["e"]], [{"e": "x"}], [{"e": "x"}])
+    for monad in (FREE_MONOID, *ZOO.values()):
+        with pytest.raises(ShapeMismatch, match="needs a term Carrier"):
+            check_monad_naturality(monad, loop, 2)
+
+
 def test_naturality_maps_count_against_the_ceiling(monkeypatch):
     import distlaw.monads
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 20)

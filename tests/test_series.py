@@ -1,10 +1,12 @@
+from functools import cache
 from math import comb
 
 import pytest
 
 from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
                      GlobularSet, IntComb, ONE, REGISTERED_LAWS, Seq, ZERO, all_routes,
-                     check_distlaw, check_monad_laws, check_route_independence,
+                     check_distlaw, check_monad_laws, check_monad_naturality,
+                     check_route_independence,
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, parse_route, validate_series)
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
@@ -12,6 +14,7 @@ from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
+from distlaw.series import compare_routes
 
 from oracles import gen_count
 from test_monads import BrokenFreeMonoid
@@ -268,24 +271,100 @@ def _raising_on_pairs(t):
 MUTANT_LAWS = [DistLaw(name, FREE_SEMIGROUP, FREE_ABELIAN_GROUP, transform)
                for name, transform in (("drops-a-summand", _dropping_a_summand),
                                        ("raises-on-pairs", _raising_on_pairs))]
+# ring3 with a mutant in place of its product-over-sum law, at the same positions
+MUTANT_SERIES = [DistributiveSeries(f"ring3-{law.name}", RING3_SERIES.monads,
+                                    {**RING3_SERIES.laws, (3, 1): law})
+                 for law in MUTANT_LAWS]
 
 
-def test_the_per_check_caches_change_no_report(monkeypatch):
+def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset):
     import distlaw.checks
     import distlaw.series
 
     def reports():
-        return ([check_distlaw(law, X2, 3) for law in [*REGISTERED_LAWS.values(), *MUTANT_LAWS]]
-                + [check_monad_laws(m, X2, 3) for m in [*ZOO.values(), BrokenFreeMonoid()]])
+        laws = ([check_distlaw(law, X2, 3) for law in [*REGISTERED_LAWS.values(), *MUTANT_LAWS]]
+                + [check_monad_laws(m, X2, 3) for m in [*ZOO.values(), BrokenFreeMonoid()]]
+                + [check_monad_naturality(m, X2, 2) for m in ZOO.values()])
+        routes = ([check_route_independence(RIG_SERIES, X1, 4),
+                   check_route_independence(RING3_SERIES, X1, 3),
+                   check_route_independence(composition_series(2), chain_2gset, 2)]
+                  + [compare_routes(series, all_routes(3), X1, 3) for series in MUTANT_SERIES])
+        return laws, routes
 
     cached = reports()
     monkeypatch.setattr(distlaw.series, "cache", lambda f: f)
     monkeypatch.setattr(distlaw.checks, "cache", lambda f: f)
     plain = reports()
-    assert [_report_shape(r) for r in cached] == [_report_shape(r) for r in plain]
+    for cached_reports, plain_reports in zip(cached, plain):
+        assert [_report_shape(r) for r in cached_reports] == \
+            [_report_shape(r) for r in plain_reports]
+    laws, routes = cached
     # the mutants and the broken monad are seen to fail, one of them on errors
-    assert [r.passed for r in cached[9:]] == [False, False] + [True] * len(ZOO) + [False]
-    assert any(str(w.left).startswith("error:") for w in cached[10].all_witnesses())
+    assert [r.passed for r in laws[9:]] == \
+        [False, False] + [True] * len(ZOO) + [False] + [True] * len(ZOO)
+    assert any(str(w.left).startswith("error:") for w in laws[10].all_witnesses())
+    # every route agrees on the true series; the raising mutant leaves witnesses
+    assert [r.passed for r in routes] == [True, True, True, True, False]
+    assert [r.total_checked() for r in routes[:3]] == [3620, 1781, 1747]
+    assert len(routes[4].all_witnesses()) == 850
+
+
+def test_a_block_law_is_computed_once_per_argument_per_route(monkeypatch):
+    import distlaw.series
+    counts = []  # the arguments of each block law built, one list per law
+
+    def counted(name, s_monad, t_monad, transform):
+        calls = []
+        counts.append(calls)
+
+        def count(t):
+            calls.append(t)
+            return transform(t)
+
+        return DistLaw(name, s_monad, t_monad, count)
+
+    monkeypatch.setattr(distlaw.series, "DistLaw", counted)
+    assert compare_routes(RIG_SERIES, all_routes(4), X1, 3).passed
+    # the 5 routes of four monads hold 2 + 2 + 1 + 2 + 2 block laws, each one run
+    assert len(counts) == 9 and all(counts)
+    assert all(len(calls) == len(set(calls)) for calls in counts)
+    # without the tables, the same check meets arguments again
+    counts.clear()
+    monkeypatch.setattr(distlaw.series, "cache", lambda f: f)
+    assert compare_routes(RIG_SERIES, all_routes(4), X1, 3).passed
+    assert any(len(calls) > len(set(calls)) for calls in counts)
+
+
+def _plain_at_every_level(composite):
+    if not isinstance(composite, CompositeMonad):
+        return True
+    return (composite._swap is composite.law.transform
+            and composite._inner_mult == composite.inner.mult
+            and _plain_at_every_level(composite.outer)
+            and _plain_at_every_level(composite.inner))
+
+
+def test_route_tables_die_with_the_check(monkeypatch):
+    import gc
+    import weakref
+
+    import distlaw.series
+    from distlaw.normalize import THEORIES
+    tables = []
+
+    def tracked(f):
+        table = cache(f)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(distlaw.series, "cache", tracked)
+    assert check_route_independence(RIG_SERIES, X1, 3).passed
+    gc.collect()
+    # 5 routes with 3 levels each, two tables a level
+    assert len(tables) == 30 and all(table() is None for table in tables)
+    composites = [compose_series(RIG_SERIES, r) for r in all_routes(4)]
+    composites += [THEORIES[name].monad for name in ("ring2", "ring3", "rig")]
+    assert all(_plain_at_every_level(c) for c in composites)
 
 
 def test_a_law_component_is_computed_once_per_check():
