@@ -3,12 +3,14 @@
 Cells are self-contained values: a generator cell carries its boundary
 cells, and a string cell is a list of cells composed along one
 dimension, or an empty string anchored at the cell it is the identity
-of.  Boundaries are therefore computable structurally:
+of.  A cell's faces (its ``(dim-1)``-boundaries) are therefore computed
+structurally, once per cell, and kept on it; deeper boundaries are
+faces of faces:
 
-* above the composition dimension, the boundary of a string is taken
-  entry by entry (same length);
-* at or below it, the source comes from the first entry and the target
-  from the last (from the anchor when the string is empty).
+* above the composition dimension, the face of a string is taken entry
+  by entry (same length);
+* at it, the source is the first entry's face and the target the last
+  entry's (the anchor when the string is empty).
 
 The monad for composition along dimension ``i`` leaves dimensions up to
 ``i`` alone and fills higher dimensions with strings of ``i``-composable
@@ -36,13 +38,22 @@ from .terms import Keyed
 class Cell(Keyed):
     """Base of generator and string cells."""
 
-    __slots__ = ("dim",)
+    __slots__ = ("dim", "_faces")
 
-    def _seal(self, key, dim, shallow):
+    def _seal(self, key, dim, shallow, faces=None):
         """Hash ``shallow`` (see ``Keyed``), not the nested key."""
         self._key = key
         self._hash = hash(shallow)
         self.dim = dim
+        self._faces = faces
+
+    def _face(self, tgt):
+        """The ``(dim-1)``-boundary, the target if ``tgt`` else the source: built once, kept."""
+        faces = self._faces or [None, None]
+        if faces[tgt] is None:
+            faces[tgt] = self._make_face(tgt)
+            self._faces = faces
+        return faces[tgt]
 
 
 class GenCell(Cell):
@@ -59,7 +70,7 @@ class GenCell(Cell):
             self._seal(("g", dim, name, None, None), dim, ("g", dim, name))
         else:
             self._seal(("g", dim, name, src._key, tgt._key), dim,
-                       ("g", dim, name, src._hash, tgt._hash))
+                       ("g", dim, name, src._hash, tgt._hash), (src, tgt))
 
     def __str__(self):
         return self.name
@@ -79,23 +90,31 @@ class StringCell(Cell):
             raise DimensionError(
                 f"a string along {along} must live strictly above that dimension, got {dim}")
         entries = tuple(entries)
+        keys, hashes = [], ["s", dim, along]
         for e in entries:
             if e.dim != dim:
                 raise ShapeMismatch(f"entry {e} has dimension {e.dim}, expected {dim}")
+            keys.append(e._key)
+            hashes.append(e._hash)
         if entries:
             assert anchor is None
+            keys = tuple(keys)
+        elif anchor is None or anchor.dim != along:
+            raise ShapeMismatch(f"empty string along {along} needs an anchor of that dimension")
         else:
-            if anchor is None or anchor.dim != along:
-                raise ShapeMismatch(f"empty string along {along} needs an anchor of that dimension")
+            keys = ("anchor", anchor._key)
+            hashes += ("anchor", anchor._hash)
         self.along = along
         self.entries = entries
         self.anchor = anchor
-        if entries:
-            self._seal(("s", dim, along, tuple(e._key for e in entries)), dim,
-                       ("s", dim, along) + tuple(e._hash for e in entries))
-        else:
-            self._seal(("s", dim, along, ("anchor", anchor._key)), dim,
-                       ("s", dim, along, "anchor", anchor._hash))
+        self._seal(("s", dim, along, keys), dim, tuple(hashes))
+
+    def _make_face(self, tgt):
+        """Entrywise above ``along``; at it, the first or last entry's face, or the anchor."""
+        if self.dim - 1 > self.along:
+            return StringCell(self.along, self.dim - 1,
+                              tuple([e._face(tgt) for e in self.entries]), self.anchor)
+        return self.entries[-1 if tgt else 0]._face(tgt) if self.entries else self.anchor
 
     def __str__(self):
         if not self.entries:
@@ -104,31 +123,20 @@ class StringCell(Cell):
 
 
 def boundary_to(cell, side, d):
-    """Iterated boundary of a cell down to dimension ``d`` (``d == dim`` is the cell)."""
+    """Iterated boundary down to dimension ``d`` (the cell at ``d == dim``), face by kept face."""
     assert side in ("src", "tgt")
-    if d > cell.dim:
+    if not isinstance(cell, Cell):
+        raise ShapeMismatch(f"not a cell: {cell!r}")
+    if not 0 <= d <= cell.dim:
         raise DimensionError(f"no dimension-{d} boundary of a {cell.dim}-cell")
-    if d == cell.dim:
-        return cell
-    if isinstance(cell, GenCell):
-        step = cell.src if side == "src" else cell.tgt
-        return boundary_to(step, side, d)
-    if isinstance(cell, StringCell):
-        i = cell.along
-        if d > i:
-            if not cell.entries:
-                return StringCell(i, d, (), cell.anchor)
-            return StringCell(i, d, tuple(boundary_to(e, side, d) for e in cell.entries))
-        if not cell.entries:
-            return boundary_to(cell.anchor, side, d)
-        end = cell.entries[0] if side == "src" else cell.entries[-1]
-        return boundary_to(end, side, d)
-    raise ShapeMismatch(f"not a cell: {cell!r}")
+    while cell.dim > d:
+        cell = cell._face(side == "tgt")
+    return cell
 
 
 def boundary(cell, side, d):
     """Public boundary: strictly below the cell's own dimension."""
-    if d >= cell.dim:
+    if isinstance(cell, Cell) and d >= cell.dim:
         raise DimensionError(f"boundary dimension {d} must be below {cell.dim}")
     return boundary_to(cell, side, d)
 
@@ -316,6 +324,8 @@ class CompositionMonad(MonadSpec):
         i = self.i
         layers = [[] for _ in range(self.n + 1)]
         for cell in carrier:
+            if not isinstance(cell, Cell):
+                raise ShapeMismatch(f"not a cell: {cell!r}")
             if cell.dim > self.n:
                 raise DimensionError(f"{cell} lies above dimension {self.n} of {self.name}")
             layers[cell.dim].append(cell)
@@ -361,10 +371,10 @@ def interchange_law(cell, i, j):
         raise RaggedGrid(f"inner strings have lengths {sorted(lengths)}")
     width = lengths.pop()
     if width == 0:
-        anchors = {r.anchor for r in rows}
-        if len(anchors) != 1:
-            raise ComposabilityError(f"stacked identities with different anchors")
-        return StringCell(j, cell.dim, (), rows[0].anchor)
+        anchors = [r.anchor for r in rows]
+        if any(a != anchors[0] for a in anchors):
+            raise ComposabilityError(f"stacked identities with different anchors: {anchors}")
+        return StringCell(j, cell.dim, (), anchors[0])
     columns = [StringCell(i, cell.dim, tuple(r.entries[col] for r in rows))
                for col in range(width)]
     return StringCell(j, cell.dim, tuple(columns))

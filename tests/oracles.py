@@ -10,7 +10,10 @@ The term oracles restate, plainly, what a constructor must build and
 how many generators a term holds, and ``check_functoriality`` checks
 that a monad's ``fmap`` is a functor.  ``paste`` evaluates a pasting
 diagram of free n-category cells by composing them, never through the
-composition monads or their interchange laws.
+composition monads or their interchange laws.  ``reference_boundary``
+rebuilds a cell's boundary from its structure on every call, keeping
+nothing, and ``reference_string`` states the key and hash a string cell
+owes.
 """
 
 import math
@@ -18,8 +21,9 @@ import random
 from functools import reduce
 
 from distlaw.checks import CheckReport, compare
+from distlaw.errors import DimensionError, ShapeMismatch
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
-from distlaw.globular import _compose_nested, identity_cell
+from distlaw.globular import GenCell, StringCell, _compose_nested, identity_cell
 from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
 MAT_ID = ((1, 0), (0, 1))
@@ -242,3 +246,48 @@ def paste(cell, n):
                       [evaluate(e, layer + 1) for e in c.entries])
 
     return evaluate(cell, 0)
+
+
+def reference_boundary(cell, side, d):
+    """Iterated boundary of a cell down to dimension ``d`` (``d == dim`` is the cell).
+
+    Recursive and rebuilt on every call: a generator's boundary is that of
+    its source or target; a string's is taken entry by entry above its
+    composition dimension, and at or below it from the first entry (the
+    source) or the last (the target), or from the anchor when it is empty.
+    """
+    assert side in ("src", "tgt")
+    if d > cell.dim:
+        raise DimensionError(f"no dimension-{d} boundary of a {cell.dim}-cell")
+    if d == cell.dim:
+        return cell
+    if isinstance(cell, GenCell):
+        step = cell.src if side == "src" else cell.tgt
+        return reference_boundary(step, side, d)
+    if isinstance(cell, StringCell):
+        i = cell.along
+        if d > i:
+            if not cell.entries:
+                return StringCell(i, d, (), cell.anchor)
+            return StringCell(i, d, tuple(reference_boundary(e, side, d) for e in cell.entries))
+        if not cell.entries:
+            return reference_boundary(cell.anchor, side, d)
+        end = cell.entries[0] if side == "src" else cell.entries[-1]
+        return reference_boundary(end, side, d)
+    raise ShapeMismatch(f"not a cell: {cell!r}")
+
+
+def reference_string(along, dim, entries, anchor=None):
+    """The ``(entries, key, hash)`` a ``StringCell`` owes.
+
+    Its key nests its entries' keys in order, or its anchor's key when it
+    is empty.  Its hash is that of a flat tuple of its tag, ``dim``,
+    ``along`` and its entries' hashes (or ``"anchor"`` and the anchor's
+    hash), as ``terms.Keyed`` prescribes.
+    """
+    entries = tuple(entries)
+    if entries:
+        return (entries, ("s", dim, along, tuple(e.key for e in entries)),
+                hash(("s", dim, along) + tuple(hash(e) for e in entries)))
+    return (entries, ("s", dim, along, ("anchor", anchor.key)),
+            hash(("s", dim, along, "anchor", hash(anchor))))

@@ -20,10 +20,11 @@ from distlaw import globular
 from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
-from distlaw.globular import (_atomic_along, _compose_nested, _embed, _oracle_closure,
+from distlaw.globular import (GenCell, _atomic_along, _compose_nested, _embed, _oracle_closure,
                               boundary_to, identity_at)
+from distlaw.terms import Gen
 
-from oracles import paste
+from oracles import paste, reference_boundary, reference_string
 
 
 def cells_by_name(gset, dim):
@@ -92,6 +93,108 @@ def test_boundary_dimension_errors(parallel_2gset):
         boundary(al, "src", 2)
     with pytest.raises(DimensionError):
         boundary_to(al, "src", 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boundary(Gen("a"), "src", 0),
+    lambda: boundary_to(object(), "src", 0),
+    lambda: CompositionMonad(0, 1).enumerate([Gen("a")], 1),
+], ids=["boundary", "boundary_to", "enumerate"])
+def test_values_that_are_not_cells_are_named(call):
+    with pytest.raises(ShapeMismatch, match="^not a cell: "):
+        call()
+
+
+def _theta_generators():
+    """Generators of each dimension up to 3; strings need not compose to be built."""
+    x, y = GenCell("x", 0), GenCell("y", 0)
+    f, g = GenCell("f", 1, x, y), GenCell("g", 1, x, y)
+    al, be = GenCell("al", 2, f, g), GenCell("be", 2, f, g)
+    return [(x, y), (f, g), (al, be), (GenCell("u", 3, al, be), GenCell("v", 3, al, be))]
+
+
+GENERATORS = _theta_generators()
+
+
+@st.composite
+def string_args(draw, dim, depth):
+    """``(along, dim, entries, anchor)`` of a string of ``dim``-cells nested ``depth`` deep."""
+    along = draw(st.integers(0, dim - 1))
+    if draw(st.booleans()):
+        return along, dim, (), draw(nested_cells(along, depth - 1))
+    entries = draw(st.lists(nested_cells(dim, depth - 1), min_size=1, max_size=3))
+    return along, dim, tuple(entries), None
+
+
+def nested_cells(dim, depth):
+    generators = st.sampled_from(GENERATORS[dim])
+    if depth <= 0 or dim == 0:
+        return generators
+    return st.one_of(generators, string_args(dim, depth).map(lambda args: StringCell(*args)))
+
+
+def _rebuilt(cell):
+    """An equal cell built from new objects only."""
+    if cell is None:
+        return None
+    if isinstance(cell, GenCell):
+        return GenCell(cell.name, cell.dim, _rebuilt(cell.src), _rebuilt(cell.tgt))
+    return StringCell(cell.along, cell.dim, [_rebuilt(e) for e in cell.entries],
+                      _rebuilt(cell.anchor))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3).flatmap(lambda dim: string_args(dim, 3)), min_size=1,
+                max_size=6))
+def test_string_cells_match_the_reference_constructor(drawn):
+    hashes = {}
+    for along, dim, entries, anchor in drawn:
+        # entries may come as any iterable
+        cell = StringCell(along, dim, list(entries), anchor)
+        expected, key, hashed = reference_string(along, dim, entries, anchor)
+        assert (cell.key, hash(cell), cell.anchor) == (key, hashed, anchor)
+        assert len(cell.entries) == len(expected)
+        assert all(a is b for a, b in zip(cell.entries, expected))
+        copy = _rebuilt(cell)
+        assert copy == cell and hash(copy) == hash(cell)
+        for c in (cell, copy):
+            assert hashes.setdefault(c.key, hash(c)) == hash(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: string_args(dim, 2)), st.data())
+def test_an_entry_of_another_dimension_is_named(args, data):
+    along, dim, entries, _ = args
+    stray = data.draw(nested_cells(data.draw(st.sampled_from(
+        [m for m in range(4) if m != dim])), 1))
+    entries = list(entries)
+    entries.insert(data.draw(st.integers(0, len(entries))), stray)
+    with pytest.raises(ShapeMismatch) as info:
+        StringCell(along, dim, entries)
+    assert str(info.value) == f"entry {stray} has dimension {stray.dim}, expected {dim}"
+
+
+X, F, AL = GENERATORS[0][0], GENERATORS[1][0], GENERATORS[2][0]
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 2, (AL, F)), ShapeMismatch, "entry f has dimension 1, expected 2"),
+    ((0, 1, ()), ShapeMismatch, "empty string along 0 needs an anchor of that dimension"),
+    ((1, 2, (), X), ShapeMismatch, "empty string along 1 needs an anchor of that dimension"),
+    ((1, 1, (F,)), DimensionError,
+     "a string along 1 must live strictly above that dimension, got 1"),
+    ((-1, 1, (F,)), DimensionError,
+     "a string along -1 must live strictly above that dimension, got 1"),
+    # along first, then each entry, then the anchor
+    ((2, 1, (AL,)), DimensionError,
+     "a string along 2 must live strictly above that dimension, got 1"),
+    ((0, 2, (F,), X), ShapeMismatch, "entry f has dimension 1, expected 2"),
+], ids=["entry", "no-anchor", "anchor-dimension", "along-at-dim", "along-negative",
+        "along-before-entries", "entries-before-anchor"])
+def test_string_cell_errors(args, error, message):
+    with pytest.raises(error) as info:
+        StringCell(*args)
+    assert str(info.value) == message
 
 
 def test_apply_t0_enumerates_paths(fg_graph):
@@ -179,8 +282,9 @@ def test_mult_shape_and_composability_errors(fg_graph):
         T.mult(bad)
     two_anchors = StringCell(0, 1, (StringCell(0, 1, (), v["v0"]),
                                     StringCell(0, 1, (), v["v1"])))
-    with pytest.raises(ComposabilityError):
+    with pytest.raises(ComposabilityError) as info:
         T.mult(two_anchors)
+    assert str(info.value) == "flattening identities with different anchors: [v0, v1]"
 
 
 @pytest.mark.parametrize("transform, wrap, message", [
@@ -265,6 +369,10 @@ def test_interchange_degenerate_identity_stack(chain_2gset):
     eps = StringCell(0, 2, (), zeros["x"])
     stack = StringCell(1, 2, (eps, eps))
     assert interchange_law(stack, 1, 0) == StringCell(0, 2, (), zeros["x"])
+    mixed = StringCell(1, 2, (eps, StringCell(0, 2, (), zeros["y"])))
+    with pytest.raises(ComposabilityError) as info:
+        interchange_law(mixed, 1, 0)
+    assert str(info.value) == "stacked identities with different anchors: [x, y]"
 
 
 def _proper_grids(gset, bound):
@@ -484,6 +592,56 @@ def test_every_composite_splits_on_random_sets(gset2, gset3):
         _assert_composites_split(gset, 2)
 
 
+def _assert_boundaries_match_the_reference(cells):
+    """``boundary_to`` equals the rebuilt reference on both sides at every
+    dimension, and a second request returns the kept object, building nothing."""
+    requests = []
+    for cell in cells:
+        for side in ("src", "tgt"):
+            for d in range(cell.dim + 1):
+                face = boundary_to(cell, side, d)
+                assert face == reference_boundary(cell, side, d), (cell, side, d)
+                requests.append((cell, side, d, face))
+    built = []
+    init = StringCell.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StringCell, "__init__", counted_init)
+        for cell, side, d, face in requests:
+            assert boundary_to(cell, side, d) is face
+    assert built == []
+    return len(requests)
+
+
+def _boundary_cases(gset, bound):
+    """The cells of ``free_ncat``, of each composition monad's ``apply`` and of the oracle."""
+    yield from free_ncat(gset, bound)
+    for i in range(gset.n):
+        yield from CompositionMonad(i, gset.n).apply(gset, bound)
+    for cells in _oracle_closure(gset, bound).values():
+        yield from cells
+
+
+def test_boundaries_equal_the_reference(fg_graph, arrow_graph, point_2gset, parallel_2gset,
+                                        chain_2gset, loop_2gset, loop_set_2gset,
+                                        swap_set_2gset, two_object_2gset, theta_3gset):
+    for gset in (fg_graph, arrow_graph, point_2gset, parallel_2gset, chain_2gset, loop_2gset,
+                 loop_set_2gset, swap_set_2gset, two_object_2gset, theta_3gset):
+        for bound in range(4):
+            assert _assert_boundaries_match_the_reference(_boundary_cases(gset, bound))
+
+
+@settings(max_examples=20, deadline=None)
+@given(tiny_2gsets(), tiny_3gsets(), st.integers(0, 2))
+def test_boundaries_equal_the_reference_on_random_sets(gset2, gset3, bound):
+    for gset in (gset2, gset3):
+        assert _assert_boundaries_match_the_reference(_boundary_cases(gset, bound))
+
+
 def test_the_oracle_composes_each_composable_pair_once(
         monkeypatch, fg_graph, arrow_graph, point_2gset, parallel_2gset, chain_2gset,
         loop_2gset, loop_set_2gset, swap_set_2gset, two_object_2gset, theta_3gset):
@@ -532,8 +690,10 @@ def _names_used(function, seen):
 def test_the_oracle_does_not_use_the_composition_engine():
     engine = {"CompositionMonad", "free_ncat", "compose_series", "composition_series",
               "apply", "interchange_law"}
-    for function in (_oracle_closure, brute_force_oracle, paste):
+    for function in (_oracle_closure, brute_force_oracle, paste, reference_boundary):
         assert not _names_used(function, set()) & engine
+    # nor the kept faces it is compared with
+    assert not _names_used(reference_boundary, set()) & {"boundary_to", "_face", "_faces"}
 
 
 def _product_or_error(mult, cell):
