@@ -20,7 +20,7 @@ from .globular import (CompositionMonad, GenCell, GlobularSet, StringCell,
                        check_globular_yang_baxter, check_interchange,
                        composition_series, free_ncat, globular_set_from_names,
                        identity_cell, interchange_law, load_gset,
-                       padded_transpose_candidate, validate_globular)
+                       padded_transpose_candidate)
 from .laws import REGISTERED_LAWS, DistLaw
 from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                      FREE_COMM_MONOID, FREE_COMM_SEMIGROUP, FREE_MONOID,

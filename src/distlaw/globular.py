@@ -12,6 +12,11 @@ faces of faces:
 * at it, the source is the first entry's face and the target the last
   entry's (the anchor when the string is empty).
 
+Generators are globular by construction: a generator's source and
+target are cells one dimension down and, from dimension two, parallel
+(``s∘s = s∘t`` and ``t∘s = t∘t``).  Each face was checked when it was
+built, so the axiom holds at every depth and nothing checks it again.
+
 The monad for composition along dimension ``i`` leaves dimensions up to
 ``i`` alone and fills higher dimensions with strings of ``i``-composable
 cells, including one empty string per ``i``-cell.  Composing these
@@ -26,7 +31,6 @@ unchanged.
 
 import json
 
-from .checks import CheckReport, Witness
 from .errors import (ComposabilityError, DimensionError, FileFormatError,
                      IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
@@ -57,20 +61,25 @@ class Cell(Keyed):
 
 
 class GenCell(Cell):
-    """A generating cell with direct references to its boundary cells."""
+    """A generating cell with direct references to its source and target, checked parallel."""
 
     __slots__ = ("name", "src", "tgt")
 
     def __init__(self, name, dim, src=None, tgt=None):
-        assert (dim == 0) == (src is None) == (tgt is None)
         self.name = name
         self.src = src
         self.tgt = tgt
-        if src is None:
-            self._seal(("g", dim, name, None, None), dim, ("g", dim, name))
-        else:
-            self._seal(("g", dim, name, src._key, tgt._key), dim,
-                       ("g", dim, name, src._hash, tgt._hash), (src, tgt))
+        if dim == 0 and src is None and tgt is None:
+            self._seal(("g", 0, name, None, None), 0, ("g", 0, name))
+            return
+        if not (isinstance(src, Cell) and isinstance(tgt, Cell)
+                and src.dim == tgt.dim == dim - 1):
+            raise ShapeMismatch(f"cell {name!r}: source {src!r} and target {tgt!r}"
+                                f" are not cells of dimension {dim - 1}")
+        if dim > 1 and (src._face(False) != tgt._face(False) or src._face(True) != tgt._face(True)):
+            raise ShapeMismatch(f"cell {name!r}: source {src} and target {tgt} are not parallel")
+        self._seal(("g", dim, name, src._key, tgt._key), dim,
+                   ("g", dim, name, src._hash, tgt._hash), (src, tgt))
 
     def __str__(self):
         return self.name
@@ -91,19 +100,23 @@ class StringCell(Cell):
                 f"a string along {along} must live strictly above that dimension, got {dim}")
         entries = tuple(entries)
         keys, hashes = [], ["s", dim, along]
-        for e in entries:
-            if e.dim != dim:
-                raise ShapeMismatch(f"entry {e} has dimension {e.dim}, expected {dim}")
-            keys.append(e._key)
-            hashes.append(e._hash)
-        if entries:
-            assert anchor is None
-            keys = tuple(keys)
-        elif anchor is None or anchor.dim != along:
-            raise ShapeMismatch(f"empty string along {along} needs an anchor of that dimension")
-        else:
-            keys = ("anchor", anchor._key)
-            hashes += ("anchor", anchor._hash)
+        e = anchor  # what the error below names when the string is empty
+        try:
+            for e in entries:
+                if e.dim != dim:
+                    raise ShapeMismatch(f"entry {e} has dimension {e.dim}, expected {dim}")
+                keys.append(e._key)
+                hashes.append(e._hash)
+            if entries:
+                assert anchor is None
+                keys = tuple(keys)
+            elif anchor is None or anchor.dim != along:
+                raise ShapeMismatch(f"empty string along {along} needs an anchor of that dimension")
+            else:
+                keys = ("anchor", anchor._key)
+                hashes += ("anchor", anchor._hash)
+        except AttributeError:
+            raise ShapeMismatch(f"not a cell: {e!r}") from None
         self.along = along
         self.entries = entries
         self.anchor = anchor
@@ -122,23 +135,16 @@ class StringCell(Cell):
         return "[" + ";".join(str(e) for e in self.entries) + f"]_{self.along}"
 
 
-def boundary_to(cell, side, d):
-    """Iterated boundary down to dimension ``d`` (the cell at ``d == dim``), face by kept face."""
+def boundary(cell, side, d):
+    """Iterated boundary down to dimension ``d``, below the cell's own, face by kept face."""
     assert side in ("src", "tgt")
     if not isinstance(cell, Cell):
         raise ShapeMismatch(f"not a cell: {cell!r}")
-    if not 0 <= d <= cell.dim:
-        raise DimensionError(f"no dimension-{d} boundary of a {cell.dim}-cell")
+    if not 0 <= d < cell.dim:
+        raise DimensionError(f"boundary dimension {d} must be in 0..{cell.dim - 1}")
     while cell.dim > d:
         cell = cell._face(side == "tgt")
     return cell
-
-
-def boundary(cell, side, d):
-    """Public boundary: strictly below the cell's own dimension."""
-    if isinstance(cell, Cell) and d >= cell.dim:
-        raise DimensionError(f"boundary dimension {d} must be below {cell.dim}")
-    return boundary_to(cell, side, d)
 
 
 class GlobularSet:
@@ -164,35 +170,8 @@ class GlobularSet:
         return f"<{self.n}-globular set, counts {self.counts()}>"
 
 
-def validate_globular(gset):
-    """Globularity at every cell of every dimension at least two."""
-    sections = []
-    for m in range(2, gset.n + 1):
-        witnesses = []
-        for cell in gset.cells_at(m):
-            s1 = boundary_to(cell, "src", m - 1)
-            t1 = boundary_to(cell, "tgt", m - 1)
-            ss = boundary_to(s1, "src", m - 2)
-            st = boundary_to(t1, "src", m - 2)
-            ts = boundary_to(s1, "tgt", m - 2)
-            tt = boundary_to(t1, "tgt", m - 2)
-            if ss != st or ts != tt:
-                witnesses.append(Witness(f"globular:dim{m}", cell, (ss, ts), (st, tt)))
-        sections.append(CheckReport(f"globular:dim{m}",
-                                    checked=len(gset.cells_at(m)),
-                                    witnesses=witnesses))
-    return CheckReport("globular", sections=sections)
-
-
-def _require_globular(gset, error):
-    """Raise ``error`` naming the first cell at which ``gset`` is not globular."""
-    report = validate_globular(gset)
-    if not report.passed:
-        raise error(f"globularity fails at cell {report.all_witnesses()[0].input!r}")
-
-
 def globular_set_from_names(n, cells, src, tgt):
-    """Build generator cells from name tables; reject non-globular data."""
+    """Build generator cells from name tables; a cell that is not globular is a format error."""
     if len(cells) != n + 1:
         raise FileFormatError(f"expected {n + 1} cell layers, got {len(cells)}")
     if len(src) != n or len(tgt) != n:
@@ -214,11 +193,13 @@ def globular_set_from_names(n, cells, src, tgt):
                     if mapping[name] not in below:
                         raise FileFormatError(
                             f"cell {name!r}: {label} {mapping[name]!r} is not a {m - 1}-cell")
-                layer[name] = GenCell(name, m, below[src[m - 1][name]], below[tgt[m - 1][name]])
+                try:
+                    layer[name] = GenCell(name, m, below[src[m - 1][name]],
+                                          below[tgt[m - 1][name]])
+                except ShapeMismatch as exc:
+                    raise FileFormatError(str(exc)) from None
         layers.append(layer)
-    gset = GlobularSet(n, [tuple(layer.values()) for layer in layers])
-    _require_globular(gset, FileFormatError)
-    return gset
+    return GlobularSet(n, [tuple(layer.values()) for layer in layers])
 
 
 def _is_name(value):
@@ -302,7 +283,7 @@ class CompositionMonad(MonadSpec):
                     f"flattening identities with different anchors: {anchors}")
             return StringCell(i, cell.dim, (), anchors[0])
         for left, right in zip(flat, flat[1:]):
-            if boundary_to(left, "tgt", i) != boundary_to(right, "src", i):
+            if boundary(left, "tgt", i) != boundary(right, "src", i):
                 raise ComposabilityError(
                     f"flattened entries {left} and {right} do not meet along {i}")
         return StringCell(i, cell.dim, tuple(flat))
@@ -332,8 +313,8 @@ class CompositionMonad(MonadSpec):
         for m in range(i + 1, self.n + 1):
             starting_at = {}
             for c in layers[m]:
-                starting_at.setdefault(boundary_to(c, "src", i), []).append(c)
-            onward = lambda c: starting_at.get(boundary_to(c, "tgt", i), ())
+                starting_at.setdefault(boundary(c, "src", i), []).append(c)
+            onward = lambda c: starting_at.get(boundary(c, "tgt", i), ())
             walks = _walks(layers[m], onward, lambda c: 1, bound, self.name)
             cells = [StringCell(i, m, (), a) for a in layers[i]]
             cells.extend(StringCell(i, m, walk) for walk in walks)
@@ -419,7 +400,7 @@ def padded_transpose_candidate(cell, i, j):
         return StringCell(i, cell.dim, (), StringCell(j, i, anchors))
     padded = []
     for c in columns:
-        pad = identity_at(boundary_to(c, "tgt", i), cell.dim)
+        pad = identity_at(boundary(c, "tgt", i), cell.dim)
         padded.append(c.entries + (pad,) * (height - len(c.entries)))
     rows = [StringCell(j, cell.dim, tuple(col[s] for col in padded))
             for s in range(height)]
@@ -429,7 +410,6 @@ def padded_transpose_candidate(cell, i, j):
 def free_ncat(gset, bound):
     """Free strict n-category: apply the monads of ``composition_series``, innermost first."""
     _check_bound(bound)
-    _require_globular(gset, ShapeMismatch)
     for monad in reversed(composition_series(gset.n).monads):
         gset = monad.apply(gset, bound)
     return gset
@@ -545,7 +525,7 @@ def _oracle_closure(gset, bound):
         if m < gset.n:
             add(identity_cell(a))
         for i in range(m):
-            src, tgt = boundary_to(a, "src", i), boundary_to(a, "tgt", i)
+            src, tgt = boundary(a, "src", i), boundary(a, "tgt", i)
             atomic = _atomic_along(a, i)
             by_src.setdefault((m, i, src), []).append(a)
             for b in (by_src.get((m, i, tgt), ()) if atomic else ()):

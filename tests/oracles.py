@@ -13,7 +13,8 @@ diagram of free n-category cells by composing them, never through the
 composition monads or their interchange laws.  ``reference_boundary``
 rebuilds a cell's boundary from its structure on every call, keeping
 nothing, and ``reference_string`` states the key and hash a string cell
-owes.
+owes.  ``non_globular_cells`` checks the globular axiom on engine
+output through ``reference_boundary``.
 """
 
 import math
@@ -275,6 +276,18 @@ def reference_boundary(cell, side, d):
         end = cell.entries[0] if side == "src" else cell.entries[-1]
         return reference_boundary(end, side, d)
     raise ShapeMismatch(f"not a cell: {cell!r}")
+
+
+def non_globular_cells(gset):
+    """The cells of dimension two or more at which ``s∘s = s∘t`` or ``t∘s = t∘t`` fails."""
+    failing = []
+    for m in range(2, gset.n + 1):
+        for cell in gset.cells_at(m):
+            s, t = reference_boundary(cell, "src", m - 1), reference_boundary(cell, "tgt", m - 1)
+            if any(reference_boundary(s, side, m - 2) != reference_boundary(t, side, m - 2)
+                   for side in ("src", "tgt")):
+                failing.append(cell)
+    return failing
 
 
 def reference_string(along, dim, entries, anchor=None):

@@ -15,16 +15,16 @@ from distlaw import (CompositionMonad, DistLaw, DistributiveSeries, GlobularSet,
                      compose_series, composition_series, enum_stack,
                      free_ncat, globular_set_from_names, identity_cell,
                      interchange_law, load_gset, padded_transpose_candidate,
-                     validate_globular, validate_series)
+                     validate_series)
 from distlaw import globular
 from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             FileFormatError, IndexOrder, RaggedGrid,
                             ShapeMismatch)
 from distlaw.globular import (GenCell, _atomic_along, _compose_nested, _embed, _oracle_closure,
-                              boundary_to, identity_at)
+                              identity_at)
 from distlaw.terms import Gen
 
-from oracles import paste, reference_boundary, reference_string
+from oracles import non_globular_cells, paste, reference_boundary, reference_string
 
 
 def cells_by_name(gset, dim):
@@ -32,11 +32,11 @@ def cells_by_name(gset, dim):
 
 
 def test_one_dimensional_sets_are_vacuously_globular(fg_graph):
-    assert validate_globular(fg_graph).passed
+    assert non_globular_cells(fg_graph) == []
 
 
 def test_parallel_two_cell_fixture_is_globular(parallel_2gset):
-    assert validate_globular(parallel_2gset).passed
+    assert non_globular_cells(parallel_2gset) == []
 
 
 def test_non_parallel_boundaries_fail_with_witness():
@@ -53,15 +53,39 @@ def test_validate_reports_the_broken_cell():
     x = globular_set_from_names(1, [["x", "y"], ["f"]],
                                 [{"f": "x"}], [{"f": "y"}])
     f = cells_by_name(x, 1)["f"]
-    # a hand-built 2-cell whose boundaries are not parallel
     gg = globular_set_from_names(1, [["x", "y"], ["g"]],
                                  [{"g": "y"}], [{"g": "y"}])
     g = cells_by_name(gg, 1)["g"]
-    from distlaw.globular import GenCell
-    bad = GenCell("bad", 2, f, g)
-    report = validate_globular(GlobularSet(2, [x.cells_at(0), (f, g), (bad,)]))
-    assert not report.passed
-    assert report.all_witnesses()[0].input == bad
+    # a 2-cell whose boundaries are not parallel is refused where it is built
+    with pytest.raises(ShapeMismatch,
+                       match="^cell 'bad': source f and target g are not parallel$"):
+        GenCell("bad", 2, f, g)
+
+
+def _generator_cases():
+    """Malformed generators: how each is built, the name its error gives, how the error ends."""
+    x, y = GenCell("x", 0), GenCell("y", 0)
+    f, g, h = GenCell("f", 1, x, y), GenCell("g", 1, x, y), GenCell("h", 1, y, x)
+    al, de = GenCell("al", 2, f, g), GenCell("de", 2, g, f)
+    return {
+        "2-cell-not-parallel": (lambda: GenCell("u", 2, f, h), "u", "not parallel"),
+        "3-cell-not-parallel": (lambda: GenCell("t", 3, al, de), "t", "not parallel"),
+        "2-cell-on-objects": (lambda: GenCell("w", 2, x, x), "w", "of dimension 1"),
+        "faces-of-two-dimensions": (lambda: GenCell("v", 2, f, x), "v", "of dimension 1"),
+        "source-not-a-cell": (lambda: GenCell("s", 1, Gen("a"), y), "s", "of dimension 0"),
+        "1-cell-without-faces": (lambda: GenCell("e", 1), "e", "of dimension 0"),
+        "object-with-faces": (lambda: GenCell("o", 0, x, y), "o", "of dimension -1"),
+    }
+
+
+GENERATOR_CASES = _generator_cases()
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES.values(), ids=GENERATOR_CASES.keys())
+def test_a_generator_checks_its_own_faces(case):
+    build, name, fragment = case
+    with pytest.raises(ShapeMismatch, match=f"^cell '{name}': .*{fragment}$"):
+        build()
 
 
 def test_boundary_endpoints_of_a_path(fg_graph):
@@ -92,14 +116,18 @@ def test_boundary_dimension_errors(parallel_2gset):
     with pytest.raises(DimensionError):
         boundary(al, "src", 2)
     with pytest.raises(DimensionError):
-        boundary_to(al, "src", 3)
+        boundary(al, "src", 3)
+    with pytest.raises(DimensionError):
+        boundary(al, "src", -1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: boundary(Gen("a"), "src", 0),
-    lambda: boundary_to(object(), "src", 0),
     lambda: CompositionMonad(0, 1).enumerate([Gen("a")], 1),
-], ids=["boundary", "boundary_to", "enumerate"])
+    lambda: StringCell(0, 1, (Gen("a"),)),
+    lambda: StringCell(0, 1, (GENERATORS[1][0], object())),
+    lambda: StringCell(0, 1, (), Gen("a")),
+], ids=["boundary", "enumerate", "string-entry", "string-later-entry", "string-anchor"])
 def test_values_that_are_not_cells_are_named(call):
     with pytest.raises(ShapeMismatch, match="^not a cell: "):
         call()
@@ -218,7 +246,7 @@ def test_apply_ti_at_bound_one_gives_units_and_identities(parallel_2gset):
 def test_apply_ti_output_is_globular(parallel_2gset, chain_2gset, theta_3gset):
     for gset in (parallel_2gset, chain_2gset, theta_3gset):
         for i in range(gset.n):
-            assert validate_globular(CompositionMonad(i, gset.n).apply(gset, 2)).passed
+            assert non_globular_cells(CompositionMonad(i, gset.n).apply(gset, 2)) == []
 
 
 def test_apply_ti_rejects_bad_dimension(parallel_2gset):
@@ -520,6 +548,22 @@ def test_free_ncat_counts_match_the_oracle_on_random_sets(gset2, gset3):
         assert free_ncat(gset, bound).counts() == brute_force_oracle(gset, bound)
 
 
+@settings(max_examples=20, deadline=None)
+@given(tiny_2gsets(), tiny_3gsets())
+def test_free_ncat_output_is_globular_on_random_sets(gset2, gset3):
+    for gset in (gset2, gset3):
+        assert non_globular_cells(free_ncat(gset, 2)) == []
+
+
+def test_the_globular_reference_sees_a_string_that_does_not_compose():
+    x, y, z = GenCell("x", 0), GenCell("y", 0), GenCell("z", 0)
+    f, g = GenCell("f", 1, x, y), GenCell("g", 1, x, z)
+    al, be = GenCell("al", 2, f, f), GenCell("be", 2, g, g)
+    # the entries do not meet along 1, yet a string does not check that
+    bad = StringCell(1, 2, (al, be))
+    assert non_globular_cells(GlobularSet(2, [(x, y, z), (f, g), (al, be, bad)])) == [bad]
+
+
 def test_free_ncat_cells_equal_oracle_cells(parallel_2gset, chain_2gset, loop_2gset,
                                             theta_3gset, loop_set_2gset, swap_set_2gset,
                                             two_object_2gset):
@@ -540,7 +584,7 @@ def _split_along(cell, i):
     if cell.along == i and cell.entries:
         first, rest = cell.entries[0], cell.entries[1:]
         tail = (StringCell(i, cell.dim, rest) if rest
-                else StringCell(i, cell.dim, (), boundary_to(first, "tgt", i)))
+                else StringCell(i, cell.dim, (), boundary(first, "tgt", i)))
         return StringCell(i, cell.dim, (first,)), tail
     if cell.along == i or not cell.entries:
         return cell, cell
@@ -593,13 +637,14 @@ def test_every_composite_splits_on_random_sets(gset2, gset3):
 
 
 def _assert_boundaries_match_the_reference(cells):
-    """``boundary_to`` equals the rebuilt reference on both sides at every
-    dimension, and a second request returns the kept object, building nothing."""
+    """``boundary`` equals the rebuilt reference on both sides at every
+    dimension below the cell's, and a second request returns the kept object,
+    building nothing."""
     requests = []
     for cell in cells:
         for side in ("src", "tgt"):
-            for d in range(cell.dim + 1):
-                face = boundary_to(cell, side, d)
+            for d in range(cell.dim):
+                face = boundary(cell, side, d)
                 assert face == reference_boundary(cell, side, d), (cell, side, d)
                 requests.append((cell, side, d, face))
     built = []
@@ -612,7 +657,7 @@ def _assert_boundaries_match_the_reference(cells):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StringCell, "__init__", counted_init)
         for cell, side, d, face in requests:
-            assert boundary_to(cell, side, d) is face
+            assert boundary(cell, side, d) is face
     assert built == []
     return len(requests)
 
@@ -665,8 +710,8 @@ def test_the_oracle_composes_each_composable_pair_once(
             pairs = 0
             for m, cells in _oracle_closure(gset, bound).items():
                 for i in range(m):
-                    sources = Counter(boundary_to(y, "src", i) for y in cells)
-                    pairs += sum(sources[boundary_to(x, "tgt", i)]
+                    sources = Counter(boundary(y, "src", i) for y in cells)
+                    pairs += sum(sources[boundary(x, "tgt", i)]
                                  for x in cells if _atomic_along(x, i))
             assert calls[0] == pairs, (gset, bound)
 
@@ -690,10 +735,12 @@ def _names_used(function, seen):
 def test_the_oracle_does_not_use_the_composition_engine():
     engine = {"CompositionMonad", "free_ncat", "compose_series", "composition_series",
               "apply", "interchange_law"}
-    for function in (_oracle_closure, brute_force_oracle, paste, reference_boundary):
+    for function in (_oracle_closure, brute_force_oracle, paste, reference_boundary,
+                     non_globular_cells):
         assert not _names_used(function, set()) & engine
-    # nor the kept faces it is compared with
-    assert not _names_used(reference_boundary, set()) & {"boundary_to", "_face", "_faces"}
+    # nor the kept faces they are compared with
+    for function in (reference_boundary, non_globular_cells):
+        assert not _names_used(function, set()) & {"boundary", "_face", "_faces"}
 
 
 def _product_or_error(mult, cell):
@@ -852,15 +899,13 @@ def test_equal_cells_hash_equal(parallel_2gset, chain_2gset, loop_2gset, loop_se
 
 
 def test_free_ncat_rejects_non_globular_input():
-    from distlaw.globular import GenCell
     x = GenCell("x", 0)
     y = GenCell("y", 0)
     f = GenCell("f", 1, x, y)
     g = GenCell("g", 1, y, x)
-    bad = GenCell("u", 2, f, g)
-    gset = GlobularSet(2, [(x, y), (f, g), (bad,)])
-    with pytest.raises(ShapeMismatch):
-        free_ncat(gset, 2)
+    # refused where it is built, before a set or free_ncat can hold it
+    with pytest.raises(ShapeMismatch, match="^cell 'u': "):
+        GenCell("u", 2, f, g)
 
 
 def test_loader_round_trip(tmp_path, parallel_2gset):
