@@ -3,7 +3,7 @@
 from functools import cache, partial
 
 from .errors import DistlawError, ShapeMismatch
-from .monads import _check_bound, _guard, enum_stack
+from .monads import _check_bound, _guard, _stream_stack, enum_stack
 from .terms import Carrier, functions_between
 
 
@@ -93,10 +93,11 @@ def compare(check_id, inputs, left_leg, right_leg):
 def check_monad_laws(monad, carrier, bound):
     """Unit and associativity laws on every enumerated term within bound.
 
-    Unit laws run over M(X); each leg builds the doubly wrapped term and
-    multiplies, so witnesses show the M(M(X)) input actually fed to mult.
-    Associativity runs over M(M(M(X))); its legs share one memo of
-    ``mult`` on the M(M(X)) terms they meet, kept for this call only.
+    Unit laws run over M(X), listed once for both; each leg builds the
+    doubly wrapped term and multiplies, so witnesses show the M(M(X))
+    input actually fed to mult.  Associativity runs over M(M(M(X))),
+    streamed as it is read; its legs share one memo of ``mult`` on the
+    M(M(X)) terms they meet, kept for this call only.
     """
     base = list(carrier)
     level1 = monad.enumerate(base, bound)
@@ -116,11 +117,10 @@ def check_monad_laws(monad, carrier, bound):
     for report, wrap in ((left_unit, monad.unit), (right_unit, lambda t: monad.fmap(monad.unit, t))):
         for w in report.witnesses:
             w.input = wrap(w.input)
-    level3 = enum_stack([monad, monad, monad], base, bound)
     flat = cache(monad.mult)
     assoc = compare(
         f"monad[{monad.name}]:assoc",
-        level3,
+        _stream_stack([monad, monad, monad], base, bound),
         lambda t: flat(monad.mult(t)),
         lambda t: flat(monad.fmap(flat, t)),
     )

@@ -313,16 +313,17 @@ class CompositionMonad(MonadSpec):
         for m in range(i + 1, self.n + 1):
             starting_at = {}
             for c in layers[m]:
-                starting_at.setdefault(boundary(c, "src", i), []).append(c)
-            onward = lambda c: starting_at.get(boundary(c, "tgt", i), ())
-            walks = _walks(layers[m], onward, lambda c: 1, bound, self.name)
+                starting_at.setdefault(boundary(c, "src", i), []).append((c, 1))
+            firsts = [(c, 1) for c in layers[m]]
+            after = {c: starting_at.get(boundary(c, "tgt", i), ()) for c in layers[m]}
+            walks = _walks(lambda r: firsts, lambda c, r: after[c], bound, self.name, max_cost=1)
             cells = [StringCell(i, m, (), a) for a in layers[i]]
             cells.extend(StringCell(i, m, walk) for walk in walks)
             layers[m] = cells
         return GlobularSet(self.n, layers)
 
-    def enumerate(self, domain, bound):
-        return list(self.apply(domain, bound))
+    def normal_forms(self, domain, bound):
+        return iter(self.apply(domain, bound))
 
 
 def interchange_law(cell, i, j):

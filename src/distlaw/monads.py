@@ -1,25 +1,37 @@
 """Executable monads on finite term domains.
 
 A monad here is a concrete gadget: a functor action on terms (``fmap``),
-a unit, a multiplication, and a bounded enumerator of its free normal
-forms over any finite domain of terms.  The enumerator returns the
-normal forms whose weight (``terms.weight``) is at most the bound,
-sorted by (weight, structural key); the empty collection and the
-adjoined constant weigh one but are emitted at every bound, bound 0
-included.  So for bounds of at least one an enumeration, and an
-``enum_stack``, is a prefix of the one at the next bound.
+a unit, a multiplication, and a bounded generator of its free normal
+forms over any finite domain of terms (``normal_forms``), which
+``enumerate`` lists.  The generator yields the normal forms whose
+weight (``terms.weight``) is at most the bound, in (weight, structural
+key) order; the empty collection and the adjoined constant weigh one
+but are emitted at every bound, bound 0 included.  So for bounds of at
+least one an enumeration, and an ``enum_stack``, is a prefix of the one
+at the next bound.
 
 Words, multisets, integer combinations and the strings of cells of
 ``globular`` all come from one bounded walk, ``_walks``: a word is a
 walk that may step to any element, a multiset one that never steps
-back, and a string of cells one whose next cell starts where the last
-ends.  Each walk counts against ``ENUM_CEILING`` as it is built.
+back, a combination one of (element, coefficient) steps over strictly
+increasing elements, and a string of cells one whose next cell starts
+where the last ends.  The walk yields the cheapest walks first and,
+within one cost, in lexicographic order of their steps.  Words,
+multisets and combinations list their steps in key order, so their
+walks come out in (weight, key) order and nothing sorts them
+afterwards.  Each walk counts against ``ENUM_CEILING`` as it is
+yielded.
+
+``enum_stack`` lists the layers of a stack of monads; ``_stream_stack``
+lists the inner layers and streams the outermost one, for the diagrams
+that read their inputs only once.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from .errors import BoundTooLarge, ShapeMismatch
-from .terms import Inj, IntComb, MSet, ONE, Seq, ZERO, weight
+from .terms import _KEY, Inj, IntComb, MSet, ONE, Seq, ZERO, weight
 
 ENUM_CEILING = 10 ** 6
 
@@ -43,8 +55,12 @@ class MonadSpec:
     def fmap(self, f, t):
         raise NotImplementedError
 
-    def enumerate(self, domain, bound):
+    def normal_forms(self, domain, bound):
+        """Yield the normal forms over ``domain`` within ``bound``, in enumeration order."""
         raise NotImplementedError
+
+    def enumerate(self, domain, bound):
+        return list(self.normal_forms(domain, bound))
 
     def __repr__(self):
         return f"<monad {self.name}>"
@@ -61,33 +77,48 @@ def _guard(count, what):
         raise BoundTooLarge(f"{what}: enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _walks(starts, after, cost, bound, what):
-    """Every nonempty walk whose cost is at most ``bound``, shortest walks first.
+def _walks(starts, onward, bound, what, max_cost=None):
+    """Every nonempty walk whose cost is at most ``bound``: cheapest first
+    and, within one cost, in lexicographic order of steps.
 
-    A walk is a tuple of steps: its first is one of ``starts`` and each
-    next one is one of ``after(last)``.  Both list their steps in
-    non-decreasing ``cost``, so a scan stops at the first step that does
-    not fit; every step costs at least one, so a walk at the bound is not
-    extended.  A walk counts against ``ENUM_CEILING`` when it is built;
-    past it the error names ``what``, the monad walked, and the bound.
+    A walk is a tuple of steps: its first is one of ``starts(r)`` and each
+    next one is one of ``onward(last, r)``, where ``r`` is the budget the
+    walk has left.  Both list ``(step, cost)`` pairs in step order, only
+    those that cost at most ``r``.  Every step costs at least one and at
+    most ``max_cost`` (by default the bound).  Each exact cost is walked
+    depth first, in turn; after ``max_cost`` costs in a row with no walk
+    there is no costlier one, since it would have a prefix among them.
+    A walk counts against ``ENUM_CEILING`` when it is yielded; past it
+    the error names ``what``, the monad walked, and the bound.
     """
     what = f"{what} at bound {bound}"
-    built = 0
-    frontier = [((), 0, starts)]
-    while frontier:
-        grown = []
-        for walk, used, steps in frontier:
-            for x in steps:
-                spent = used + cost(x)
-                if spent > bound:
+    built = idle = 0
+    for total in range(1, bound + 1):
+        before = built
+        walk = []
+        stack = [(iter(starts(total)), total)]
+        while stack:
+            steps, budget = stack[-1]
+            for x, cost in steps:
+                if cost < budget:
+                    walk.append(x)
+                    stack.append((iter(onward(x, budget - cost)), budget - cost))
                     break
                 built += 1
                 _guard(built, what)  # a global, so a test can patch it
-                walk_x = walk + (x,)
-                yield walk_x
-                if spent < bound:
-                    grown.append((walk_x, spent, after(x)))
-        frontier = grown
+                yield (*walk, x)
+            else:
+                stack.pop()
+                if walk:
+                    walk.pop()
+        idle = 0 if built > before else idle + 1
+        if idle == max_cost:
+            return
+
+
+def _fits(steps, bound):
+    """Per budget 0..bound, the key-ordered ``(step, cost)`` pairs that cost at most it."""
+    return [[s for s in steps if s[1] <= r] for r in range(bound + 1)]
 
 
 class FreeCollection(MonadSpec):
@@ -128,12 +159,12 @@ class FreeMonoid(FreeCollection):
     name = "free-monoid"
     shape = Seq
 
-    def enumerate(self, domain, bound):
+    def normal_forms(self, domain, bound):
         _check_bound(bound)
-        domain = _by_weight(domain)
-        out = [] if self.nonempty else [Seq(())]
-        out.extend(map(Seq, _walks(domain, lambda x: domain, weight, bound, self.name)))
-        return _by_weight(out)
+        if not self.nonempty:
+            yield Seq(())
+        fits = _fits([(x, weight(x)) for x in sorted(domain, key=_KEY)], bound)
+        yield from map(Seq, _walks(fits.__getitem__, lambda x, r: fits[r], bound, self.name))
 
 
 class FreeSemigroup(FreeMonoid):
@@ -149,14 +180,16 @@ class FreeCommutativeMonoid(FreeCollection):
     name = "free-commutative-monoid"
     shape = MSet
 
-    def enumerate(self, domain, bound):
+    def normal_forms(self, domain, bound):
+        """Walks over the positions of the key-sorted domain that never step back."""
         _check_bound(bound)
-        domain = _by_weight(domain)
-        walks = _walks(range(len(domain)), lambda k: range(k, len(domain)),
-                       lambda k: weight(domain[k]), bound, self.name)
-        out = [] if self.nonempty else [MSet(())]
-        out.extend(MSet([domain[k] for k in walk]) for walk in walks)
-        return _by_weight(out)
+        if not self.nonempty:
+            yield MSet(())
+        domain = sorted(domain, key=_KEY)
+        fits = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
+        onward = lambda k, r: fits[r][bisect_left(fits[r], k, key=lambda p: p[0]):]
+        for walk in _walks(fits.__getitem__, onward, bound, self.name):
+            yield MSet([domain[k] for k in walk])
 
 
 class FreeCommutativeSemigroup(FreeCommutativeMonoid):
@@ -190,17 +223,22 @@ class FreeAbelianGroup(MonadSpec):
             raise ShapeMismatch(f"{self.name}: fmap expects a combination, got {t}")
         return IntComb([(f(x), c) for x, c in t.pairs])
 
-    def enumerate(self, domain, bound):
-        """Signed multisets: ascending walks over (element, sign) steps that
-        may repeat a step but never switch an element's sign."""
+    def normal_forms(self, domain, bound):
+        """Walks over (position, coefficient) steps of the key-sorted domain,
+        each at a later position: the order of a combination's key, where
+        coefficients ascend, negative first."""
         _check_bound(bound)
-        steps = [(x, s) for x in _by_weight(domain) for s in (1, -1)]
-        walks = _walks(range(len(steps)),
-                       lambda k: chain((k,), range(k + 2 - k % 2, len(steps))),
-                       lambda k: weight(steps[k][0]), bound, self.name)
-        out = [IntComb(())]
-        out.extend(IntComb([steps[k] for k in walk]) for walk in walks)
-        return _by_weight(out)
+        yield IntComb(())
+        domain = sorted(domain, key=_KEY)
+        steps = []
+        for k, x in enumerate(domain):
+            w = weight(x)
+            most = bound // w
+            steps += (((k, c), abs(c) * w) for c in chain(range(-most, 0), range(1, most + 1)))
+        fits = _fits(steps, bound)
+        onward = lambda s, r: fits[r][bisect_right(fits[r], s[0], key=lambda p: p[0][0]):]
+        for walk in _walks(fits.__getitem__, onward, bound, self.name):
+            yield IntComb([(domain[k], c) for k, c in walk])
 
 
 class AdjoinConstant(MonadSpec):
@@ -228,12 +266,17 @@ class AdjoinConstant(MonadSpec):
             return Inj(f(t.inner))
         raise ShapeMismatch(f"{self.name}: fmap expects an adjoined element, got {t}")
 
-    def enumerate(self, domain, bound):
+    def normal_forms(self, domain, bound):
+        """The injections in the domain's order, the constant after those of
+        weight one: an injection's key ``("i", ...)`` sorts before it."""
         _check_bound(bound)
-        out = [Inj(x) for x in domain if weight(x) <= bound]
-        out.append(self.constant)
-        _guard(len(out), f"{self.name} at bound {bound}")
-        return _by_weight(out)
+        what = f"{self.name} at bound {bound}"
+        domain = _by_weight(x for x in domain if weight(x) <= bound)
+        light = bisect_right(domain, 1, key=weight)
+        forms = chain(map(Inj, domain[:light]), (self.constant,), map(Inj, domain[light:]))
+        for count, t in enumerate(forms, 1):
+            _guard(count, what)
+            yield t
 
 
 class AdjoinUnit(AdjoinConstant):
@@ -260,9 +303,9 @@ class IdentityMonad(MonadSpec):
     def fmap(self, f, t):
         return f(t)
 
-    def enumerate(self, domain, bound):
+    def normal_forms(self, domain, bound):
         _check_bound(bound)
-        return _by_weight(x for x in domain if weight(x) <= bound)
+        yield from _by_weight(x for x in domain if weight(x) <= bound)
 
 
 FREE_MONOID = FreeMonoid()
@@ -281,6 +324,16 @@ ZOO = {
 }
 
 
+def _stream_stack(monads, base, bound):
+    """The elements of ``enum_stack(monads, base, bound)``, one at a time:
+    each inner layer is listed as the next one's domain, and the
+    outermost is generated as it is read."""
+    layer = iter(base)
+    for monad in reversed(monads):
+        layer = monad.normal_forms(list(layer), bound)
+    return layer
+
+
 def enum_stack(monads, base, bound):
     """Enumerate the composite functor ``monads[0] ∘ ... ∘ monads[-1]``.
 
@@ -288,7 +341,4 @@ def enum_stack(monads, base, bound):
     below it with the same bound, so the result is every element of the
     composite within the weight bound.
     """
-    domain = list(base)
-    for monad in reversed(monads):
-        domain = monad.enumerate(domain, bound)
-    return domain
+    return list(_stream_stack(monads, base, bound))

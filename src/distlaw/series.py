@@ -14,7 +14,7 @@ from functools import cache, partial
 from .checks import CheckReport, _naturality, check_monad_laws, compare
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
-from .monads import MonadSpec, enum_stack
+from .monads import MonadSpec, _stream_stack, enum_stack
 
 
 class CompositeMonad(MonadSpec):
@@ -46,8 +46,8 @@ class CompositeMonad(MonadSpec):
         flat_outer = self.outer.mult(swapped)
         return self.outer.fmap(self._inner_mult, flat_outer)
 
-    def enumerate(self, domain, bound):
-        return self.outer.enumerate(self.inner.enumerate(domain, bound), bound)
+    def normal_forms(self, domain, bound):
+        return self.outer.normal_forms(self.inner.enumerate(domain, bound), bound)
 
 
 class DistributiveSeries:
@@ -96,8 +96,9 @@ def check_distlaw(law, carrier, bound):
 
     The two triangles run over every enumerated T(X) and S(X) term, the
     two pentagons over every S(S(T(X))) and S(T(T(X))) term within the
-    bound.  Naturality in the carrier is checked by
-    ``checks._naturality``, which gives globular sets none.
+    bound; each of the four streams its inputs as it reads them.
+    Naturality in the carrier is checked by ``checks._naturality``,
+    which gives globular sets none.
 
     The per-check rule: a map applied to the layer just below a
     diagram's inputs meets the same arguments again and again across
@@ -118,25 +119,25 @@ def check_distlaw(law, carrier, bound):
     sections = [
         compare(
             f"distlaw[{law.name}]:unit-S",
-            T.enumerate(base, bound),
+            T.normal_forms(base, bound),
             lambda t: swap(S.unit(t)),
             lambda t: T.fmap(S.unit, t),
         ),
         compare(
             f"distlaw[{law.name}]:mult-S",
-            enum_stack([S, S, T], base, bound),
+            _stream_stack([S, S, T], base, bound),
             lambda c: swap(S.mult(c)),
             lambda c: T.fmap(s_mult, law.transform(S.fmap(swap, c))),
         ),
         compare(
             f"distlaw[{law.name}]:unit-T",
-            S.enumerate(base, bound),
+            S.normal_forms(base, bound),
             lambda s: swap(S.fmap(T.unit, s)),
             lambda s: T.unit(s),
         ),
         compare(
             f"distlaw[{law.name}]:mult-T",
-            enum_stack([S, T, T], base, bound),
+            _stream_stack([S, T, T], base, bound),
             lambda c: swap(S.fmap(t_mult, c)),
             lambda c: T.mult(T.fmap(swap, law.transform(c))),
         ),
@@ -152,12 +153,12 @@ def check_distlaw(law, carrier, bound):
 
 
 def check_yang_baxter(series, i, j, k, carrier, bound):
-    """Both hexagon paths agree on every enumerated T_iT_jT_k(X) term."""
+    """Both hexagon paths agree on every enumerated T_iT_jT_k(X) term, streamed."""
     if not i > j > k:
         raise IndexOrder(f"need i > j > k, got ({i},{j},{k})")
     Ti, Tj, Tk = series.monad(i), series.monad(j), series.monad(k)
     lam_ij, lam_ik, lam_jk = series.law(i, j), series.law(i, k), series.law(j, k)
-    inputs = enum_stack([Ti, Tj, Tk], list(carrier), bound)
+    inputs = _stream_stack([Ti, Tj, Tk], list(carrier), bound)
 
     def upper(c):
         step = lam_ij.transform(c)

@@ -14,7 +14,10 @@ composition monads or their interchange laws.  ``reference_boundary``
 rebuilds a cell's boundary from its structure on every call, keeping
 nothing, and ``reference_string`` states the key and hash a string cell
 owes.  ``non_globular_cells`` checks the globular axiom on engine
-output through ``reference_boundary``.
+output through ``reference_boundary``.  ``reference_enumeration`` and
+``reference_layers`` enumerate normal forms and strings of cells the
+plain way: a breadth-first walk, then, for terms, a sort by (weight,
+key).
 """
 
 import math
@@ -25,6 +28,8 @@ from distlaw.checks import CheckReport, compare
 from distlaw.errors import DimensionError, ShapeMismatch
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.globular import GenCell, StringCell, _compose_nested, identity_cell
+from distlaw.monads import (AdjoinConstant, FreeAbelianGroup, FreeCommutativeMonoid,
+                            FreeMonoid, IdentityMonad)
 from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
 MAT_ID = ((1, 0), (0, 1))
@@ -304,3 +309,86 @@ def reference_string(along, dim, entries, anchor=None):
                 hash(("s", dim, along) + tuple(hash(e) for e in entries)))
     return (entries, ("s", dim, along, ("anchor", anchor.key)),
             hash(("s", dim, along, "anchor", hash(anchor))))
+
+
+def reference_walks(starts, after, cost, bound):
+    """Every nonempty walk whose cost is at most ``bound``, breadth first.
+
+    A walk's first step is one of ``starts`` and each next one is one of
+    ``after(last)``; both list steps in non-decreasing ``cost``, and
+    every step costs at least one.  Walks come out shortest first, each
+    length in the order of the steps.
+    """
+    frontier = [((), 0, starts)]
+    while frontier:
+        grown = []
+        for walk, used, steps in frontier:
+            for x in steps:
+                spent = used + cost(x)
+                if spent > bound:
+                    break
+                yield walk + (x,)
+                if spent < bound:
+                    grown.append((walk + (x,), spent, after(x)))
+        frontier = grown
+
+
+def _by_weight(terms):
+    return sorted(terms, key=lambda t: (weight(t), t.key))
+
+
+def reference_enumeration(monad, domain, bound):
+    """What ``monad.enumerate(domain, bound)`` owes, for the term monads.
+
+    Words are walks that may step to any element, multisets walks that
+    never step back, and combinations walks over (element, sign) steps
+    that may repeat a step but never switch an element's sign; all are
+    sorted by (weight, key) afterwards, the empty collection included.
+    An adjoined constant joins the injections of the elements within
+    the bound, and the identity keeps those elements, both sorted.
+    """
+    domain = _by_weight(domain)
+    if isinstance(monad, FreeMonoid):
+        out = [] if monad.nonempty else [Seq(())]
+        out += map(Seq, reference_walks(domain, lambda x: domain, weight, bound))
+    elif isinstance(monad, FreeCommutativeMonoid):
+        walks = reference_walks(range(len(domain)), lambda k: range(k, len(domain)),
+                                lambda k: weight(domain[k]), bound)
+        out = [] if monad.nonempty else [MSet(())]
+        out += (MSet([domain[k] for k in walk]) for walk in walks)
+    elif isinstance(monad, FreeAbelianGroup):
+        steps = [(x, s) for x in domain for s in (1, -1)]
+        walks = reference_walks(range(len(steps)),
+                                lambda k: [k] + list(range(k + 2 - k % 2, len(steps))),
+                                lambda k: weight(steps[k][0]), bound)
+        out = [IntComb(())]
+        out += (IntComb([steps[k] for k in walk]) for walk in walks)
+    elif isinstance(monad, AdjoinConstant):
+        out = [Inj(x) for x in domain if weight(x) <= bound] + [monad.constant]
+    elif isinstance(monad, IdentityMonad):
+        out = [x for x in domain if weight(x) <= bound]
+    else:
+        raise ShapeMismatch(f"no reference enumeration for {monad!r}")
+    return _by_weight(out)
+
+
+def reference_layers(monad, carrier, bound):
+    """The cell layers ``monad.apply(carrier, bound)`` owes, a list per dimension.
+
+    Dimensions up to ``monad.i`` keep the carrier's cells; each higher
+    one holds an empty string per ``i``-cell, then the breadth-first
+    walks of up to ``bound`` cells in which each next cell starts, along
+    ``i``, where the last one ends (``reference_boundary``).
+    """
+    i = monad.i
+    layers = [[] for _ in range(monad.n + 1)]
+    for cell in carrier:
+        layers[cell.dim].append(cell)
+    for m in range(i + 1, monad.n + 1):
+        cells = layers[m]
+        onward = lambda c, cells=cells: [
+            d for d in cells if reference_boundary(d, "src", i) == reference_boundary(c, "tgt", i)]
+        walks = reference_walks(cells, onward, lambda c: 1, bound)
+        layers[m] = ([StringCell(i, m, (), a) for a in layers[i]]
+                     + [StringCell(i, m, walk) for walk in walks])
+    return layers

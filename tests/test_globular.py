@@ -24,7 +24,8 @@ from distlaw.globular import (GenCell, _atomic_along, _compose_nested, _embed, _
                               identity_at)
 from distlaw.terms import Gen
 
-from oracles import non_globular_cells, paste, reference_boundary, reference_string
+from oracles import (non_globular_cells, paste, reference_boundary, reference_layers,
+                     reference_string)
 
 
 def cells_by_name(gset, dim):
@@ -247,6 +248,20 @@ def test_apply_ti_output_is_globular(parallel_2gset, chain_2gset, theta_3gset):
     for gset in (parallel_2gset, chain_2gset, theta_3gset):
         for i in range(gset.n):
             assert non_globular_cells(CompositionMonad(i, gset.n).apply(gset, 2)) == []
+
+
+@pytest.mark.parametrize("name", ["two_cell.gset", "loop_set.gset"])
+def test_cells_come_in_the_breadth_first_reference_order(name):
+    """Each monad over the set, and along 0 over the strings along 1, as ``free_ncat`` goes."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as handle:
+        gset = load_gset(handle.read())
+    for bound in range(4):
+        strings = CompositionMonad(1, 2).apply(gset, bound)
+        for monad, carrier in ((CompositionMonad(1, 2), gset), (CompositionMonad(0, 2), gset),
+                               (CompositionMonad(0, 2), strings)):
+            cells = monad.apply(carrier, bound)
+            assert [list(cells.cells_at(m)) for m in range(3)] == \
+                reference_layers(monad, carrier, bound)
 
 
 def test_apply_ti_rejects_bad_dimension(parallel_2gset):

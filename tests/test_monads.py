@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
@@ -13,7 +14,7 @@ from distlaw.monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                             FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP,
                             FreeMonoid, IDENTITY)
 from distlaw.terms import MSet, functions_between, weight
-from oracles import check_functoriality
+from oracles import check_functoriality, reference_enumeration
 
 X1 = Carrier.of_size(1)
 X2 = Carrier.of_size(2)
@@ -116,6 +117,28 @@ def test_stacked_enumerations_extend_as_the_bound_grows():
             if large[:len(small)] != small:
                 broken.append(([m.name for m in stack], bound))
     assert broken == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.lists(st.sampled_from(list(ZOO.values())), max_size=2),
+       st.integers(0, 8), st.randoms(use_true_random=False),
+       st.sampled_from(list(ZOO.values()) + [IDENTITY]), st.integers(0, 4))
+def test_enumerations_equal_the_breadth_first_reference(gens, nest, size, rng, monad, bound):
+    """Order included, over a shuffled prefix of a nested domain."""
+    domain = enum_stack(nest, Carrier.of_size(gens), 2)[:size]
+    rng.shuffle(domain)
+    assert monad.enumerate(domain, bound) == reference_enumeration(monad, domain, bound)
+
+
+def test_the_associativity_inputs_are_streamed():
+    """Only the unit laws' M(X) and the memo of mult are held, not M(M(M(X)))."""
+    tracemalloc.start()
+    try:
+        assert check_monad_laws(FREE_ABELIAN_GROUP, X2, 3).total_checked() == 5841
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_bound_zero_keeps_only_the_constants():

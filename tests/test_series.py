@@ -10,7 +10,7 @@ from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, parse_route, validate_series)
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
-from distlaw.laws import LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
+from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
@@ -225,6 +225,23 @@ def test_route_limit_is_enforced(monkeypatch):
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 10)
     with pytest.raises(BoundTooLarge):
         check_route_independence(RIG_SERIES, X1, 2)
+
+
+@pytest.mark.parametrize("check, ceiling", [
+    (lambda: check_monad_laws(FREE_SEMIGROUP, X2, 3), 50),
+    (lambda: check_distlaw(LAW_PRODUCT_OVER_SUM_WORDS, X2, 3), 500),
+    (lambda: check_yang_baxter(RING3_SERIES, 3, 2, 1, X2, 3), 100),
+], ids=["monad-laws", "distlaw", "yang-baxter"])
+def test_a_streamed_layer_counts_against_the_ceiling(monkeypatch, check, ceiling):
+    """Every listed layer fits under the ceiling; the streamed top layer of
+    free-semigroup walks (86, 735 and 374 of them) does not."""
+    import distlaw.monads
+    from distlaw.errors import BoundTooLarge
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", ceiling)
+    with pytest.raises(BoundTooLarge) as info:
+        check()
+    assert str(info.value) == \
+        f"free-semigroup at bound 3: enumeration exceeds ceiling of {ceiling} elements"
 
 
 def test_identity_pair_series_validates():
