@@ -77,23 +77,27 @@ def _guard(count, what):
         raise BoundTooLarge(f"{what}: enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _walks(starts, onward, bound, what, max_cost=None):
+def _walks(starts, onward, bound, what):
     """Every nonempty walk whose cost is at most ``bound``: cheapest first
     and, within one cost, in lexicographic order of steps.
 
     A walk is a tuple of steps: its first is one of ``starts(r)`` and each
     next one is one of ``onward(last, r)``, where ``r`` is the budget the
     walk has left.  Both list ``(step, cost)`` pairs in step order, only
-    those that cost at most ``r``.  Every step costs at least one and at
-    most ``max_cost`` (by default the bound).  Each exact cost is walked
-    depth first, in turn; after ``max_cost`` costs in a row with no walk
-    there is no costlier one, since it would have a prefix among them.
-    A walk counts against ``ENUM_CEILING`` when it is yielded; past it
-    the error names ``what``, the monad walked, and the bound.
+    those that cost at most ``r``.  Every step costs at least one, and
+    any step that may come next may also come first.  Each exact cost is
+    walked depth first, in turn.  Once as many costs in a row as the
+    dearest first step costs have no walk, there is no costlier walk,
+    since it would have a prefix among them.  A walk counts against
+    ``ENUM_CEILING`` when it is yielded; past it the error names
+    ``what``, the monad walked, and the bound.
     """
     what = f"{what} at bound {bound}"
+    dearest = max((cost for _, cost in starts(bound)), default=0)
     built = idle = 0
     for total in range(1, bound + 1):
+        if idle >= dearest:
+            return
         before = built
         walk = []
         stack = [(iter(starts(total)), total)]
@@ -112,8 +116,6 @@ def _walks(starts, onward, bound, what, max_cost=None):
                 if walk:
                     walk.pop()
         idle = 0 if built > before else idle + 1
-        if idle == max_cost:
-            return
 
 
 def _fits(steps, bound):
