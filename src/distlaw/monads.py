@@ -11,24 +11,19 @@ least one an enumeration, and an ``enum_stack``, is a prefix of the one
 at the next bound.
 
 Words, multisets, integer combinations and the strings of cells of
-``globular`` all come from one bounded walk, ``_walks``: a word is a
-walk that may step to any element, a multiset one that never steps
+``globular`` all come from one bounded walk, ``_walks``, cheapest walks
+first and, within one cost, in lexicographic order of steps: a word is
+a walk that may step to any element, a multiset one that never steps
 back, a combination one of (element, coefficient) steps over strictly
 increasing elements, and a string of cells one whose next cell starts
-where the last ends.  The walk yields the cheapest walks first and,
-within one cost, in lexicographic order of their steps.  Words,
-multisets and combinations list their steps in key order, so their
-walks come out in (weight, key) order and nothing sorts them
-afterwards.  Each walk counts against ``ENUM_CEILING`` as it is
-yielded.
-
-``enum_stack`` lists the layers of a stack of monads; ``_stream_stack``
-lists the inner layers and streams the outermost one, for the diagrams
-that read their inputs only once.
+where the last ends.  Words, multisets and combinations list their
+steps in key order, so their walks come out in (weight, key) order and
+are not sorted afterwards.  Each walk counts against ``ENUM_CEILING``
+as it is yielded, so ``_stream_stack``, which generates a stack's top
+layer as a diagram reads it, stops at the ceiling mid-check.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 
 from .errors import BoundTooLarge, ShapeMismatch
 from .terms import _KEY, Inj, IntComb, MSet, ONE, Seq, ZERO, weight
@@ -232,12 +227,8 @@ class FreeAbelianGroup(MonadSpec):
         _check_bound(bound)
         yield IntComb(())
         domain = sorted(domain, key=_KEY)
-        steps = []
-        for k, x in enumerate(domain):
-            w = weight(x)
-            most = bound // w
-            steps += (((k, c), abs(c) * w) for c in chain(range(-most, 0), range(1, most + 1)))
-        fits = _fits(steps, bound)
+        fits = _fits([((k, c), abs(c) * weight(x)) for k, x in enumerate(domain)
+                      for c in range(-(bound // weight(x)), bound // weight(x) + 1) if c], bound)
         onward = lambda s, r: fits[r][bisect_right(fits[r], s[0], key=lambda p: p[0][0]):]
         for walk in _walks(fits.__getitem__, onward, bound, self.name):
             yield IntComb([(domain[k], c) for k, c in walk])
@@ -269,16 +260,11 @@ class AdjoinConstant(MonadSpec):
         raise ShapeMismatch(f"{self.name}: fmap expects an adjoined element, got {t}")
 
     def normal_forms(self, domain, bound):
-        """The injections in the domain's order, the constant after those of
-        weight one: an injection's key ``("i", ...)`` sorts before it."""
         _check_bound(bound)
-        what = f"{self.name} at bound {bound}"
-        domain = _by_weight(x for x in domain if weight(x) <= bound)
-        light = bisect_right(domain, 1, key=weight)
-        forms = chain(map(Inj, domain[:light]), (self.constant,), map(Inj, domain[light:]))
-        for count, t in enumerate(forms, 1):
-            _guard(count, what)
-            yield t
+        out = [Inj(x) for x in domain if weight(x) <= bound]
+        out.append(self.constant)
+        _guard(len(out), f"{self.name} at bound {bound}")
+        yield from _by_weight(out)
 
 
 class AdjoinUnit(AdjoinConstant):
@@ -327,9 +313,7 @@ ZOO = {
 
 
 def _stream_stack(monads, base, bound):
-    """The elements of ``enum_stack(monads, base, bound)``, one at a time:
-    each inner layer is listed as the next one's domain, and the
-    outermost is generated as it is read."""
+    """``enum_stack``, with only the inner layers listed: the outermost is generated as read."""
     layer = iter(base)
     for monad in reversed(monads):
         layer = monad.normal_forms(list(layer), bound)
