@@ -316,7 +316,7 @@ class CompositionMonad(MonadSpec):
                 starting_at.setdefault(boundary(c, "src", i), []).append((c, 1))
             firsts = [(c, 1) for c in layers[m]]
             after = {c: starting_at.get(boundary(c, "tgt", i), ()) for c in layers[m]}
-            walks = _walks(lambda r: firsts, lambda c, r: after[c], bound, self.name)
+            walks = _walks(lambda r: firsts, lambda c, r: after[c], bound, self.name, 1)
             cells = [StringCell(i, m, (), a) for a in layers[i]]
             cells.extend(StringCell(i, m, walk) for walk in walks)
             layers[m] = cells

@@ -24,11 +24,13 @@ layer as a diagram reads it, stops at the ceiling mid-check.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from .errors import BoundTooLarge, ShapeMismatch
 from .terms import _KEY, Inj, IntComb, MSet, ONE, Seq, ZERO, weight
 
 ENUM_CEILING = 10 ** 6
+_FIRST = itemgetter(0)
 
 
 def _by_weight(terms):
@@ -72,23 +74,21 @@ def _guard(count, what):
         raise BoundTooLarge(f"{what}: enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _walks(starts, onward, bound, what):
+def _walks(starts, onward, bound, what, dearest):
     """Every nonempty walk whose cost is at most ``bound``: cheapest first
     and, within one cost, in lexicographic order of steps.
 
     A walk is a tuple of steps: its first is one of ``starts(r)`` and each
     next one is one of ``onward(last, r)``, where ``r`` is the budget the
     walk has left.  Both list ``(step, cost)`` pairs in step order, only
-    those that cost at most ``r``.  Every step costs at least one, and
-    any step that may come next may also come first.  Each exact cost is
-    walked depth first, in turn.  Once as many costs in a row as the
-    dearest first step costs have no walk, there is no costlier walk,
-    since it would have a prefix among them.  A walk counts against
-    ``ENUM_CEILING`` when it is yielded; past it the error names
+    those that cost at most ``r``.  Every step costs at least one and at
+    most ``dearest``.  Each exact cost is walked depth first, in turn.
+    Once ``dearest`` costs in a row have no walk, there is no costlier
+    walk, since it would have a prefix among them.  A walk counts
+    against ``ENUM_CEILING`` when it is yielded; past it the error names
     ``what``, the monad walked, and the bound.
     """
     what = f"{what} at bound {bound}"
-    dearest = max((cost for _, cost in starts(bound)), default=0)
     built = idle = 0
     for total in range(1, bound + 1):
         if idle >= dearest:
@@ -114,8 +114,13 @@ def _walks(starts, onward, bound, what):
 
 
 def _fits(steps, bound):
-    """Per budget 0..bound, the key-ordered ``(step, cost)`` pairs that cost at most it."""
-    return [[s for s in steps if s[1] <= r] for r in range(bound + 1)]
+    """The key-ordered ``(step, cost)`` pairs that cost at most a budget, as a
+    function of the budget, and the dearest cost within ``bound``; the lists
+    are kept per budget up to that cost, past which they do not change."""
+    steps = [s for s in steps if s[1] <= bound]
+    dearest = max((cost for _, cost in steps), default=0)
+    rows = [[s for s in steps if s[1] <= r] for r in range(dearest + 1)]
+    return (lambda r: rows[min(r, dearest)]), dearest
 
 
 class FreeCollection(MonadSpec):
@@ -160,8 +165,8 @@ class FreeMonoid(FreeCollection):
         _check_bound(bound)
         if not self.nonempty:
             yield Seq(())
-        fits = _fits([(x, weight(x)) for x in sorted(domain, key=_KEY)], bound)
-        yield from map(Seq, _walks(fits.__getitem__, lambda x, r: fits[r], bound, self.name))
+        fits, dearest = _fits([(x, weight(x)) for x in sorted(domain, key=_KEY)], bound)
+        yield from map(Seq, _walks(fits, lambda x, r: fits(r), bound, self.name, dearest))
 
 
 class FreeSemigroup(FreeMonoid):
@@ -183,9 +188,13 @@ class FreeCommutativeMonoid(FreeCollection):
         if not self.nonempty:
             yield MSet(())
         domain = sorted(domain, key=_KEY)
-        fits = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
-        onward = lambda k, r: fits[r][bisect_left(fits[r], k, key=lambda p: p[0]):]
-        for walk in _walks(fits.__getitem__, onward, bound, self.name):
+        fits, dearest = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
+
+        def onward(k, r):
+            row = fits(r)
+            return row[bisect_left(row, k, key=_FIRST):]
+
+        for walk in _walks(fits, onward, bound, self.name, dearest):
             yield MSet([domain[k] for k in walk])
 
 
@@ -223,14 +232,21 @@ class FreeAbelianGroup(MonadSpec):
     def normal_forms(self, domain, bound):
         """Walks over (position, coefficient) steps of the key-sorted domain,
         each at a later position: the order of a combination's key, where
-        coefficients ascend, negative first."""
+        coefficients ascend, negative first.  The steps of a position are
+        made as the walk reaches it, since their number grows with the
+        budget; a walk starts as if after position -1."""
         _check_bound(bound)
         yield IntComb(())
         domain = sorted(domain, key=_KEY)
-        fits = _fits([((k, c), abs(c) * weight(x)) for k, x in enumerate(domain)
-                      for c in range(-(bound // weight(x)), bound // weight(x) + 1) if c], bound)
-        onward = lambda s, r: fits[r][bisect_right(fits[r], s[0], key=lambda p: p[0][0]):]
-        for walk in _walks(fits.__getitem__, onward, bound, self.name):
+        fits, _ = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
+
+        def onward(step, r):
+            row = fits(r)
+            return (((k, c), abs(c) * w) for k, w in row[bisect_right(row, step[0], key=_FIRST):]
+                    for c in range(-(r // w), r // w + 1) if c)
+
+        dearest = max((bound // w * w for _, w in fits(bound)), default=0)
+        for walk in _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest):
             yield IntComb([(domain[k], c) for k, c in walk])
 
 

@@ -141,6 +141,22 @@ def test_the_associativity_inputs_are_streamed():
     assert peak < 1.5e6
 
 
+def test_a_large_bound_reaches_the_ceiling_in_little_memory(monkeypatch):
+    """No step index grows with the bound: past the dearest element it stops
+    changing, and a combination's coefficients are made as the walk needs them."""
+    import distlaw.monads
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 50)
+    for monad in (FREE_MONOID, FREE_SEMIGROUP, FREE_COMM_MONOID, FREE_ABELIAN_GROUP):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundTooLarge):
+                monad.enumerate(list(X2), 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, monad.name
+
+
 def test_bound_zero_keeps_only_the_constants():
     assert enum_stack([ADJOIN_UNIT, FREE_MONOID], X1, 0) == [ONE]
 
