@@ -3,7 +3,7 @@
 from functools import cache, partial
 
 from .errors import DistlawError, ShapeMismatch
-from .monads import _check_bound, _guard, _stream_stack, enum_stack
+from .monads import _check_bound, _guard, _stream_stack
 from .terms import Carrier, functions_between
 
 
@@ -70,49 +70,61 @@ class CheckReport:
         return f"CheckReport({self.title}: {self.verdict}, {self.total_checked()} checked)"
 
 
-def compare(check_id, inputs, left_leg, right_leg):
-    """Evaluate two legs pointwise; a leg that raises a package error agrees with no leg."""
-    witnesses = []
+def compare_all(inputs, sections):
+    """Evaluate every section's two legs pointwise, reading ``inputs`` once.
+
+    ``sections`` lists ``(check_id, left_leg, right_leg)``; the result
+    is one report per section, in that order.  On each input every
+    distinct leg object runs once, and its value, or the error it
+    raised, counts in every section that holds it.  A leg that raises a
+    package error agrees with no leg.
+    """
+    legs = list(dict.fromkeys(leg for _, *pair in sections for leg in pair))
+    rows = [(check_id, legs.index(left), legs.index(right), [])
+            for check_id, left, right in sections]
     checked = 0
     for t in inputs:
         checked += 1
-        raised = 0
-        try:
-            lhs = left_leg(t)
-        except DistlawError as exc:
-            lhs, raised = f"error:{type(exc).__name__}", 1
-        try:
-            rhs = right_leg(t)
-        except DistlawError as exc:
-            rhs, raised = f"error:{type(exc).__name__}", raised + 1
-        if lhs != rhs or raised == 2:
-            witnesses.append(Witness(check_id, t, lhs, rhs))
-    return CheckReport(check_id, checked=checked, witnesses=witnesses)
+        values, raised = [], []  # raised: the positions of legs that raised
+        for leg in legs:
+            try:
+                values.append(leg(t))
+            except DistlawError as exc:
+                raised.append(len(values))
+                values.append(f"error:{type(exc).__name__}")
+        for check_id, i, j, witnesses in rows:
+            if values[i] != values[j] or i in raised and j in raised:
+                witnesses.append(Witness(check_id, t, values[i], values[j]))
+    return [CheckReport(check_id, checked=checked, witnesses=witnesses)
+            for check_id, _, _, witnesses in rows]
+
+
+def compare(check_id, inputs, left_leg, right_leg):
+    """One section of ``compare_all``: the left leg, then the right, on each input."""
+    report, = compare_all(inputs, [(check_id, left_leg, right_leg)])
+    return report
+
+
+def _same(t):
+    return t
 
 
 def check_monad_laws(monad, carrier, bound):
     """Unit and associativity laws on every enumerated term within bound.
 
-    Unit laws run over M(X), listed once for both; each leg builds the
-    doubly wrapped term and multiplies, so witnesses show the M(M(X))
-    input actually fed to mult.  Associativity runs over M(M(M(X))),
-    streamed as it is read; its legs share one memo of ``mult`` on the
-    M(M(X)) terms they meet, kept for this call only.
+    Both unit laws read M(X) once, as it is generated, and share their
+    identity leg; each other leg builds the doubly wrapped term and
+    multiplies, so witnesses show the M(M(X)) input actually fed to
+    mult.  Associativity runs over M(M(M(X))), streamed as it is read;
+    its legs share one memo of ``mult`` on the M(M(X)) terms they meet,
+    kept for this call only.
     """
     base = list(carrier)
-    level1 = monad.enumerate(base, bound)
-    left_unit = compare(
-        f"monad[{monad.name}]:unit-left",
-        level1,
-        lambda t: monad.mult(monad.unit(t)),
-        lambda t: t,
-    )
-    right_unit = compare(
-        f"monad[{monad.name}]:unit-right",
-        level1,
-        lambda t: monad.mult(monad.fmap(monad.unit, t)),
-        lambda t: t,
-    )
+    left_unit, right_unit = compare_all(monad.normal_forms(base, bound), [
+        (f"monad[{monad.name}]:unit-left", lambda t: monad.mult(monad.unit(t)), _same),
+        (f"monad[{monad.name}]:unit-right",
+         lambda t: monad.mult(monad.fmap(monad.unit, t)), _same),
+    ])
     # Recast unit witnesses to show the term handed to mult.
     for report, wrap in ((left_unit, monad.unit), (right_unit, lambda t: monad.fmap(monad.unit, t))):
         for w in report.witnesses:
@@ -133,17 +145,22 @@ def _naturality(carrier, diagrams):
     A term carrier (a ``Carrier``) maps into each standard carrier of
     size one to three; other carriers, such as globular sets, have no
     maps, and their inputs are never enumerated.  A diagram is a triple
-    ``(check_id, inputs, legs)``: ``inputs()`` enumerates its inputs and
-    ``legs(fn)`` gives its two legs at the map ``fn``; section ids end
-    in ``#k`` for the k-th map.  The maps count against ``ENUM_CEILING``.
+    ``(check_id, inputs, legs)``: ``inputs()`` generates its inputs and
+    ``legs(fn)`` gives its two legs at the map ``fn``.  Each diagram's
+    inputs are generated once, and every map's legs run on each of
+    them, so the legs of all maps, with any tables they keep, live
+    together for that diagram.  Sections come map by map, each map's
+    diagrams in order; their ids end in ``#k`` for the k-th map.  The
+    maps count against ``ENUM_CEILING``.
     """
     if not isinstance(carrier, Carrier):
         return []
     _guard(sum(size ** len(carrier) for size in (1, 2, 3)), "naturality maps")
     maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
-    diagrams = [(check_id, inputs(), legs) for check_id, inputs, legs in diagrams]
-    return [compare(f"{check_id}#{idx}", inputs, *legs(lambda x, f=f: f[x]))
-            for idx, f in enumerate(maps) for check_id, inputs, legs in diagrams]
+    per_diagram = [compare_all(inputs(), [(f"{check_id}#{idx}", *legs(lambda x, f=f: f[x]))
+                                          for idx, f in enumerate(maps)])
+                   for check_id, inputs, legs in diagrams]
+    return [report for per_map in zip(*per_diagram) for report in per_map]
 
 
 def check_monad_naturality(monad, carrier, bound):
@@ -166,6 +183,6 @@ def check_monad_naturality(monad, carrier, bound):
         (f"naturality[{monad.name}]:unit", lambda: list(carrier),
          lambda fn: (lambda x: monad.fmap(fn, monad.unit(x)),
                      lambda x: monad.unit(fn(x)))),
-        (f"naturality[{monad.name}]:mult", lambda: enum_stack([monad, monad], list(carrier), bound),
-         mult_legs),
+        (f"naturality[{monad.name}]:mult",
+         lambda: _stream_stack([monad, monad], list(carrier), bound), mult_legs),
     ]))

@@ -109,8 +109,10 @@ def cmd_routes(args, out):
         compose_series(series, route)
     except (ValueError, ShapeMismatch, IndexOrder) as exc:
         raise UsageError(str(exc)) from None
-    return _report([compare_routes(series, [all_routes(len(series))[0], route],
-                                   carrier, args.bound)],
+    # the first bracketing is the reference; given itself, it meets the next one
+    routes = all_routes(len(series))
+    pair = routes[:2] if route == routes[0] else [routes[0], route]
+    return _report([compare_routes(series, pair, carrier, args.bound)],
                    f"route {args.route.replace(' ', '')} agrees", out)
 
 

@@ -11,10 +11,10 @@ by bounded exhaustive evaluation.
 import ast
 from functools import cache, partial
 
-from .checks import CheckReport, _naturality, check_monad_laws, compare
+from .checks import CheckReport, _naturality, check_monad_laws, compare, compare_all
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
-from .monads import MonadSpec, _stream_stack, enum_stack
+from .monads import MonadSpec, _stream_stack
 
 
 class CompositeMonad(MonadSpec):
@@ -98,7 +98,8 @@ def check_distlaw(law, carrier, bound):
     two pentagons over every S(S(T(X))) and S(T(T(X))) term within the
     bound; each of the four streams its inputs as it reads them.
     Naturality in the carrier is checked by ``checks._naturality``,
-    which gives globular sets none.
+    which gives globular sets none; it generates the S(T(X)) inputs
+    once and runs the legs of every map on each.
 
     The per-check rule: a map applied to the layer just below a
     diagram's inputs meets the same arguments again and again across
@@ -148,7 +149,8 @@ def check_distlaw(law, carrier, bound):
         return lambda c: swap(S.fmap(t_fn, c)), lambda c: T.fmap(s_fn, swap(c))
 
     sections += _naturality(carrier, [(
-        f"distlaw[{law.name}]:naturality", lambda: enum_stack([S, T], base, bound), natural_legs)])
+        f"distlaw[{law.name}]:naturality", lambda: _stream_stack([S, T], base, bound),
+        natural_legs)])
     return CheckReport(f"distlaw[{law.name}]", sections=sections)
 
 
@@ -295,22 +297,20 @@ def compare_routes(series, routes, carrier, bound):
     """The composite mult of each route against the first route's, pointwise.
 
     The inputs are all enumerated elements of the doubled composite
-    within bound.  Each route is compared through its own ``_memoised``
-    copy, so its tables live for this call only; the composites of
+    within bound, generated once and never held: the first route's
+    ``mult`` runs once on each and counts in every section.  A single
+    route compares nothing; its one ``single`` leaf counts the inputs.
+    Each route is evaluated through its own ``_memoised`` copy, so its
+    tables live for this call only; the composites of
     ``compose_series`` keep their plain maps.
     """
     composites = [_memoised(compose_series(series, r)) for r in routes]
-    inputs = enum_stack(series.monads + series.monads, list(carrier), bound)
-    reference = composites[0]
-    sections = []
+    inputs = _stream_stack(series.monads + series.monads, list(carrier), bound)
+    title = f"routes[{series.name}]"
     if len(routes) == 1:
-        sections.append(CheckReport(
-            f"routes[{series.name}]:single", checked=len(inputs)))
-    for r, composite in zip(routes[1:], composites[1:]):
-        sections.append(compare(
-            f"routes[{series.name}]:{routes[0]}vs{r}".replace(" ", ""),
-            inputs,
-            reference.mult,
-            composite.mult,
-        ))
-    return CheckReport(f"routes[{series.name}]", sections=sections)
+        return CheckReport(title, sections=[
+            CheckReport(f"{title}:single", checked=sum(1 for _ in inputs))])
+    reference = composites[0].mult
+    return CheckReport(title, sections=compare_all(inputs, [
+        (f"{title}:{routes[0]}vs{r}".replace(" ", ""), reference, composite.mult)
+        for r, composite in zip(routes[1:], composites[1:])]))

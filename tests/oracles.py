@@ -13,7 +13,10 @@ diagram of free n-category cells by composing them, never through the
 composition monads or their interchange laws.  ``reference_boundary``
 rebuilds a cell's boundary from its structure on every call, keeping
 nothing, and ``reference_string`` states the key and hash a string cell
-owes.  ``non_globular_cells`` checks the globular axiom on engine
+owes.  ``compare_by_section`` is the pointwise loop one section at a
+time, and ``monad_laws_by_section``, ``naturality_by_section`` and
+``compare_routes_by_section`` list their inputs and read them once per
+section, as the checks did before they read each stream once.  ``non_globular_cells`` checks the globular axiom on engine
 output through ``reference_boundary``.  ``reference_enumeration`` and
 ``reference_layers`` enumerate normal forms and strings of cells the
 plain way: a breadth-first walk, then, for terms, a sort by (weight,
@@ -24,13 +27,14 @@ import math
 import random
 from functools import reduce
 
-from distlaw.checks import CheckReport, compare
-from distlaw.errors import DimensionError, ShapeMismatch
+from distlaw.checks import CheckReport, Witness, compare
+from distlaw.errors import DimensionError, DistlawError, ShapeMismatch
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.globular import GenCell, StringCell, _compose_nested, identity_cell
 from distlaw.monads import (AdjoinConstant, FreeAbelianGroup, FreeCommutativeMonoid,
-                            FreeMonoid, IdentityMonad)
-from distlaw.terms import Gen, Inj, IntComb, MSet, Seq, ZERO, weight
+                            FreeMonoid, IdentityMonad, enum_stack)
+from distlaw.series import _memoised, compose_series
+from distlaw.terms import Carrier, Gen, Inj, IntComb, MSet, Seq, ZERO, functions_between, weight
 
 MAT_ID = ((1, 0), (0, 1))
 MAT_ZERO = ((0, 0), (0, 0))
@@ -201,6 +205,71 @@ def check_functoriality(monad, carrier, bound, function_pairs):
             lambda t, f=f, g=g: monad.fmap(lambda x: g[x], monad.fmap(lambda x: f[x], t)),
         ))
     return CheckReport(f"functoriality[{monad.name}]", sections=sections)
+
+
+def compare_by_section(check_id, inputs, left_leg, right_leg):
+    """One section's pointwise loop: the left leg, then the right, on each input."""
+    witnesses = []
+    checked = 0
+    for t in inputs:
+        checked += 1
+        raised = 0
+        try:
+            lhs = left_leg(t)
+        except DistlawError as exc:
+            lhs, raised = f"error:{type(exc).__name__}", 1
+        try:
+            rhs = right_leg(t)
+        except DistlawError as exc:
+            rhs, raised = f"error:{type(exc).__name__}", raised + 1
+        if lhs != rhs or raised == 2:
+            witnesses.append(Witness(check_id, t, lhs, rhs))
+    return CheckReport(check_id, checked=checked, witnesses=witnesses)
+
+
+def monad_laws_by_section(monad, carrier, bound):
+    """``check_monad_laws`` with M(X) listed and read once per unit law."""
+    base = list(carrier)
+    level1 = monad.enumerate(base, bound)
+    left_unit = compare_by_section(f"monad[{monad.name}]:unit-left", level1,
+                                   lambda t: monad.mult(monad.unit(t)), lambda t: t)
+    right_unit = compare_by_section(f"monad[{monad.name}]:unit-right", level1,
+                                    lambda t: monad.mult(monad.fmap(monad.unit, t)),
+                                    lambda t: t)
+    for report, wrap in ((left_unit, monad.unit),
+                         (right_unit, lambda t: monad.fmap(monad.unit, t))):
+        for w in report.witnesses:
+            w.input = wrap(w.input)
+    assoc = compare_by_section(f"monad[{monad.name}]:assoc",
+                               enum_stack([monad, monad, monad], base, bound),
+                               lambda t: monad.mult(monad.mult(t)),
+                               lambda t: monad.mult(monad.fmap(monad.mult, t)))
+    return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
+
+
+def naturality_by_section(carrier, diagrams):
+    """``checks._naturality`` with each diagram's inputs listed and read once per map."""
+    if not isinstance(carrier, Carrier):
+        return []
+    maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
+    diagrams = [(check_id, list(inputs()), legs) for check_id, inputs, legs in diagrams]
+    return [compare_by_section(f"{check_id}#{idx}", inputs, *legs(lambda x, f=f: f[x]))
+            for idx, f in enumerate(maps) for check_id, inputs, legs in diagrams]
+
+
+def compare_routes_by_section(series, routes, carrier, bound):
+    """``series.compare_routes`` with the inputs listed and read once per route,
+    the first route's ``mult`` run again for each."""
+    composites = [_memoised(compose_series(series, r)) for r in routes]
+    inputs = enum_stack(series.monads + series.monads, list(carrier), bound)
+    sections = []
+    if len(routes) == 1:
+        sections.append(CheckReport(f"routes[{series.name}]:single", checked=len(inputs)))
+    for r, composite in zip(routes[1:], composites[1:]):
+        sections.append(compare_by_section(
+            f"routes[{series.name}]:{routes[0]}vs{r}".replace(" ", ""),
+            inputs, composites[0].mult, composite.mult))
+    return CheckReport(f"routes[{series.name}]", sections=sections)
 
 
 def reference_normal_form(shape, inputs):

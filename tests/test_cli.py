@@ -169,6 +169,15 @@ def test_routes_single_bracketing():
     assert out.startswith("CHECK routes[rig]:(1,(2,(3,4)))vs((1,2),(3,4)) PASS\n")
 
 
+def test_the_reference_route_is_compared_with_the_next_bracketing():
+    code, out = run("routes", "--theory", "rig", "--route", "(1,(2,(3,4)))", "--bound", "2")
+    assert code == 0
+    assert out.startswith("CHECK routes[rig]:(1,(2,(3,4)))vs(1,((2,3),4)) PASS\n")
+    code, out = run("routes", "--theory", "ring2", "--route", "(1,2)", "--bound", "2")
+    assert code == 0
+    assert out == "CHECK routes[ring2]:single PASS\nPASS: route (1,2) agrees\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("distlaw", "--law", "unit-absorption", "--bound", "-1"),
     ("laws", "--bound", "-3"),

@@ -16,7 +16,8 @@ from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_S
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
 from distlaw.series import compare_routes
 
-from oracles import gen_count
+from oracles import (compare_by_section, compare_routes_by_section, gen_count,
+                     monad_laws_by_section, naturality_by_section)
 from test_monads import BrokenFreeMonoid
 
 X1 = Carrier.of_size(1)
@@ -402,3 +403,106 @@ def test_a_law_component_is_computed_once_per_check():
     assert len(layer & deeper) == 3
     in_layer = [t for t in calls if t in only_below]
     assert len(in_layer) == len(set(in_layer)) == len(only_below)
+
+
+def _dropping_words_with_b(t):
+    """The words law, then every summand that mentions ``b`` dropped: not natural."""
+    comb = LAW_PRODUCT_OVER_SUM_WORDS.transform(t)
+    return IntComb(tuple((w, k) for w, k in comb.pairs if b not in w.items))
+
+
+UNNATURAL_LAW = DistLaw("drops-b", FREE_SEMIGROUP, FREE_ABELIAN_GROUP, _dropping_words_with_b)
+
+
+@pytest.mark.parametrize("series, bound", [
+    (RING2_SERIES, 3), (RING2_SERIES, 4), (RING3_SERIES, 3), (RIG_SERIES, 3), (RIG_SERIES, 4),
+], ids=["ring2-3", "ring2-4", "ring3-3", "rig-3", "rig-4"])
+def test_one_pass_routes_match_the_section_by_section_loop(series, bound):
+    routes = all_routes(len(series))
+    assert _report_shape(compare_routes(series, routes, X1, bound)) == \
+        _report_shape(compare_routes_by_section(series, routes, X1, bound))
+
+
+def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_2gset):
+    import distlaw.checks
+    import distlaw.series
+    routes = [compare_routes(series, all_routes(3), X1, 3) for series in MUTANT_SERIES]
+    assert [_report_shape(r) for r in routes] == \
+        [_report_shape(compare_routes_by_section(series, all_routes(3), X1, 3))
+         for series in MUTANT_SERIES]
+    # every witness of the raising mutant is an error on both legs
+    assert len(routes[1].all_witnesses()) == 850
+    assert all(str(w.left).startswith("error:") and str(w.right).startswith("error:")
+               for w in routes[1].all_witnesses())
+    cells = composition_series(2)
+    assert _report_shape(compare_routes(cells, all_routes(2), chain_2gset, 2)) == \
+        _report_shape(compare_routes_by_section(cells, all_routes(2), chain_2gset, 2))
+
+    laws = [*REGISTERED_LAWS.values(), UNNATURAL_LAW]
+    monads = [*ZOO.values(), BrokenFreeMonoid()]
+
+    def reports():
+        return ([check_distlaw(law, X2, 3) for law in laws]
+                + [check_monad_naturality(m, X2, 2) for m in ZOO.values()])
+
+    one_pass = reports() + [check_monad_laws(m, X2, 3) for m in monads]
+    monkeypatch.setattr(distlaw.series, "compare", compare_by_section)
+    monkeypatch.setattr(distlaw.series, "_naturality", naturality_by_section)
+    monkeypatch.setattr(distlaw.checks, "_naturality", naturality_by_section)
+    by_section = reports() + [monad_laws_by_section(m, X2, 3) for m in monads]
+    assert [_report_shape(r) for r in one_pass] == [_report_shape(r) for r in by_section]
+    # the nine laws are natural; the law that drops summands with b is seen not to be
+    natural = [all(s.passed for s in r.sections if "naturality#" in s.title)
+               for r in one_pass[:len(laws)]]
+    assert natural == [True] * len(REGISTERED_LAWS) + [False]
+
+
+def test_the_reference_route_multiplies_once_per_input(monkeypatch):
+    routes = all_routes(4)
+    reference = compose_series(RIG_SERIES, routes[0]).name
+    plain = CompositeMonad.mult
+    arguments = []
+
+    def counted(self, t):
+        if self.name == reference:
+            arguments.append(t)
+        return plain(self, t)
+
+    monkeypatch.setattr(CompositeMonad, "mult", counted)
+    report = compare_routes(RIG_SERIES, routes, X1, 3)
+    assert report.passed and len(report.sections) == 4
+    assert {s.checked for s in report.sections} == {len(arguments)} == {158}
+    assert len(set(arguments)) == len(arguments)
+
+
+def test_routes_and_naturality_never_list_their_inputs(monkeypatch):
+    import distlaw.checks
+    import distlaw.monads
+    import distlaw.series
+
+    def listed(*_args):
+        raise AssertionError("enum_stack was called")
+
+    for module in (distlaw.monads, distlaw.checks, distlaw.series):
+        monkeypatch.setattr(module, "enum_stack", listed, raising=False)
+    assert check_route_independence(RIG_SERIES, X1, 3).passed
+    assert check_route_independence(RING2_SERIES, X1, 3).passed
+    assert check_distlaw(LAW_PRODUCT_OVER_SUM_WORDS, X2, 3).passed
+    assert check_monad_naturality(FREE_SEMIGROUP, X2, 3).passed
+
+
+def test_a_single_route_counts_its_inputs_without_holding_them():
+    import tracemalloc
+    doubled = RING2_SERIES.monads * 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = check_route_independence(RING2_SERIES, X1, 4)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        inputs = enum_stack(doubled, list(X1), 4)
+        listed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total_checked() == len(inputs) == 10429
+    assert streamed < listed / 4
