@@ -85,12 +85,12 @@ def compare_all(inputs, sections):
     checked = 0
     for t in inputs:
         checked += 1
-        values, raised = [], []  # raised: the positions of legs that raised
+        values, raised = [], ()  # raised: the positions of the legs that raised
         for leg in legs:
             try:
                 values.append(leg(t))
             except DistlawError as exc:
-                raised.append(len(values))
+                raised += (len(values),)
                 values.append(f"error:{type(exc).__name__}")
         for check_id, i, j, witnesses in rows:
             if values[i] != values[j] or i in raised and j in raised:
