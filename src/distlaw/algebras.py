@@ -2,7 +2,7 @@
 
 from .checks import CheckReport, Witness
 from .errors import NotAnAlgebra
-from .monads import enum_stack
+from .monads import _stream_stack
 from .terms import weight
 
 
@@ -43,41 +43,45 @@ def algebra_from_function(monad, carrier, fn, bound):
 def _compare(check_id, inputs, left_leg, right_leg):
     """Pointwise comparison that skips instances leaving the bounded table.
 
-    An instance whose lookup misses an entry within the bound fails.
+    The left leg runs, then the right.  An instance whose first failed
+    lookup lies beyond the bound is skipped; once a lookup misses an
+    entry within the bound, the instance fails, and its witness keeps
+    each leg's own value or error.
     """
     witnesses = []
     checked = 0
     for t in inputs:
-        try:
-            lhs = left_leg(t)
-            rhs = right_leg(t)
-        except _OutOfTable:
-            continue
-        except NotAnAlgebra as exc:
-            lhs, rhs = f"error:{exc}", None
-        checked += 1
-        if lhs != rhs:
-            witnesses.append(Witness(check_id, t, lhs, rhs))
+        values, failed = [], False
+        for leg in (left_leg, right_leg):
+            try:
+                values.append(leg(t))
+            except NotAnAlgebra as exc:
+                if isinstance(exc, _OutOfTable) and not failed:
+                    break
+                values.append(f"error:{exc}")
+                failed = True
+        else:
+            checked += 1
+            if failed or values[0] != values[1]:
+                witnesses.append(Witness(check_id, t, *values))
     return CheckReport(check_id, checked=checked, witnesses=witnesses)
 
 
+def _diagrams(alg, rows):
+    """A ``_compare`` per row ``(check_id, stack, left, right)``, streamed over ``alg``."""
+    return [_compare(check_id, _stream_stack(stack, list(alg.carrier), alg.bound), left, right)
+            for check_id, stack, left, right in rows]
+
+
 def check_algebra(alg):
-    """Unit and multiplication compatibility of the action, within bound."""
+    """Unit and multiplication compatibility of the action, within bound:
+    rows over A and over M(M(A)), streamed."""
     monad = alg.monad
-    unit_law = _compare(
-        f"algebra[{monad.name}]:unit",
-        list(alg.carrier),
-        lambda a: alg.act(monad.unit(a)),
-        lambda a: a,
-    )
-    doubled = enum_stack([monad, monad], list(alg.carrier), alg.bound)
-    assoc_law = _compare(
-        f"algebra[{monad.name}]:action",
-        doubled,
-        lambda t: alg.act(monad.mult(t)),
-        lambda t: alg.act(monad.fmap(alg.act, t)),
-    )
-    return CheckReport(f"algebra[{monad.name}]", sections=[unit_law, assoc_law])
+    return CheckReport(f"algebra[{monad.name}]", sections=_diagrams(alg, [
+        (f"algebra[{monad.name}]:unit", [], lambda a: alg.act(monad.unit(a)), lambda a: a),
+        (f"algebra[{monad.name}]:action", [monad, monad],
+         lambda t: alg.act(monad.mult(t)), lambda t: alg.act(monad.fmap(alg.act, t))),
+    ]))
 
 
 def lift_to_algebras(law, alg):
@@ -88,7 +92,9 @@ def lift_to_algebras(law, alg):
     by first moving the S-structure inside through the law, then
     applying the original action under T.  The lifted structure is
     verified: it must satisfy the algebra laws, and the unit and
-    multiplication of T must be algebra maps into it.
+    multiplication of T must be algebra maps into it: rows over S(A)
+    and S(T(T(A))), streamed, the latter's right leg ``lifted_action``
+    under T.
     """
     S, T = law.s_monad, law.t_monad
     if alg.monad is not S:
@@ -109,25 +115,14 @@ def lift_to_algebras(law, alg):
         raise NotAnAlgebra(
             f"action table too small for lift at bound {bound}: {exc}") from None
 
-    problems = [check_algebra(lifted)]
-    problems.append(_compare(
-        f"lift[{law.name}]:unit-morphism",
-        S.enumerate(list(alg.carrier), bound),
-        lambda s: lifted.act(S.fmap(T.unit, s)),
-        lambda s: T.unit(alg.act(s)),
-    ))
-
-    def doubled_action(s_term):
-        swapped = law.transform(s_term)
-        return T.fmap(lambda inner: T.fmap(alg.act, law.transform(inner)), swapped)
-
-    problems.append(_compare(
-        f"lift[{law.name}]:mult-morphism",
-        S.enumerate(enum_stack([T, T], list(alg.carrier), bound), bound),
-        lambda s: lifted.act(S.fmap(T.mult, s)),
-        lambda s: T.mult(doubled_action(s)),
-    ))
-    verification = CheckReport(f"lift[{law.name}]", sections=problems)
+    sections = [check_algebra(lifted)] + _diagrams(alg, [
+        (f"lift[{law.name}]:unit-morphism", [S],
+         lambda s: lifted.act(S.fmap(T.unit, s)), lambda s: T.unit(alg.act(s))),
+        (f"lift[{law.name}]:mult-morphism", [S, T, T],
+         lambda s: lifted.act(S.fmap(T.mult, s)),
+         lambda s: T.mult(T.fmap(lifted_action, law.transform(s)))),
+    ])
+    verification = CheckReport(f"lift[{law.name}]", sections=sections)
     if not verification.passed:
         witness = verification.all_witnesses()[0]
         raise NotAnAlgebra(f"lifted structure failed verification: {witness!r}")

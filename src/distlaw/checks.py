@@ -139,50 +139,47 @@ def check_monad_laws(monad, carrier, bound):
     return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
 
 
-def _naturality(carrier, diagrams):
-    """Naturality sections: one per map out of the carrier and per diagram.
+def _naturality(carrier, bound, rows):
+    """Naturality sections: one per map out of the carrier and per row.
 
     A term carrier (a ``Carrier``) maps into each standard carrier of
     size one to three; other carriers, such as globular sets, have no
-    maps, and their inputs are never enumerated.  A diagram is a triple
-    ``(check_id, inputs, legs)``: ``inputs()`` generates its inputs and
-    ``legs(fn)`` gives its two legs at the map ``fn``.  Each diagram's
-    inputs are generated once, and every map's legs run on each of
-    them, so the legs of all maps, with any tables they keep, live
-    together for that diagram.  Sections come map by map, each map's
-    diagrams in order; their ids end in ``#k`` for the k-th map.  The
-    maps count against ``ENUM_CEILING``.
+    maps, and their inputs are never enumerated.  A row
+    ``(check_id, stack, left_leg, right_leg)`` streams the elements of
+    ``stack`` over the carrier within ``bound`` once, and runs on each
+    the legs ``left_leg(fn)`` and ``right_leg(fn)`` of every map ``fn``,
+    so the legs of all maps, with any tables they keep, live together
+    for that row.  Sections come map by map, each map's rows in order;
+    their ids end in ``#k`` for the k-th map.  The maps count against
+    ``ENUM_CEILING``.
     """
     if not isinstance(carrier, Carrier):
         return []
     _guard(sum(size ** len(carrier) for size in (1, 2, 3)), "naturality maps")
-    maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
-    per_diagram = [compare_all(inputs(), [(f"{check_id}#{idx}", *legs(lambda x, f=f: f[x]))
-                                          for idx, f in enumerate(maps)])
-                   for check_id, inputs, legs in diagrams]
-    return [report for per_map in zip(*per_diagram) for report in per_map]
+    maps = [f.__getitem__ for size in (1, 2, 3)
+            for f in functions_between(carrier, Carrier.of_size(size))]
+    per_row = [compare_all(_stream_stack(stack, list(carrier), bound),
+                           [(f"{check_id}#{idx}", left(fn), right(fn))
+                            for idx, fn in enumerate(maps)])
+               for check_id, stack, left, right in rows]
+    return [report for per_map in zip(*per_row) for report in per_map]
 
 
 def check_monad_naturality(monad, carrier, bound):
-    """Unit and mult are natural in the carrier, a term ``Carrier``.
-
-    The mult legs at each map ``fn`` memoise their inner
-    ``monad.fmap(fn, .)``, the per-check rule of ``series.check_distlaw``.
+    """Unit and mult are natural in the carrier, a term ``Carrier``: two
+    rows of ``_naturality``, over X and over M(M(X)).  The mult right leg
+    at each map ``fn`` memoises its inner ``monad.fmap(fn, .)``, the
+    per-check rule of ``series.check_distlaw``.
     """
     _check_bound(bound)
     if not isinstance(carrier, Carrier):
         raise ShapeMismatch(f"naturality[{monad.name}] needs a term Carrier, "
                             f"not {type(carrier).__name__}")
-
-    def mult_legs(fn):
-        inner = cache(partial(monad.fmap, fn))
-        return (lambda t: monad.fmap(fn, monad.mult(t)),
-                lambda t: monad.mult(monad.fmap(inner, t)))
-
-    return CheckReport(f"naturality[{monad.name}]", sections=_naturality(carrier, [
-        (f"naturality[{monad.name}]:unit", lambda: list(carrier),
-         lambda fn: (lambda x: monad.fmap(fn, monad.unit(x)),
-                     lambda x: monad.unit(fn(x)))),
-        (f"naturality[{monad.name}]:mult",
-         lambda: _stream_stack([monad, monad], list(carrier), bound), mult_legs),
+    return CheckReport(f"naturality[{monad.name}]", sections=_naturality(carrier, bound, [
+        (f"naturality[{monad.name}]:unit", [],
+         lambda fn: lambda x: monad.fmap(fn, monad.unit(x)),
+         lambda fn: lambda x: monad.unit(fn(x))),
+        (f"naturality[{monad.name}]:mult", [monad, monad],
+         lambda fn: lambda t: monad.fmap(fn, monad.mult(t)),
+         lambda fn: lambda t, memo=cache(partial(monad.fmap, fn)): monad.mult(monad.fmap(memo, t))),
     ]))

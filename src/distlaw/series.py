@@ -94,12 +94,12 @@ class DistributiveSeries:
 def check_distlaw(law, carrier, bound):
     """All four coherence diagrams of a distributive law, plus naturality.
 
-    The two triangles run over every enumerated T(X) and S(X) term, the
-    two pentagons over every S(S(T(X))) and S(T(T(X))) term within the
-    bound; each of the four streams its inputs as it reads them.
-    Naturality in the carrier is checked by ``checks._naturality``,
-    which gives globular sets none; it generates the S(T(X)) inputs
-    once and runs the legs of every map on each.
+    Each diagram is a row ``(check_id, stack, left_leg, right_leg)``
+    whose inputs, every element of ``stack`` over the carrier within the
+    bound, stream as they are read: T(X) and S(X) for the triangles,
+    S(S(T(X))) and S(T(T(X))) for the pentagons.  Naturality is one
+    more row, over S(T(X)), with legs built per map; ``checks._naturality``
+    runs it, and gives globular sets none.
 
     The per-check rule: a map applied to the layer just below a
     diagram's inputs meets the same arguments again and again across
@@ -116,42 +116,22 @@ def check_distlaw(law, carrier, bound):
     """
     S, T = law.s_monad, law.t_monad
     swap, s_mult, t_mult = cache(law.transform), cache(S.mult), cache(T.mult)
-    base = list(carrier)
-    sections = [
-        compare(
-            f"distlaw[{law.name}]:unit-S",
-            T.normal_forms(base, bound),
-            lambda t: swap(S.unit(t)),
-            lambda t: T.fmap(S.unit, t),
-        ),
-        compare(
-            f"distlaw[{law.name}]:mult-S",
-            _stream_stack([S, S, T], base, bound),
-            lambda c: swap(S.mult(c)),
-            lambda c: T.fmap(s_mult, law.transform(S.fmap(swap, c))),
-        ),
-        compare(
-            f"distlaw[{law.name}]:unit-T",
-            S.normal_forms(base, bound),
-            lambda s: swap(S.fmap(T.unit, s)),
-            lambda s: T.unit(s),
-        ),
-        compare(
-            f"distlaw[{law.name}]:mult-T",
-            _stream_stack([S, T, T], base, bound),
-            lambda c: swap(S.fmap(t_mult, c)),
-            lambda c: T.mult(T.fmap(swap, law.transform(c))),
-        ),
+    title = f"distlaw[{law.name}]"
+    diagrams = [
+        (f"{title}:unit-S", [T], lambda t: swap(S.unit(t)), lambda t: T.fmap(S.unit, t)),
+        (f"{title}:mult-S", [S, S, T], lambda c: swap(S.mult(c)),
+         lambda c: T.fmap(s_mult, law.transform(S.fmap(swap, c)))),
+        (f"{title}:unit-T", [S], lambda s: swap(S.fmap(T.unit, s)), lambda s: T.unit(s)),
+        (f"{title}:mult-T", [S, T, T], lambda c: swap(S.fmap(t_mult, c)),
+         lambda c: T.mult(T.fmap(swap, law.transform(c)))),
     ]
-
-    def natural_legs(fn):
-        t_fn, s_fn = cache(partial(T.fmap, fn)), cache(partial(S.fmap, fn))
-        return lambda c: swap(S.fmap(t_fn, c)), lambda c: T.fmap(s_fn, swap(c))
-
-    sections += _naturality(carrier, [(
-        f"distlaw[{law.name}]:naturality", lambda: _stream_stack([S, T], base, bound),
-        natural_legs)])
-    return CheckReport(f"distlaw[{law.name}]", sections=sections)
+    sections = [compare(check_id, _stream_stack(stack, list(carrier), bound), left, right)
+                for check_id, stack, left, right in diagrams]
+    sections += _naturality(carrier, bound, [(
+        f"{title}:naturality", [S, T],
+        lambda fn: lambda c, t_fn=cache(partial(T.fmap, fn)): swap(S.fmap(t_fn, c)),
+        lambda fn: lambda c, s_fn=cache(partial(S.fmap, fn)): T.fmap(s_fn, swap(c)))])
+    return CheckReport(title, sections=sections)
 
 
 def check_yang_baxter(series, i, j, k, carrier, bound):

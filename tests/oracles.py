@@ -7,8 +7,9 @@ directly against the arithmetic, never through the package's monads.
 ``left_fold_product`` is the plain evaluation order a normaliser's
 products must agree with: one binary ``mul`` at a time, left to right.
 The term oracles restate, plainly, what a constructor must build and
-how many generators a term holds, and ``check_functoriality`` checks
-that a monad's ``fmap`` is a functor.  ``paste`` evaluates a pasting
+how many generators a term holds, ``count_stack`` counts a stack's
+elements by the symbolic method, from the monads' names alone, and
+``check_functoriality`` checks that a monad's ``fmap`` is a functor.  ``paste`` evaluates a pasting
 diagram of free n-category cells by composing them, never through the
 composition monads or their interchange laws.  ``reference_boundary``
 rebuilds a cell's boundary from its structure on every call, keeping
@@ -192,6 +193,78 @@ def gen_count(term):
     return 0
 
 
+# How a monad, by name, counts its elements from its domain's weight series
+# a_w: words are SEQ, multisets MSET, ∏(1 - x^w)^{-a_w}, and combinations give
+# each element a nonzero coefficient, ∏(1 + 2x^w + 2x^{2w} + ...)^{a_w}, which is
+# ∏((1 + x^w) / (1 - x^w))^{a_w}.  The flag is the element of weight 1 that every
+# bound lists: an empty collection or the adjoined constant.
+COUNT_RULES = {
+    "free-monoid": ("seq", 1), "free-semigroup": ("seq", 0),
+    "free-commutative-monoid": ("mset", 1), "free-commutative-semigroup": ("mset", 0),
+    "free-abelian-group": ("comb", 1),
+    "adjoin-unit": ("same", 1), "adjoin-zero": ("same", 1), "identity": ("same", 0),
+}
+
+
+def _times(p, q):
+    """The product of two weight series, truncated at the length of ``p``."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        for j in range(len(p) - i):
+            out[i + j] += x * q[j]
+    return out
+
+
+def _spread(coeff, w, bound):
+    """The series of ``coeff(k)`` at weight ``k * w``, truncated at ``bound``."""
+    return [coeff(n // w) if n % w == 0 else 0 for n in range(bound + 1)]
+
+
+def weight_series(names, generators, bound):
+    """How many elements of each weight up to ``bound`` a stack of monads has.
+
+    ``names`` are the monads' names, outermost first, and the base holds
+    ``generators`` generators of weight 1.  Weight is additive, so each
+    layer's series comes from the one below by the symbolic method
+    (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. I), with
+    ``COUNT_RULES``.  Entry 0 is always 0.
+    """
+    below = [0] * (bound + 1)
+    if bound:
+        below[1] = generators
+    for name in reversed(names):
+        kind, extra = COUNT_RULES[name]
+        if kind == "same":
+            series = list(below)
+        elif kind == "seq":
+            series = [0] * (bound + 1)
+            for n in range(1, bound + 1):
+                series[n] = below[n] + sum(below[k] * series[n - k] for k in range(1, n))
+        else:
+            series = [1] + [0] * bound
+            for w in range(1, bound + 1):
+                a = below[w]
+                if not a:
+                    continue
+                series = _times(series, _spread(lambda k: math.comb(a + k - 1, k), w, bound))
+                if kind == "comb":
+                    series = _times(series, _spread(lambda k: math.comb(a, k), w, bound))
+            series[0] = 0
+        if bound:
+            series[1] += extra
+        below = series
+    return below
+
+
+def count_stack(names, generators, bound):
+    """``len(enum_stack(...))`` for the stack ``names`` over ``generators``
+    generators: every element within the bound, and at bound 0 the top
+    layer's empty collection or constant, which weighs 1."""
+    if bound == 0:
+        return COUNT_RULES[names[0]][1]
+    return sum(weight_series(names, generators, bound))
+
+
 def check_functoriality(monad, carrier, bound, function_pairs):
     """fmap preserves identities and composition on sampled functions."""
     terms = monad.enumerate(list(carrier), bound)
@@ -247,14 +320,16 @@ def monad_laws_by_section(monad, carrier, bound):
     return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
 
 
-def naturality_by_section(carrier, diagrams):
-    """``checks._naturality`` with each diagram's inputs listed and read once per map."""
+def naturality_by_section(carrier, bound, rows):
+    """``checks._naturality`` with each row's inputs listed and read once per map."""
     if not isinstance(carrier, Carrier):
         return []
-    maps = [f for size in (1, 2, 3) for f in functions_between(carrier, Carrier.of_size(size))]
-    diagrams = [(check_id, list(inputs()), legs) for check_id, inputs, legs in diagrams]
-    return [compare_by_section(f"{check_id}#{idx}", inputs, *legs(lambda x, f=f: f[x]))
-            for idx, f in enumerate(maps) for check_id, inputs, legs in diagrams]
+    maps = [f.__getitem__ for size in (1, 2, 3)
+            for f in functions_between(carrier, Carrier.of_size(size))]
+    rows = [(check_id, enum_stack(stack, list(carrier), bound), left, right)
+            for check_id, stack, left, right in rows]
+    return [compare_by_section(f"{check_id}#{idx}", inputs, left(fn), right(fn))
+            for idx, fn in enumerate(maps) for check_id, inputs, left, right in rows]
 
 
 def compare_routes_by_section(series, routes, carrier, bound):

@@ -144,3 +144,38 @@ def test_composite_algebras_split_and_recombine():
         for ts in PS.enumerate(list(carrier), 2):
             recombined = theta_t(T.fmap(theta_s, ts))
             assert recombined == alg.act(ts)
+
+
+def test_an_algebra_witness_keeps_each_legs_own_value():
+    b = Gen("b")
+    # a acts as b, and the table has no entry for (b), though it is within the bound
+    alg = Algebra(FREE_SEMIGROUP, (a,), {Seq((a,)): b, Seq((a, a)): a}, 2)
+    unit, action = check_algebra(alg).sections
+    assert [(w.input, w.left, w.right) for w in unit.witnesses] == [(a, b, a)]
+    assert [(w.input, w.left, w.right) for w in action.witnesses] == [
+        (Seq((Seq((a,)),)), b, "error:action table has no entry for (b)"),
+        (Seq((Seq((a,)), Seq((a,)))), a, "error:action table has no entry for (b.b)"),
+        (Seq((Seq((a, a)),)), a, b),
+    ]
+    assert action.checked == 3
+
+
+def test_the_algebra_checks_stream_their_inputs(monkeypatch):
+    import distlaw.algebras
+    import distlaw.monads
+    fed = []
+    plain = distlaw.algebras._compare
+
+    def recorded(check_id, inputs, left_leg, right_leg):
+        fed.append(iter(inputs) is inputs)
+        return plain(check_id, inputs, left_leg, right_leg)
+
+    def listed(*_args):
+        raise AssertionError("enum_stack was called")
+
+    monkeypatch.setattr(distlaw.monads, "enum_stack", listed)
+    monkeypatch.setattr(distlaw.algebras, "_compare", recorded)
+    *_, alg = two_element_mult_monoid()
+    lift_to_algebras(LAW_PRODUCT_OVER_SUM_COMM, alg)
+    # the input algebra's two laws, the lifted algebra's two, then both morphisms
+    assert fed == [True] * 6

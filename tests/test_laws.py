@@ -12,7 +12,8 @@ from distlaw.laws import (LAW_PRODUCT_OVER_SUM_COMM, LAW_PRODUCT_OVER_SUM_RIG,
 from distlaw.monads import ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, ZOO
 from distlaw.series import check_distlaw
 
-from oracles import MAT_ZERO, eval_ring_nf_matrix, mat_add, mat_mul, random_matrix
+from oracles import (MAT_ZERO, count_stack, eval_ring_nf_matrix, mat_add, mat_mul,
+                     random_matrix)
 
 X2 = Carrier.of_size(2)
 a, b, c, d = (Gen(x) for x in "abcd")
@@ -158,3 +159,20 @@ def test_expansion_exhausts_all_choices():
     expected = {Seq(choice) for choice in
                 cartesian(*[[g for g, _ in f.pairs] for f in factors])}
     assert words == expected
+
+
+def _predicted_checked(law, generators, bound):
+    """Each ``check_distlaw`` section's ``checked``, from the stacks of its rows:
+    the four diagrams, then naturality over S(T(X)) once per map of carriers."""
+    S, T = law.s_monad.name, law.t_monad.name
+    maps = sum(size ** generators for size in (1, 2, 3))
+    return ([count_stack(stack, generators, bound) for stack in ([T], [S, S, T], [S], [S, T, T])]
+            + [count_stack([S, T], generators, bound)] * maps)
+
+
+def test_the_symbolic_counter_predicts_every_distlaw_section():
+    for law in REGISTERED_LAWS.values():
+        assert [s.checked for s in check_distlaw(law, X2, 3).sections] == \
+            _predicted_checked(law, 2, 3)
+    # acceptance criterion 02: the nine laws over two generators at bound 4
+    assert sum(sum(_predicted_checked(law, 2, 4)) for law in REGISTERED_LAWS.values()) == 122254

@@ -14,7 +14,7 @@ from distlaw.monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                             FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP,
                             FreeMonoid, IDENTITY)
 from distlaw.terms import MSet, functions_between, weight
-from oracles import check_functoriality, reference_enumeration
+from oracles import check_functoriality, count_stack, reference_enumeration
 
 X1 = Carrier.of_size(1)
 X2 = Carrier.of_size(2)
@@ -307,3 +307,16 @@ def test_mult_after_unit_roundtrip_abelian(t):
     M = FREE_ABELIAN_GROUP
     assert M.mult(M.unit(t)) == t
     assert M.mult(M.fmap(M.unit, t)) == t
+
+
+def test_the_symbolic_counter_counts_every_small_stack():
+    cases = elements = 0
+    for depth, top in ((1, 3), (2, 3), (3, 2)):
+        for stack in product(ZOO.values(), repeat=depth):
+            names = [m.name for m in stack]
+            for gens in (1, 2):
+                for bound in range(top + 1):
+                    listed = len(enum_stack(list(stack), list(Carrier.of_size(gens)), bound))
+                    assert listed == count_stack(names, gens, bound), (names, gens, bound)
+                    cases, elements = cases + 1, elements + listed
+    assert (cases, elements) == (2506, 25644)

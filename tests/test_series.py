@@ -506,3 +506,16 @@ def test_a_single_route_counts_its_inputs_without_holding_them():
         tracemalloc.stop()
     assert report.total_checked() == len(inputs) == 10429
     assert streamed < listed / 4
+
+
+def test_every_routes_composite_passes_its_own_monad_laws(loop_2gset, chain_2gset):
+    checked = []
+    for series, carrier, bound in ((RING2_SERIES, X1, 2), (RING3_SERIES, X1, 2),
+                                   (RIG_SERIES, X1, 3), (composition_series(2), loop_2gset, 1),
+                                   (composition_series(2), chain_2gset, 1)):
+        for route in all_routes(len(series)):
+            report = check_monad_laws(compose_series(series, route), carrier, bound)
+            assert report.verdict == "PASS", (series.name, route, report.all_witnesses()[:1])
+            checked.append(report.total_checked())
+    # one route of ring2, two of ring3, five of rig, then the one of each 2-globular set
+    assert sum(checked[:8]) == 7688 and checked[8:] == [27, 108]
