@@ -1,5 +1,9 @@
 """Batch command-line front end.
 
+Each command is one row of ``COMMANDS``: its runner, help text, default
+``--bound`` and carrier size, and its own options; ``build_parser``
+builds every subcommand from the table and ``main`` calls its runner.
+
 Exit status: 0 when every check passes, 1 when a check fails, checks
 nothing (``EMPTY``) or an expression cannot be normalised, 2 for usage
 errors (unknown names, malformed files, bad arguments).  Output is
@@ -20,9 +24,6 @@ from .normalize import SERIES, THEORIES, format_normal, normalize_expr
 from .series import (all_routes, check_distlaw, check_route_independence, check_yang_baxter,
                      compare_routes, compose_series, parse_route, validate_series)
 from .terms import Carrier
-
-TERM_BOUND = 3
-STRING_BOUND = 2
 
 
 class UsageError(Exception):
@@ -150,71 +151,44 @@ def cmd_ncat(args, out):
     return True
 
 
+THEORY = {"--theory": dict(required=True)}
+INPUT = {"--input": dict(required=True)}
+
+# name: (runner, help, default --bound or None, default carrier size or None, own options)
+COMMANDS = {
+    "laws": (cmd_laws, "monad laws for zoo monads", 3, 2, {"--monad": dict(default="all")}),
+    "distlaw": (cmd_distlaw, "coherence diagrams for registered laws", 3, 2,
+                {"--law": dict(default="all")}),
+    "yang-baxter": (cmd_yang_baxter, "hexagon checks for a series", 3, 1,
+                    {**THEORY, "--triple": dict(type=int, nargs=3, metavar=("I", "J", "K"))}),
+    "series": (cmd_series, "validate a whole distributive series", 3, 1, THEORY),
+    "routes": (cmd_routes, "route independence of the composite", 2, 1,
+               {**THEORY, "--route": dict(help="one bracketing to compare, e.g. ((1,2),3)")}),
+    "normalize": (cmd_normalize, "canonical form of an expression", None, None,
+                  {**THEORY, "--names": {}, "expression": {}}),
+    "ncat": (cmd_ncat, "free n-category cell counts from a file", 2, None, INPUT),
+    "oracle-compare": (cmd_ncat, "free n-category versus brute force", 2, None, INPUT),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="distlaw",
         description="Check monad laws, distributive laws and Yang-Baxter "
                     "conditions; normalise expressions; build free n-categories.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_carrier(p, default_gens=2):
-        p.add_argument("--generators", type=int, default=default_gens,
-                       help=f"carrier size, names a, b, c, ... (default {default_gens})")
-        p.add_argument("--names", help="explicit comma-separated generator names")
-
-    p = sub.add_parser("laws", help="monad laws for zoo monads")
-    p.add_argument("--monad", default="all")
-    add_carrier(p)
-    p.add_argument("--bound", type=int, default=TERM_BOUND)
-
-    p = sub.add_parser("distlaw", help="coherence diagrams for registered laws")
-    p.add_argument("--law", default="all")
-    add_carrier(p)
-    p.add_argument("--bound", type=int, default=TERM_BOUND)
-
-    p = sub.add_parser("yang-baxter", help="hexagon checks for a series")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--triple", type=int, nargs=3, metavar=("I", "J", "K"))
-    add_carrier(p, default_gens=1)
-    p.add_argument("--bound", type=int, default=TERM_BOUND)
-
-    p = sub.add_parser("series", help="validate a whole distributive series")
-    p.add_argument("--theory", required=True)
-    add_carrier(p, default_gens=1)
-    p.add_argument("--bound", type=int, default=TERM_BOUND)
-
-    p = sub.add_parser("routes", help="route independence of the composite")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--route", help="one bracketing to compare, e.g. ((1,2),3)")
-    add_carrier(p, default_gens=1)
-    p.add_argument("--bound", type=int, default=2)
-
-    p = sub.add_parser("normalize", help="canonical form of an expression")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--names")
-    p.add_argument("expression")
-
-    p = sub.add_parser("ncat", help="free n-category cell counts from a file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--bound", type=int, default=STRING_BOUND)
-
-    p = sub.add_parser("oracle-compare", help="free n-category versus brute force")
-    p.add_argument("--input", required=True)
-    p.add_argument("--bound", type=int, default=STRING_BOUND)
-
+    for name, (run, text, bound, generators, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        if generators is not None:
+            p.add_argument("--generators", type=int, default=generators,
+                           help=f"carrier size, names a, b, c, ... (default {generators})")
+            p.add_argument("--names", help="explicit comma-separated generator names")
+        if bound is not None:
+            p.add_argument("--bound", type=int, default=bound)
     return parser
-
-
-COMMANDS = {
-    "laws": cmd_laws,
-    "distlaw": cmd_distlaw,
-    "yang-baxter": cmd_yang_baxter,
-    "series": cmd_series,
-    "routes": cmd_routes,
-    "normalize": cmd_normalize,
-    "ncat": cmd_ncat,
-    "oracle-compare": cmd_ncat,
-}
 
 
 def main(argv=None, out=None):
@@ -227,7 +201,7 @@ def main(argv=None, out=None):
     try:
         if getattr(args, "bound", 0) < 0:
             raise UsageError(f"--bound must be non-negative, got {args.bound}")
-        ok = COMMANDS[args.command](args, out)
+        ok = args.run(args, out)
     except (UsageError, FileFormatError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,11 +148,19 @@ def boundary(cell, side, d):
 
 
 class GlobularSet:
-    """A finite tower of cell lists with structurally computed boundaries."""
+    """A finite tower of cell lists, layer ``m`` holding ``m``-cells, with structurally
+    computed boundaries; a generating cell's faces lie in the layer below."""
 
     def __init__(self, n, cells):
         cells = [tuple(layer) for layer in cells]
         assert len(cells) == n + 1
+        for m, layer in enumerate(cells):
+            below = set(cells[m - 1]) if m and any(type(c) is GenCell for c in layer) else None
+            for cell in layer:
+                if cell.dim != m:
+                    raise ShapeMismatch(f"cell {str(cell)!r}: dimension {cell.dim}, in layer {m}")
+                if below is not None and type(cell) is GenCell and not {cell.src, cell.tgt} <= below:
+                    raise ShapeMismatch(f"cell {cell.name!r}: a face is not in layer {m - 1}")
         self.n = n
         self.cells = cells
 

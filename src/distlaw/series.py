@@ -232,8 +232,10 @@ def parse_route(text):
 
 def _compose_route(series, node):
     """Composite monad of a route's blocks, with the first and last leaf it covers."""
-    if isinstance(node, int):
+    if type(node) is int:
         return series.monad(node), node, node
+    if not (isinstance(node, tuple) and len(node) == 2):
+        raise ShapeMismatch(f"route node {node!r} is neither a pair nor a leaf index")
     left, right = node
     lmonad, la, lb = _compose_route(series, left)
     rmonad, ra, rb = _compose_route(series, right)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlaw.cli import COMMANDS, main
+from distlaw.cli import COMMANDS, build_parser, main
 from distlaw.errors import FileFormatError
 from distlaw.globular import load_gset
 from distlaw.normalize import SERIES, THEORIES
@@ -313,6 +313,34 @@ def test_ncat_malformed_file_names_the_witness(capsys):
     code, _ = run("ncat", "--input", path)
     assert code == 2
     assert "al" in capsys.readouterr().err
+
+
+PARSED_DEFAULTS = {
+    "laws": ([], {"bound": 3, "generators": 2, "names": None, "monad": "all"}),
+    "distlaw": ([], {"bound": 3, "generators": 2, "names": None, "law": "all"}),
+    "yang-baxter": (["--theory", "rig"], {"bound": 3, "generators": 1, "triple": None}),
+    "series": (["--theory", "rig"], {"bound": 3, "generators": 1}),
+    "routes": (["--theory", "rig"], {"bound": 2, "generators": 1, "route": None}),
+    "normalize": (["--theory", "rig", "a"], {"names": None}),
+    "ncat": (["--input", "x.gset"], {"bound": 2}),
+    "oracle-compare": (["--input", "x.gset"], {"bound": 2}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_each_command_row_sets_its_defaults(command):
+    required, defaults = PARSED_DEFAULTS[command]
+    args = build_parser().parse_args([command, *required])
+    assert args.command == command
+    assert args.run is COMMANDS[command][0]
+    assert {key: getattr(args, key) for key in defaults} == defaults
+
+
+def test_every_command_has_help(capsys):
+    assert sorted(COMMANDS) == sorted(PARSED_DEFAULTS)
+    for command in COMMANDS:
+        assert main([command, "--help"], out=io.StringIO()) == 0
+        assert f"distlaw {command}" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -89,6 +89,18 @@ def test_a_generator_checks_its_own_faces(case):
         build()
 
 
+def test_a_globular_set_checks_each_layer_and_each_generators_faces():
+    x, y = GenCell("x", 0), GenCell("y", 0)
+    f = GenCell("f", 1, x, y)
+    al = GenCell("al", 2, f, f)
+    # the face f of al is missing from layer 1; f itself is listed one layer too high
+    with pytest.raises(ShapeMismatch, match="^cell 'al': a face is not in layer 1$"):
+        GlobularSet(2, [(x, y), (), (al,)])
+    with pytest.raises(ShapeMismatch, match="^cell 'f': dimension 1, in layer 2$"):
+        GlobularSet(2, [(x, y), (), (f,)])
+    assert free_ncat(GlobularSet(2, [(x, y), (f,), (al,)]), 2).counts() == [2, 3, 5]
+
+
 def test_boundary_endpoints_of_a_path(fg_graph):
     v = cells_by_name(fg_graph, 0)
     e = cells_by_name(fg_graph, 1)

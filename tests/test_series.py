@@ -197,6 +197,14 @@ def test_route_utilities():
             compose_series(RIG_SERIES, route)
 
 
+def test_a_route_is_checked_where_it_is_composed():
+    # a leaf is an int and nothing else; every other node is a pair
+    for series, route in ((RING2_SERIES, (True, 2)), (RING2_SERIES, [1, 2]),
+                          (RING2_SERIES, (1, 2, 3)), (RING3_SERIES, ((1, 2), (3, 4.0)))):
+        with pytest.raises(ShapeMismatch, match="is neither a pair nor a leaf index$"):
+            compose_series(series, route)
+
+
 def test_series_indices_outside_one_to_n_are_rejected():
     for i in (0, -1, 4, 5):
         with pytest.raises(IndexOrder):
