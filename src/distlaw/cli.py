@@ -13,6 +13,7 @@ failure, then a summary with the worst verdict.
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .checks import CheckReport, check_monad_laws
 from .errors import DistlawError, FileFormatError, IndexOrder, ShapeMismatch, UnknownGenerator
@@ -191,11 +192,13 @@ def build_parser():
     return parser
 
 
-def main(argv=None, out=None):
-    out = out or sys.stdout
+def main(argv=None, out=None, err=None):
+    """Run one command; help goes to ``out``, usage and ``error:`` lines to ``err``."""
+    out, err = out or sys.stdout, err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
@@ -203,10 +206,10 @@ def main(argv=None, out=None):
             raise UsageError(f"--bound must be non-negative, got {args.bound}")
         ok = args.run(args, out)
     except (UsageError, FileFormatError, UnknownGenerator) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=err)
         return 2
     except DistlawError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=err)
         return 1
     return 0 if ok else 1
 

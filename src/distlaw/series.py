@@ -107,8 +107,10 @@ def check_distlaw(law, carrier, bound):
     for this call only.  Here that is ``law.transform``, ``S.mult`` and
     ``T.mult`` on S(T(X)), T(T(X)) and S(S(X)), and, in the naturality
     legs at each map ``fn``, the inner ``T.fmap(fn, .)`` and
-    ``S.fmap(fn, .)``.  ``check_monad_naturality`` and
-    ``compare_routes`` keep the same rule.  A map applied to a
+    ``S.fmap(fn, .)``.  ``check_monad_naturality``,
+    ``check_yang_baxter`` (each law under a whiskering ``fmap``) and
+    ``compare_routes`` (each pair law, shared by every route, and each
+    block law and inner ``mult``) keep the same rule.  A map applied to a
     section's own input (the mult-T right leg's first transform) or to
     a deeper layer (the mult-S right leg's outer transform, on
     S(T(S(X)))) sees each argument about once and stays plain: a table
@@ -135,22 +137,26 @@ def check_distlaw(law, carrier, bound):
 
 
 def check_yang_baxter(series, i, j, k, carrier, bound):
-    """Both hexagon paths agree on every enumerated T_iT_jT_k(X) term, streamed."""
+    """Both hexagon paths agree on every enumerated T_iT_jT_k(X) term, streamed.
+
+    The per-check rule of ``check_distlaw``: ``Ti.fmap(λ_jk, .)``,
+    ``Tj.fmap(λ_ik, .)`` and ``Tk.fmap(λ_ij, .)`` apply a law to the
+    layer just below a whole term, so each memoises it in a table that
+    lives for this call only.  The three transforms applied to a whole
+    input or intermediate term stay plain.
+    """
     if not i > j > k:
         raise IndexOrder(f"need i > j > k, got ({i},{j},{k})")
     Ti, Tj, Tk = series.monad(i), series.monad(j), series.monad(k)
     lam_ij, lam_ik, lam_jk = series.law(i, j), series.law(i, k), series.law(j, k)
+    ij, ik, jk = cache(lam_ij.transform), cache(lam_ik.transform), cache(lam_jk.transform)
     inputs = _stream_stack([Ti, Tj, Tk], list(carrier), bound)
 
     def upper(c):
-        step = lam_ij.transform(c)
-        step = Tj.fmap(lam_ik.transform, step)
-        return lam_jk.transform(step)
+        return lam_jk.transform(Tj.fmap(ik, lam_ij.transform(c)))
 
     def lower(c):
-        step = Ti.fmap(lam_jk.transform, c)
-        step = lam_ik.transform(step)
-        return Tk.fmap(lam_ij.transform, step)
+        return Tk.fmap(ij, lam_ik.transform(Ti.fmap(jk, c)))
 
     return compare(f"yang-baxter[{series.name}]({i},{j},{k})", inputs, upper, lower)
 
@@ -264,14 +270,19 @@ def check_route_independence(series, carrier, bound):
     return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
-def _memoised(composite):
-    """A copy of a composite that memoises, at every level, its law's
-    transform and its inner ``mult``, in tables owned by the copy."""
-    if not isinstance(composite, CompositeMonad):
+def _memoised(composite, route):
+    """A copy of a route's composite that memoises, at every level, its
+    inner ``mult`` and, above a pair of leaves, its block law's
+    transform, in tables owned by the copy.  A pair of leaves swaps by
+    its pair law, whose table ``compare_routes`` already keeps."""
+    if type(route) is int:
         return composite
+    left, right = route
     copy = CompositeMonad(composite.law)
-    copy.outer, copy.inner = _memoised(composite.outer), _memoised(composite.inner)
-    copy._swap, copy._inner_mult = cache(composite.law.transform), cache(copy.inner.mult)
+    copy.outer, copy.inner = _memoised(composite.outer, left), _memoised(composite.inner, right)
+    if type(left) is not int or type(right) is not int:
+        copy._swap = cache(composite.law.transform)
+    copy._inner_mult = cache(copy.inner.mult)
     return copy
 
 
@@ -282,11 +293,20 @@ def compare_routes(series, routes, carrier, bound):
     within bound, generated once and never held: the first route's
     ``mult`` runs once on each and counts in every section.  A single
     route compares nothing; its one ``single`` leaf counts the inputs.
-    Each route is evaluated through its own ``_memoised`` copy, so its
+
+    The per-check rule of ``check_distlaw``: each pair law's transform
+    gets one table, shared by every route and every block law built
+    from it, and each route is evaluated through its own ``_memoised``
+    copy, with one table per block law and per inner ``mult``.  The
     tables live for this call only; the composites of
     ``compose_series`` keep their plain maps.
     """
-    composites = [_memoised(compose_series(series, r)) for r in routes]
+    if not routes:
+        raise ShapeMismatch(f"series {series.name}: no route to compare")
+    shared = DistributiveSeries(series.name, series.monads, {
+        pair: DistLaw(law.name, law.s_monad, law.t_monad, cache(law.transform))
+        for pair, law in series.laws.items()})
+    composites = [_memoised(compose_series(shared, r), r) for r in routes]
     inputs = _stream_stack(series.monads + series.monads, list(carrier), bound)
     title = f"routes[{series.name}]"
     if len(routes) == 1:

@@ -336,11 +336,25 @@ def test_each_command_row_sets_its_defaults(command):
     assert {key: getattr(args, key) for key in defaults} == defaults
 
 
-def test_every_command_has_help(capsys):
+def test_every_command_has_help():
     assert sorted(COMMANDS) == sorted(PARSED_DEFAULTS)
     for command in COMMANDS:
-        assert main([command, "--help"], out=io.StringIO()) == 0
-        assert f"distlaw {command}" in capsys.readouterr().out
+        out = io.StringIO()
+        assert main([command, "--help"], out=out) == 0
+        assert f"distlaw {command}" in out.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    (["series"], 2, "the following arguments are required: --theory"),
+    (["routes", "--theory", "nope"], 2, "error: unknown theory 'nope'"),
+    (["normalize", "--theory", "rig", "a - b"], 1, "error: "),
+])
+def test_usage_errors_and_error_lines_go_to_err(argv, code, message, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(argv, out=out, err=err) == code
+    assert message in err.getvalue() and out.getvalue() == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_unknown_subcommand_is_a_usage_error():

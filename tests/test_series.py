@@ -303,7 +303,7 @@ MUTANT_SERIES = [DistributiveSeries(f"ring3-{law.name}", RING3_SERIES.monads,
                  for law in MUTANT_LAWS]
 
 
-def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset):
+def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3gset):
     import distlaw.checks
     import distlaw.series
 
@@ -315,7 +315,11 @@ def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset):
                    check_route_independence(RING3_SERIES, X1, 3),
                    check_route_independence(composition_series(2), chain_2gset, 2)]
                   + [compare_routes(series, all_routes(3), X1, 3) for series in MUTANT_SERIES])
-        return laws, routes
+        hexagons = ([check_yang_baxter(RING3_SERIES, 3, 2, 1, X1, 4)]
+                    + [check_yang_baxter(RIG_SERIES, *t, X1, 3) for t in RIG_SERIES.triples()]
+                    + [check_yang_baxter(composition_series(3), 3, 2, 1, theta_3gset, 2)]
+                    + [check_yang_baxter(series, 3, 2, 1, X2, 3) for series in MUTANT_SERIES])
+        return laws, routes, hexagons
 
     cached = reports()
     monkeypatch.setattr(distlaw.series, "cache", lambda f: f)
@@ -324,7 +328,7 @@ def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset):
     for cached_reports, plain_reports in zip(cached, plain):
         assert [_report_shape(r) for r in cached_reports] == \
             [_report_shape(r) for r in plain_reports]
-    laws, routes = cached
+    laws, routes, hexagons = cached
     # the mutants and the broken monad are seen to fail, one of them on errors
     assert [r.passed for r in laws[9:]] == \
         [False, False] + [True] * len(ZOO) + [False] + [True] * len(ZOO)
@@ -333,14 +337,17 @@ def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset):
     assert [r.passed for r in routes] == [True, True, True, True, False]
     assert [r.total_checked() for r in routes[:3]] == [3620, 1781, 1747]
     assert len(routes[4].all_witnesses()) == 850
+    # every true hexagon passes, over terms and over cells; both mutants fail theirs
+    assert [r.passed for r in hexagons] == [True] * 6 + [False, False]
 
 
 def test_a_block_law_is_computed_once_per_argument_per_route(monkeypatch):
     import distlaw.series
-    counts = []  # the arguments of each block law built, one list per law
+    names, counts = [], []  # each law built, and its arguments, one list per law
 
     def counted(name, s_monad, t_monad, transform):
         calls = []
+        names.append(name)
         counts.append(calls)
 
         def count(t):
@@ -351,14 +358,70 @@ def test_a_block_law_is_computed_once_per_argument_per_route(monkeypatch):
 
     monkeypatch.setattr(distlaw.series, "DistLaw", counted)
     assert compare_routes(RIG_SERIES, all_routes(4), X1, 3).passed
-    # the 5 routes of four monads hold 2 + 2 + 1 + 2 + 2 block laws, each one run
-    assert len(counts) == 9 and all(counts)
-    assert all(len(calls) == len(set(calls)) for calls in counts)
+    # each of the 6 pair laws is wrapped once in its shared table, then the
+    # 5 routes of four monads build 2 + 2 + 1 + 2 + 2 block laws, each one run
+    # once per argument
+    assert names[:6] == [law.name for law in RIG_SERIES.laws.values()]
+    assert len(counts) == 15 and all(counts) and all("-block(" in name for name in names[6:])
+    assert all(len(calls) == len(set(calls)) for calls in counts[6:])
     # without the tables, the same check meets arguments again
     counts.clear()
     monkeypatch.setattr(distlaw.series, "cache", lambda f: f)
     assert compare_routes(RIG_SERIES, all_routes(4), X1, 3).passed
     assert any(len(calls) > len(set(calls)) for calls in counts)
+
+
+def _counting_series(series):
+    """A copy of ``series`` whose pair laws record their arguments, one list per pair."""
+    calls = {pair: [] for pair in series.laws}
+
+    def counting(pair, law):
+        def count(t):
+            calls[pair].append(t)
+            return law.transform(t)
+        return DistLaw(law.name, law.s_monad, law.t_monad, count)
+
+    laws = {pair: counting(pair, law) for pair, law in series.laws.items()}
+    return DistributiveSeries(series.name, series.monads, laws), calls
+
+
+def test_a_pair_law_is_computed_once_per_argument_across_routes():
+    counted, calls = _counting_series(RIG_SERIES)
+    assert compare_routes(counted, all_routes(4), X1, 3).passed
+    # every route and every block law reads the one table of each pair law
+    assert all(len(args) == len(set(args)) for args in calls.values())
+    assert sum(len(args) for args in calls.values()) == 618
+
+
+def _items(monad, terms):
+    """The distinct terms that ``monad.fmap`` meets in ``terms``."""
+    seen = set()
+    for t in terms:
+        monad.fmap(lambda s: seen.add(s) or s, t)
+    return seen
+
+
+def test_a_hexagon_computes_each_position_below_its_input_once_per_argument():
+    counted, calls = _counting_series(RING3_SERIES)
+    report = check_yang_baxter(counted, 3, 2, 1, X1, 4)
+    assert report.passed and not any(str(w.left).startswith("error:")
+                                     for w in report.witnesses)
+    T3, T2, T1 = (RING3_SERIES.monad(i) for i in (3, 2, 1))
+    law = RING3_SERIES.law
+    inputs = list(enum_stack([T3, T2, T1], list(X1), 4))
+    # the arguments of Ti.fmap(λ_jk), Tj.fmap(λ_ik) and Tk.fmap(λ_ij)
+    below = {(2, 1): _items(T3, inputs),
+             (3, 1): _items(T2, [law(3, 2).transform(c) for c in inputs]),
+             (3, 2): _items(T1, [law(3, 1).transform(T3.fmap(law(2, 1).transform, c))
+                                 for c in inputs])}
+    # each law also runs once per input at its plain position, on a whole term
+    assert {pair: len(args) for pair, args in calls.items()} == \
+        {pair: len(inputs) + len(args) for pair, args in below.items()}
+
+
+def test_comparing_no_routes_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="rig"):
+        compare_routes(RIG_SERIES, [], X1, 2)
 
 
 def _plain_at_every_level(composite):
@@ -376,17 +439,22 @@ def test_route_tables_die_with_the_check(monkeypatch):
 
     import distlaw.series
     from distlaw.normalize import THEORIES
-    tables = []
+    pair_laws = {law.transform for law in RIG_SERIES.laws.values()}
+    tables, kinds = [], []
 
     def tracked(f):
         table = cache(f)
         tables.append(weakref.ref(table))
+        kinds.append("pair" if f in pair_laws else getattr(f, "__name__", None))
         return table
 
     monkeypatch.setattr(distlaw.series, "cache", tracked)
     assert check_route_independence(RIG_SERIES, X1, 3).passed
     gc.collect()
-    # 5 routes with 3 levels each, two tables a level
+    # one table per pair law, then, in each of the 5 routes with 3 levels,
+    # one per inner mult and one per block law: 2 + 2 + 1 + 2 + 2 of them
+    assert kinds[:6] == ["pair"] * 6
+    assert sorted(kinds[6:]) == ["<lambda>"] * 9 + ["mult"] * 15
     assert len(tables) == 30 and all(table() is None for table in tables)
     composites = [compose_series(RIG_SERIES, r) for r in all_routes(4)]
     composites += [THEORIES[name].monad for name in ("ring2", "ring3", "rig")]
