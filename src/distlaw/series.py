@@ -272,9 +272,9 @@ def check_route_independence(series, carrier, bound):
 
 def _memoised(composite, route):
     """A copy of a route's composite that memoises, at every level, its
-    inner ``mult`` and, above a pair of leaves, its block law's
-    transform, in tables owned by the copy.  A pair of leaves swaps by
-    its pair law, whose table ``compare_routes`` already keeps."""
+    inner ``mult`` and, where it joins more than two leaves, its block
+    law's transform, in tables owned by the copy.  Two leaves swap by
+    their pair law, whose table ``compare_routes`` keeps."""
     if type(route) is int:
         return composite
     left, right = route

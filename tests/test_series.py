@@ -403,9 +403,7 @@ def _items(monad, terms):
 
 def test_a_hexagon_computes_each_position_below_its_input_once_per_argument():
     counted, calls = _counting_series(RING3_SERIES)
-    report = check_yang_baxter(counted, 3, 2, 1, X1, 4)
-    assert report.passed and not any(str(w.left).startswith("error:")
-                                     for w in report.witnesses)
+    assert check_yang_baxter(counted, 3, 2, 1, X1, 4).passed
     T3, T2, T1 = (RING3_SERIES.monad(i) for i in (3, 2, 1))
     law = RING3_SERIES.law
     inputs = list(enum_stack([T3, T2, T1], list(X1), 4))
