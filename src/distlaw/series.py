@@ -270,17 +270,16 @@ def check_route_independence(series, carrier, bound):
     return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
-def _memoised(composite, route):
-    """A copy of a route's composite that memoises, at every level, its
-    inner ``mult`` and, where it joins more than two leaves, its block
-    law's transform, in tables owned by the copy.  Two leaves swap by
-    their pair law, whose table ``compare_routes`` keeps."""
-    if type(route) is int:
+def _memoised(composite):
+    """A copy of a composite that memoises, at every level, its inner
+    ``mult`` and, where it joins more than two leaves, its block law's
+    transform, in tables owned by the copy.  Two leaves swap by their
+    pair law, whose table ``compare_routes`` keeps."""
+    if not isinstance(composite, CompositeMonad):
         return composite
-    left, right = route
     copy = CompositeMonad(composite.law)
-    copy.outer, copy.inner = _memoised(composite.outer, left), _memoised(composite.inner, right)
-    if type(left) is not int or type(right) is not int:
+    copy.outer, copy.inner = _memoised(composite.outer), _memoised(composite.inner)
+    if isinstance(composite.outer, CompositeMonad) or isinstance(composite.inner, CompositeMonad):
         copy._swap = cache(composite.law.transform)
     copy._inner_mult = cache(copy.inner.mult)
     return copy
@@ -306,7 +305,7 @@ def compare_routes(series, routes, carrier, bound):
     shared = DistributiveSeries(series.name, series.monads, {
         pair: DistLaw(law.name, law.s_monad, law.t_monad, cache(law.transform))
         for pair, law in series.laws.items()})
-    composites = [_memoised(compose_series(shared, r), r) for r in routes]
+    composites = [_memoised(compose_series(shared, r)) for r in routes]
     inputs = _stream_stack(series.monads + series.monads, list(carrier), bound)
     title = f"routes[{series.name}]"
     if len(routes) == 1:
