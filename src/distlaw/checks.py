@@ -1,6 +1,11 @@
 """Bounded exhaustive verification of monad laws, with failure witnesses."""
 
+import math
+import os
 from functools import cache, partial
+from itertools import chain
+from operator import itemgetter
+from time import perf_counter
 
 from .errors import DistlawError, ShapeMismatch
 from .monads import _check_bound, _guard, _stream_stack
@@ -78,25 +83,158 @@ def compare_all(inputs, sections):
     distinct leg object runs once, and its value, or the error it
     raised, counts in every section that holds it.  A leg that raises a
     package error agrees with no leg.
+
+    A long stream is shared among the CPUs this process may use.  The
+    loop runs here until it has spent ``SPLIT_AFTER_S`` on the stream;
+    then it forks one worker per extra CPU, and each process, this one
+    included, checks every W-th remaining input of its own copy of the
+    stream and of the legs' tables.  The workers send back their counts
+    and their witnesses with their stream positions, and the reports
+    are exactly the serial ones; an error that is not a package error
+    is raised as the serial loop would raise it, at the earliest input.
+    The loop stays in one process inside a worker, without ``os.fork``
+    or ``os.sched_getaffinity``, on one CPU, or beside a second thread.
     """
-    legs = list(dict.fromkeys(leg for _, *pair in sections for leg in pair))
-    rows = [(check_id, legs.index(left), legs.index(right), [])
-            for check_id, left, right in sections]
-    checked = 0
-    for t in inputs:
-        checked += 1
-        values, raised = [], ()  # raised: the positions of the legs that raised
-        for leg in legs:
-            try:
-                values.append(leg(t))
-            except DistlawError as exc:
-                raised += (len(values),)
-                values.append(f"error:{type(exc).__name__}")
-        for check_id, i, j, witnesses in rows:
-            if values[i] != values[j] or i in raised and j in raised:
-                witnesses.append(Witness(check_id, t, values[i], values[j]))
-    return [CheckReport(check_id, checked=checked, witnesses=witnesses)
-            for check_id, _, _, witnesses in rows]
+    walk = _Walk(inputs, sections)
+    if walk.run(deadline=perf_counter() + SPLIT_AFTER_S):
+        shares = _shares()
+        if shares > 1:
+            walk.split(shares)
+        else:
+            walk.run()
+    return [CheckReport(check_id, checked=walk.checked, witnesses=[w for _, w in found])
+            for check_id, _, _, found in walk.rows]
+
+
+SPLIT_AFTER_S = 0.02
+"""Wall time a ``compare_all`` stream runs in one process before it is
+shared among the CPUs; ``math.inf`` keeps every loop in one process."""
+
+_SPLIT_EVERY = 64  # inputs between two looks at the clock
+_in_worker = False
+
+
+def _shares():
+    """The processes that may share a stream: one per usable CPU, else one."""
+    if _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading
+        threads = threading.active_count()
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+class _Walk:
+    """One ``compare_all`` loop: its legs, its rows, its place in the
+    stream, and the witnesses found so far, each with its position."""
+
+    def __init__(self, inputs, sections):
+        self.legs = list(dict.fromkeys(leg for _, *pair in sections for leg in pair))
+        self.rows = [(check_id, self.legs.index(left), self.legs.index(right), [])
+                     for check_id, left, right in sections]
+        self.stream = iter(inputs)
+        self.pos = 0  # the position of the next input; an error's position
+        self.checked = 0
+
+    def run(self, deadline=math.inf, share=0, shares=1):
+        """Check the inputs at positions ``share`` mod ``shares`` up to
+        the end of the stream, and return False; or stop at the first
+        multiple of ``_SPLIT_EVERY`` past ``deadline``, and return True.
+        """
+        legs, rows = self.legs, self.rows
+        pos, checked = self.pos, self.checked
+        try:
+            for t in self.stream:
+                if not pos % _SPLIT_EVERY and perf_counter() >= deadline:
+                    self.stream = chain((t,), self.stream)
+                    return True
+                if pos % shares == share:
+                    checked += 1
+                    values, raised = [], ()  # raised: the positions of the legs that raised
+                    for leg in legs:
+                        try:
+                            values.append(leg(t))
+                        except DistlawError as exc:
+                            raised += (len(values),)
+                            values.append(f"error:{type(exc).__name__}")
+                    for check_id, i, j, found in rows:
+                        if values[i] != values[j] or i in raised and j in raised:
+                            found.append((pos, Witness(check_id, t, values[i], values[j])))
+                pos += 1
+            return False
+        finally:
+            self.pos, self.checked = pos, checked
+
+    def _take(self, share, shares):
+        """``run`` one share; the (position, error) that stopped it, or None."""
+        try:
+            self.run(share=share, shares=shares)
+        except Exception as exc:
+            return self.pos, exc
+        return None
+
+    def split(self, shares):
+        """Run the rest of the stream in ``shares`` processes, this one and
+        forked workers, and merge what they find in stream order."""
+        import pickle
+        import signal
+        pids, readers, errors = [], [], []
+        try:
+            for share in range(1, shares):
+                reader, writer = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    self._work(share, shares, writer, pickle)
+                pids.append(pid)
+                os.close(writer)
+                readers.append(os.fdopen(reader, "rb"))
+            errors.append(self._take(0, shares))
+            for pid, reader in zip(pids, readers):
+                sent = reader.read()
+                if not sent:
+                    raise RuntimeError(f"compare_all worker {pid} ended without a result")
+                checked, found, error = pickle.loads(sent)
+                self.checked += checked
+                for row, more in zip(self.rows, found):
+                    row[3].extend(more)
+                errors.append(error)
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for reader in readers:
+                reader.close()
+            for pid in pids:
+                os.waitpid(pid, 0)
+        for row in self.rows:
+            row[3].sort(key=itemgetter(0))
+        errors = [e for e in errors if e is not None]
+        if errors:
+            raise min(errors, key=itemgetter(0))[1]
+
+    def _work(self, share, shares, writer, pickle):
+        """A worker's life: check its share, send it back, and exit."""
+        global _in_worker
+        status = 1
+        try:
+            _in_worker = True
+            self.checked = 0
+            for row in self.rows:
+                row[3].clear()
+            error = self._take(share, shares)
+            if error is not None:
+                try:
+                    pickle.loads(pickle.dumps(error[1]))
+                except Exception:
+                    error = error[0], RuntimeError(f"{type(error[1]).__name__}: {error[1]}")
+            with os.fdopen(writer, "wb") as out:
+                pickle.dump((self.checked, [row[3] for row in self.rows], error), out)
+            status = 0
+        finally:
+            os._exit(status)
 
 
 def compare(check_id, inputs, left_leg, right_leg):

@@ -1,6 +1,26 @@
+import math
+import os
+
 import pytest
 
+import distlaw.checks
 from distlaw import globular_set_from_names
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Keep every ``compare_all`` loop in this process: a test that counts
+    in-process calls would not see the calls of a worker."""
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", math.inf)
+
+
+@pytest.fixture(params=[math.inf, 0], ids=["one-process", "split-at-once"])
+def split_after_s(request, monkeypatch):
+    """Every ``compare_all`` loop in one process; then every one shared at
+    once among three processes, on a machine of any number of CPUs."""
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", request.param)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return request.param
 
 
 @pytest.fixture

@@ -1,3 +1,7 @@
+import math
+import os
+import threading
+import warnings
 from functools import cache
 from math import comb
 
@@ -14,6 +18,7 @@ from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZE
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
+from distlaw.checks import _same, compare, compare_all
 from distlaw.series import compare_routes
 
 from oracles import (compare_by_section, compare_routes_by_section, gen_count,
@@ -303,7 +308,8 @@ MUTANT_SERIES = [DistributiveSeries(f"ring3-{law.name}", RING3_SERIES.monads,
                  for law in MUTANT_LAWS]
 
 
-def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3gset):
+def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3gset,
+                                                split_after_s):
     import distlaw.checks
     import distlaw.series
 
@@ -341,6 +347,7 @@ def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3
     assert [r.passed for r in hexagons] == [True] * 6 + [False, False]
 
 
+@pytest.mark.usefixtures("one_process")
 def test_a_block_law_is_computed_once_per_argument_per_route(monkeypatch):
     import distlaw.series
     names, counts = [], []  # each block law built, and its arguments, one list per law
@@ -388,6 +395,7 @@ def _counting_series(series):
     return DistributiveSeries(series.name, series.monads, laws), calls
 
 
+@pytest.mark.usefixtures("one_process")
 def test_a_pair_law_is_computed_once_per_argument_across_routes():
     counted, calls = _counting_series(RIG_SERIES)
     assert compare_routes(counted, all_routes(4), X1, 3).passed
@@ -404,6 +412,7 @@ def _items(monad, terms):
     return seen
 
 
+@pytest.mark.usefixtures("one_process")
 def test_a_hexagon_computes_each_position_below_its_input_once_per_argument():
     counted, calls = _counting_series(RING3_SERIES)
     assert check_yang_baxter(counted, 3, 2, 1, X1, 4).passed
@@ -462,6 +471,7 @@ def test_route_tables_die_with_the_check(monkeypatch):
     assert all(_plain_at_every_level(c) for c in composites)
 
 
+@pytest.mark.usefixtures("one_process")
 def test_a_law_component_is_computed_once_per_check():
     words = REGISTERED_LAWS["product-over-sum-words"]
     calls = []
@@ -500,7 +510,8 @@ def test_one_pass_routes_match_the_section_by_section_loop(series, bound):
         _report_shape(compare_routes_by_section(series, routes, X1, bound))
 
 
-def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_2gset):
+def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_2gset,
+                                                              split_after_s):
     import distlaw.checks
     import distlaw.series
     routes = [compare_routes(series, all_routes(3), X1, 3) for series in MUTANT_SERIES]
@@ -534,6 +545,89 @@ def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_
     assert natural == [True] * len(REGISTERED_LAWS) + [False]
 
 
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("check, ceiling", [
+    (lambda: check_monad_laws(FREE_SEMIGROUP, X2, 3), 50),
+    (lambda: check_distlaw(LAW_PRODUCT_OVER_SUM_WORDS, X2, 3), 500),
+    (lambda: check_yang_baxter(RING3_SERIES, 3, 2, 1, X2, 3), 100),
+], ids=["monad-laws", "distlaw", "yang-baxter"])
+def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, check, ceiling):
+    """The streamed top layer passes the ceiling inside a shared stream."""
+    import distlaw.checks
+    import distlaw.monads
+    from distlaw.errors import BoundTooLarge
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", ceiling)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    raised = []
+    for split_after_s in (math.inf, 0):
+        monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", split_after_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # os.fork beside a thread
+            with pytest.raises(BoundTooLarge) as info:
+                check()
+        raised.append(str(info.value))
+        _no_child_is_left()
+    assert raised[0] == raised[1]
+
+
+def _raising_at(position, error):
+    def leg(t):
+        if t == position:
+            raise error
+        return t
+    return leg
+
+
+def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch):
+    """Three processes each meet one error; the serial loop meets the
+    worker's at input 700 first, and so does the split one."""
+    import distlaw.checks
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    legs = [_raising_at(700, ZeroDivisionError("at 700")), _raising_at(701, KeyError(701)),
+            _raising_at(702, ValueError("at 702"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with pytest.raises(ZeroDivisionError, match="at 700"):
+            compare_all(range(1000), [("first", legs[0], legs[1]), ("second", legs[2], _same)])
+    _no_child_is_left()
+    # one raising leg, in the process that keeps input 0
+    with pytest.raises(ZeroDivisionError):
+        compare("one", range(1000), lambda t: 1 // (t - 300), _same)
+    _no_child_is_left()
+
+
+def test_a_worker_never_splits_again(monkeypatch):
+    """Each of three processes keeps every third input; only this one may fork."""
+    import distlaw.checks
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    report = compare("shares", range(10), lambda t: distlaw.checks._shares(), lambda t: 1)
+    assert report.checked == 10
+    assert [w.input for w in report.witnesses] == [0, 3, 6, 9]
+    assert {w.left for w in report.witnesses} == {3}
+    _no_child_is_left()
+
+
+def test_a_second_thread_keeps_the_loop_in_one_process(monkeypatch):
+    import distlaw.checks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert distlaw.checks._shares() == 3
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert distlaw.checks._shares() == 1
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.usefixtures("one_process")
 def test_the_reference_route_multiplies_once_per_input(monkeypatch):
     routes = all_routes(4)
     reference = compose_series(RIG_SERIES, routes[0]).name

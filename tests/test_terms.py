@@ -1,9 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from distlaw import Carrier, Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from distlaw.errors import UnknownGenerator
+from distlaw.globular import GenCell, StringCell
 from distlaw.terms import functions_between, weight
 
 from oracles import reference_normal_form
@@ -149,3 +152,20 @@ def test_constructors_agree_with_the_reference_normal_form(specs):
             assert (s == t) == (s.key == t.key)
             if s == t:
                 assert hash(s) == hash(t)
+
+
+def test_every_term_and_cell_survives_pickle():
+    """Witnesses come back from the workers of ``compare_all`` as pickles."""
+    x, y = GenCell("x", 0), GenCell("y", 0)
+    f = GenCell("f", 1, x, y)
+    grid = StringCell(0, 1, [f, GenCell("g", 1, y, x)])
+    grid._face(True)  # a face built and kept goes with the cell
+    values = [a, Inj(a), ONE, ZERO, Seq([a, Inj(b)]), MSet([c, a, a]),
+              IntComb([(Seq([a, b]), 2), (ONE, -1)]), x, f, grid, StringCell(0, 1, [], x)]
+    for value in values:
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value)
+        assert back == value and back.key == value.key and hash(back) == hash(value)
+        assert str(back) == str(value)
+    # equal, not identical: no witness path may compare with ``is``
+    assert pickle.loads(pickle.dumps(ONE)) is not ONE
