@@ -106,7 +106,7 @@ def compare_all(inputs, sections):
             for check_id, _, _, found in walk.rows]
 
 
-SPLIT_AFTER_S = 0.02
+SPLIT_AFTER_S = 0.05
 """Wall time a ``compare_all`` stream runs in one process before it is
 shared among the CPUs; ``math.inf`` keeps every loop in one process."""
 
@@ -195,10 +195,10 @@ class _Walk:
                 sent = reader.read()
                 if not sent:
                     raise RuntimeError(f"compare_all worker {pid} ended without a result")
-                checked, found, error = pickle.loads(sent)
+                checked, witnesses, error = pickle.loads(sent)
                 self.checked += checked
-                for row, more in zip(self.rows, found):
-                    row[3].extend(more)
+                for (*_, found), more in zip(self.rows, witnesses):
+                    found.extend(more)
                 errors.append(error)
         except BaseException:
             for pid in pids:
@@ -209,8 +209,8 @@ class _Walk:
                 reader.close()
             for pid in pids:
                 os.waitpid(pid, 0)
-        for row in self.rows:
-            row[3].sort(key=itemgetter(0))
+        for *_, found in self.rows:
+            found.sort(key=itemgetter(0))
         errors = [e for e in errors if e is not None]
         if errors:
             raise min(errors, key=itemgetter(0))[1]
@@ -222,8 +222,8 @@ class _Walk:
         try:
             _in_worker = True
             self.checked = 0
-            for row in self.rows:
-                row[3].clear()
+            for *_, found in self.rows:
+                found.clear()
             error = self._take(share, shares)
             if error is not None:
                 try:
@@ -231,7 +231,7 @@ class _Walk:
                 except Exception:
                     error = error[0], RuntimeError(f"{type(error[1]).__name__}: {error[1]}")
             with os.fdopen(writer, "wb") as out:
-                pickle.dump((self.checked, [row[3] for row in self.rows], error), out)
+                pickle.dump((self.checked, [found for *_, found in self.rows], error), out)
             status = 0
         finally:
             os._exit(status)

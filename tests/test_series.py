@@ -624,7 +624,8 @@ def test_a_second_thread_keeps_the_loop_in_one_process(monkeypatch):
         assert distlaw.checks._shares() == 1
     finally:
         done.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.usefixtures("one_process")
