@@ -225,6 +225,8 @@ class _Walk:
             for *_, found in self.rows:
                 found.clear()
             error = self._take(share, shares)
+            # an error whose __init__ wants more than its args, as ParseError's
+            # does, would not unpickle in the parent: send its name and message
             if error is not None:
                 try:
                     pickle.loads(pickle.dumps(error[1]))

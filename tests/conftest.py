@@ -14,12 +14,17 @@ def one_process(monkeypatch):
     monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", math.inf)
 
 
-@pytest.fixture(params=[math.inf, 0], ids=["one-process", "split-at-once"])
-def split_after_s(request, monkeypatch):
-    """Every ``compare_all`` loop in one process; then every one shared at
-    once among three processes, on a machine of any number of CPUs."""
-    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", request.param)
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """A split stream goes to three processes, on a machine of any number of CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+@pytest.fixture(params=[math.inf, 0], ids=["one-process", "split-at-once"])
+def split_after_s(request, monkeypatch, three_cpus):
+    """Every ``compare_all`` loop in one process; then every one shared at
+    once among three processes."""
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", request.param)
     return request.param
 
 

@@ -13,12 +13,12 @@ from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
                      check_route_independence,
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, parse_route, validate_series)
+from distlaw.checks import _same, compare, compare_all
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
-from distlaw.checks import _same, compare, compare_all
 from distlaw.series import compare_routes
 
 from oracles import (compare_by_section, compare_routes_by_section, gen_count,
@@ -555,18 +555,18 @@ def _no_child_is_left():
     (lambda: check_distlaw(LAW_PRODUCT_OVER_SUM_WORDS, X2, 3), 500),
     (lambda: check_yang_baxter(RING3_SERIES, 3, 2, 1, X2, 3), 100),
 ], ids=["monad-laws", "distlaw", "yang-baxter"])
-def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, check, ceiling):
+def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, three_cpus, check, ceiling):
     """The streamed top layer passes the ceiling inside a shared stream."""
     import distlaw.checks
     import distlaw.monads
     from distlaw.errors import BoundTooLarge
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", ceiling)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     raised = []
     for split_after_s in (math.inf, 0):
         monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", split_after_s)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)  # os.fork beside a thread
+            # from Python 3.12, os.fork warns when the process has a second thread
+            warnings.simplefilter("error", DeprecationWarning)
             with pytest.raises(BoundTooLarge) as info:
                 check()
         raised.append(str(info.value))
@@ -582,12 +582,11 @@ def _raising_at(position, error):
     return leg
 
 
-def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch):
+def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch, three_cpus):
     """Three processes each meet one error; the serial loop meets the
     worker's at input 700 first, and so does the split one."""
     import distlaw.checks
     monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     legs = [_raising_at(700, ZeroDivisionError("at 700")), _raising_at(701, KeyError(701)),
             _raising_at(702, ValueError("at 702"))]
     with warnings.catch_warnings():
@@ -601,11 +600,10 @@ def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch):
     _no_child_is_left()
 
 
-def test_a_worker_never_splits_again(monkeypatch):
+def test_a_worker_never_splits_again(monkeypatch, three_cpus):
     """Each of three processes keeps every third input; only this one may fork."""
     import distlaw.checks
     monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     report = compare("shares", range(10), lambda t: distlaw.checks._shares(), lambda t: 1)
     assert report.checked == 10
     assert [w.input for w in report.witnesses] == [0, 3, 6, 9]
@@ -613,9 +611,8 @@ def test_a_worker_never_splits_again(monkeypatch):
     _no_child_is_left()
 
 
-def test_a_second_thread_keeps_the_loop_in_one_process(monkeypatch):
+def test_a_second_thread_keeps_the_loop_in_one_process(three_cpus):
     import distlaw.checks
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert distlaw.checks._shares() == 3
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
