@@ -180,7 +180,7 @@ class _Walk:
         forked workers, and merge what they find in stream order."""
         import pickle
         import signal
-        pids, readers, errors = [], [], []
+        parent, pids, readers, errors = os.getpid(), [], [], []
         try:
             for share in range(1, shares):
                 reader, writer = os.pipe()
@@ -201,6 +201,8 @@ class _Walk:
                     found.extend(more)
                 errors.append(error)
         except BaseException:
+            if os.getpid() != parent:  # interrupted before its _work began
+                os._exit(1)
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
             raise
