@@ -5,7 +5,6 @@ import os
 from functools import cache, partial
 from itertools import chain
 from operator import itemgetter
-from time import perf_counter
 
 from .errors import DistlawError, ShapeMismatch
 from .monads import _check_bound, _guard, _stream_stack
@@ -85,7 +84,7 @@ def compare_all(inputs, sections):
     package error agrees with no leg.
 
     A long stream is shared among the CPUs this process may use.  The
-    loop runs here until it has spent ``SPLIT_AFTER_S`` on the stream;
+    loop runs here until its legs have made ``SPLIT_AFTER_CALLS`` calls;
     then it forks one worker per extra CPU, and each process, this one
     included, checks every W-th remaining input of its own copy of the
     stream and of the legs' tables.  The workers send back their counts
@@ -96,7 +95,7 @@ def compare_all(inputs, sections):
     or ``os.sched_getaffinity``, on one CPU, or beside a second thread.
     """
     walk = _Walk(inputs, sections)
-    if walk.run(deadline=perf_counter() + SPLIT_AFTER_S):
+    if walk.run(stop=SPLIT_AFTER_CALLS / max(len(walk.legs), 1)):
         shares = _shares()
         if shares > 1:
             walk.split(shares)
@@ -106,11 +105,12 @@ def compare_all(inputs, sections):
             for check_id, _, _, found in walk.rows]
 
 
-SPLIT_AFTER_S = 0.05
-"""Wall time a ``compare_all`` stream runs in one process before it is
-shared among the CPUs; ``math.inf`` keeps every loop in one process."""
+SPLIT_AFTER_CALLS = 8192
+"""Leg calls a ``compare_all`` stream makes in one process before it is
+shared among the CPUs; ``math.inf`` keeps every loop in one process.
+A count, not a time, so that a stream splits at the same input on
+every run, however busy the machine."""
 
-_SPLIT_EVERY = 64  # inputs between two looks at the clock
 _in_worker = False
 
 
@@ -138,16 +138,16 @@ class _Walk:
         self.pos = 0  # the position of the next input; an error's position
         self.checked = 0
 
-    def run(self, deadline=math.inf, share=0, shares=1):
+    def run(self, stop=math.inf, share=0, shares=1):
         """Check the inputs at positions ``share`` mod ``shares`` up to
         the end of the stream, and return False; or stop at the first
-        multiple of ``_SPLIT_EVERY`` past ``deadline``, and return True.
+        position not below ``stop``, and return True.
         """
         legs, rows = self.legs, self.rows
         pos, checked = self.pos, self.checked
         try:
             for t in self.stream:
-                if not pos % _SPLIT_EVERY and perf_counter() >= deadline:
+                if pos >= stop:
                     self.stream = chain((t,), self.stream)
                     return True
                 if pos % shares == share:

@@ -11,7 +11,7 @@ from distlaw import globular_set_from_names
 def one_process(monkeypatch):
     """Keep every ``compare_all`` loop in this process: a test that counts
     in-process calls would not see the calls of a worker."""
-    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", math.inf)
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", math.inf)
 
 
 @pytest.fixture
@@ -21,10 +21,10 @@ def three_cpus(monkeypatch):
 
 
 @pytest.fixture(params=[math.inf, 0], ids=["one-process", "split-at-once"])
-def split_after_s(request, monkeypatch, three_cpus):
+def split_after(request, monkeypatch, three_cpus):
     """Every ``compare_all`` loop in one process; then every one shared at
     once among three processes."""
-    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", request.param)
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", request.param)
     return request.param
 
 

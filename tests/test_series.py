@@ -309,7 +309,7 @@ MUTANT_SERIES = [DistributiveSeries(f"ring3-{law.name}", RING3_SERIES.monads,
 
 
 def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3gset,
-                                                split_after_s):
+                                                split_after):
     import distlaw.checks
     import distlaw.series
 
@@ -511,7 +511,7 @@ def test_one_pass_routes_match_the_section_by_section_loop(series, bound):
 
 
 def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_2gset,
-                                                              split_after_s):
+                                                              split_after):
     import distlaw.checks
     import distlaw.series
     routes = [compare_routes(series, all_routes(3), X1, 3) for series in MUTANT_SERIES]
@@ -562,8 +562,8 @@ def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, three_cpus, c
     from distlaw.errors import BoundTooLarge
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", ceiling)
     raised = []
-    for split_after_s in (math.inf, 0):
-        monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", split_after_s)
+    for split_after in (math.inf, 0):
+        monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", split_after)
         with warnings.catch_warnings():
             # from Python 3.12, os.fork warns when the process has a second thread
             warnings.simplefilter("error", DeprecationWarning)
@@ -586,7 +586,7 @@ def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch, thre
     """Three processes each meet one error; the serial loop meets the
     worker's at input 700 first, and so does the split one."""
     import distlaw.checks
-    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
     legs = [_raising_at(700, ZeroDivisionError("at 700")), _raising_at(701, KeyError(701)),
             _raising_at(702, ValueError("at 702"))]
     with warnings.catch_warnings():
@@ -603,7 +603,7 @@ def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch, thre
 def test_a_worker_never_splits_again(monkeypatch, three_cpus):
     """Each of three processes keeps every third input; only this one may fork."""
     import distlaw.checks
-    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_S", 0)
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
     report = compare("shares", range(10), lambda t: distlaw.checks._shares(), lambda t: 1)
     assert report.checked == 10
     assert [w.input for w in report.witnesses] == [0, 3, 6, 9]
