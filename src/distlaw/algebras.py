@@ -1,21 +1,21 @@
-"""Finite algebras of a monad and their lifting through a distributive law."""
+"""Finite algebras of a monad and their lifting through a distributive law.
 
-from .checks import CheckReport, Witness
-from .errors import NotAnAlgebra
+Each diagram is a row ``(check_id, stack, left_leg, right_leg)`` run
+through ``checks.compare_all``, which skips an input whose first failed
+lookup lies beyond the table's bound.
+"""
+
+from .checks import CheckReport, compare_all
+from .errors import NotAnAlgebra, _OutOfTable
 from .monads import _stream_stack
 from .terms import weight
-
-
-class _OutOfTable(NotAnAlgebra):
-    """An action lookup beyond the table's bound (not a law failure)."""
 
 
 class Algebra:
     """A finite algebra: carrier elements plus an action table.
 
     The action maps every enumerated structure over the carrier (within
-    the stated bound) to a carrier element.  A lookup that finds no entry
-    raises ``_OutOfTable`` beyond the bound and ``NotAnAlgebra`` within it.
+    the stated bound) to a carrier element.
     """
 
     def __init__(self, monad, carrier, action, bound):
@@ -25,6 +25,9 @@ class Algebra:
         self.bound = bound
 
     def act(self, term):
+        """The table's entry for ``term``.  A missing entry raises
+        ``_OutOfTable`` beyond the bound, where a diagram skips the input,
+        and ``NotAnAlgebra`` within it, where the diagram fails."""
         try:
             return self.action[term]
         except KeyError:
@@ -40,36 +43,10 @@ def algebra_from_function(monad, carrier, fn, bound):
     return Algebra(monad, carrier, table, bound)
 
 
-def _compare(check_id, inputs, left_leg, right_leg):
-    """Pointwise comparison that skips instances leaving the bounded table.
-
-    The left leg runs, then the right.  An instance whose first failed
-    lookup lies beyond the bound is skipped; once a lookup misses an
-    entry within the bound, the instance fails, and its witness keeps
-    each leg's own value or error.
-    """
-    witnesses = []
-    checked = 0
-    for t in inputs:
-        values, failed = [], False
-        for leg in (left_leg, right_leg):
-            try:
-                values.append(leg(t))
-            except NotAnAlgebra as exc:
-                if isinstance(exc, _OutOfTable) and not failed:
-                    break
-                values.append(f"error:{exc}")
-                failed = True
-        else:
-            checked += 1
-            if failed or values[0] != values[1]:
-                witnesses.append(Witness(check_id, t, *values))
-    return CheckReport(check_id, checked=checked, witnesses=witnesses)
-
-
 def _diagrams(alg, rows):
-    """A ``_compare`` per row ``(check_id, stack, left, right)``, streamed over ``alg``."""
-    return [_compare(check_id, _stream_stack(stack, list(alg.carrier), alg.bound), left, right)
+    """A ``compare_all`` per row ``(check_id, stack, left, right)``, streamed over ``alg``."""
+    return [compare_all(_stream_stack(stack, list(alg.carrier), alg.bound),
+                        [(check_id, left, right)])[0]
             for check_id, stack, left, right in rows]
 
 

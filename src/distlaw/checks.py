@@ -6,7 +6,7 @@ from functools import cache, partial
 from itertools import chain
 from operator import itemgetter
 
-from .errors import DistlawError, ShapeMismatch
+from .errors import DistlawError, ShapeMismatch, _OutOfTable
 from .monads import _check_bound, _guard, _stream_stack
 from .terms import Carrier, functions_between
 
@@ -79,9 +79,12 @@ def compare_all(inputs, sections):
 
     ``sections`` lists ``(check_id, left_leg, right_leg)``; the result
     is one report per section, in that order.  On each input every
-    distinct leg object runs once, and its value, or the error it
-    raised, counts in every section that holds it.  A leg that raises a
-    package error agrees with no leg.
+    distinct leg object runs once, in the order the sections name them,
+    and its value counts in every section that holds it.  A leg that
+    raises a package error takes the value ``error:<TypeName>: <message>``
+    and agrees with no leg.  If the first leg to raise on an input raises
+    ``_OutOfTable``, an algebra lookup beyond its bounded table, the input
+    is skipped: it counts in no section.
 
     A long stream is shared among the CPUs this process may use.  The
     loop runs here until its legs have made ``SPLIT_AFTER_CALLS`` calls;
@@ -92,14 +95,13 @@ def compare_all(inputs, sections):
     are exactly the serial ones; an error that is not a package error
     is raised as the serial loop would raise it, at the earliest input.
     The loop stays in one process inside a worker, without ``os.fork``
-    or ``os.sched_getaffinity``, on one CPU, or beside a second thread.
+    or ``os.sched_getaffinity``, on one CPU, beside a second thread, or
+    when a pipe or a fork fails.
     """
     walk = _Walk(inputs, sections)
     if walk.run(stop=SPLIT_AFTER_CALLS / max(len(walk.legs), 1)):
         shares = _shares()
-        if shares > 1:
-            walk.split(shares)
-        else:
+        if shares == 1 or not walk.split(shares):
             walk.run()
     return [CheckReport(check_id, checked=walk.checked, witnesses=[w for _, w in found])
             for check_id, _, _, found in walk.rows]
@@ -151,17 +153,20 @@ class _Walk:
                     self.stream = chain((t,), self.stream)
                     return True
                 if pos % shares == share:
-                    checked += 1
                     values, raised = [], ()  # raised: the positions of the legs that raised
                     for leg in legs:
                         try:
                             values.append(leg(t))
                         except DistlawError as exc:
+                            if isinstance(exc, _OutOfTable) and not raised:
+                                break
                             raised += (len(values),)
-                            values.append(f"error:{type(exc).__name__}")
-                    for check_id, i, j, found in rows:
-                        if values[i] != values[j] or i in raised and j in raised:
-                            found.append((pos, Witness(check_id, t, values[i], values[j])))
+                            values.append(f"error:{type(exc).__name__}: {exc}")
+                    else:
+                        checked += 1
+                        for check_id, i, j, found in rows:
+                            if values[i] != values[j] or i in raised and j in raised:
+                                found.append((pos, Witness(check_id, t, values[i], values[j])))
                 pos += 1
             return False
         finally:
@@ -177,19 +182,21 @@ class _Walk:
 
     def split(self, shares):
         """Run the rest of the stream in ``shares`` processes, this one and
-        forked workers, and merge what they find in stream order."""
+        forked workers, merge what they find in stream order, and return
+        True.  If a pipe or a fork fails, kill the workers forked so far
+        and return False: the stream is unread, so it can run on here."""
         import pickle
         import signal
         parent, pids, readers, errors = os.getpid(), [], [], []
         try:
             for share in range(1, shares):
                 reader, writer = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    self._work(share, shares, writer, pickle)
-                pids.append(pid)
-                os.close(writer)
                 readers.append(os.fdopen(reader, "rb"))
+                with os.fdopen(writer, "wb") as out:  # the parent's end closes, forked or not
+                    pid = os.fork()
+                    if pid == 0:
+                        self._work(share, shares, out, pickle)
+                pids.append(pid)
             errors.append(self._take(0, shares))
             for pid, reader in zip(pids, readers):
                 sent = reader.read()
@@ -200,11 +207,13 @@ class _Walk:
                 for (*_, found), more in zip(self.rows, witnesses):
                     found.extend(more)
                 errors.append(error)
-        except BaseException:
+        except BaseException as exc:
             if os.getpid() != parent:  # interrupted before its _work began
                 os._exit(1)
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
+            if isinstance(exc, OSError) and not errors:  # no pipe or fork: EAGAIN, EMFILE
+                return False
             raise
         finally:
             for reader in readers:
@@ -216,8 +225,9 @@ class _Walk:
         errors = [e for e in errors if e is not None]
         if errors:
             raise min(errors, key=itemgetter(0))[1]
+        return True
 
-    def _work(self, share, shares, writer, pickle):
+    def _work(self, share, shares, out, pickle):
         """A worker's life: check its share, send it back, and exit."""
         global _in_worker
         status = 1
@@ -234,7 +244,7 @@ class _Walk:
                     pickle.loads(pickle.dumps(error[1]))
                 except Exception:
                     error = error[0], RuntimeError(f"{type(error[1]).__name__}: {error[1]}")
-            with os.fdopen(writer, "wb") as out:
+            with out:
                 pickle.dump((self.checked, [found for *_, found in self.rows], error), out)
             status = 0
         finally:

@@ -29,6 +29,10 @@ class NotAnAlgebra(DistlawError):
     """An action table violates the algebra axioms."""
 
 
+class _OutOfTable(NotAnAlgebra):
+    """An action lookup beyond the table's bound: a skip, not a law failure."""
+
+
 class UnsupportedNode(DistlawError):
     """An expression uses a node the chosen theory cannot interpret."""
 

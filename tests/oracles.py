@@ -17,7 +17,9 @@ nothing, and ``reference_string`` states the key and hash a string cell
 owes.  ``compare_by_section`` is the pointwise loop one section at a
 time, and ``monad_laws_by_section``, ``naturality_by_section`` and
 ``compare_routes_by_section`` list their inputs and read them once per
-section, as the checks did before they read each stream once.  ``non_globular_cells`` checks the globular axiom on engine
+section, as the checks did before they read each stream once.
+``compare_within_table`` is the algebra checks' own loop from before
+they ran through ``compare_all``.  ``non_globular_cells`` checks the globular axiom on engine
 output through ``reference_boundary``.  ``reference_enumeration`` and
 ``reference_layers`` enumerate normal forms and strings of cells the
 plain way: a breadth-first walk, then, for terms, a sort by (weight,
@@ -29,7 +31,7 @@ import random
 from functools import reduce
 
 from distlaw.checks import CheckReport, Witness, compare
-from distlaw.errors import DimensionError, DistlawError, ShapeMismatch
+from distlaw.errors import DimensionError, DistlawError, ShapeMismatch, _OutOfTable
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.globular import GenCell, StringCell, _compose_nested, identity_cell
 from distlaw.monads import (AdjoinConstant, FreeAbelianGroup, FreeCommutativeMonoid,
@@ -290,13 +292,40 @@ def compare_by_section(check_id, inputs, left_leg, right_leg):
         try:
             lhs = left_leg(t)
         except DistlawError as exc:
-            lhs, raised = f"error:{type(exc).__name__}", 1
+            lhs, raised = f"error:{type(exc).__name__}: {exc}", 1
         try:
             rhs = right_leg(t)
         except DistlawError as exc:
-            rhs, raised = f"error:{type(exc).__name__}", raised + 1
+            rhs, raised = f"error:{type(exc).__name__}: {exc}", raised + 1
         if lhs != rhs or raised == 2:
             witnesses.append(Witness(check_id, t, lhs, rhs))
+    return CheckReport(check_id, checked=checked, witnesses=witnesses)
+
+
+def compare_within_table(check_id, inputs, left_leg, right_leg):
+    """One algebra diagram's pointwise loop: the left leg, then the right.
+
+    An input whose first failed lookup lies beyond the table's bound
+    (``_OutOfTable``) is skipped.  Once a leg raises any other package
+    error, the input fails, and its witness keeps each leg's own value
+    or error.
+    """
+    witnesses = []
+    checked = 0
+    for t in inputs:
+        values, failed = [], False
+        for leg in (left_leg, right_leg):
+            try:
+                values.append(leg(t))
+            except DistlawError as exc:
+                if isinstance(exc, _OutOfTable) and not failed:
+                    break
+                values.append(f"error:{type(exc).__name__}: {exc}")
+                failed = True
+        else:
+            checked += 1
+            if failed or values[0] != values[1]:
+                witnesses.append(Witness(check_id, t, *values))
     return CheckReport(check_id, checked=checked, witnesses=witnesses)
 
 

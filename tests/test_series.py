@@ -1,3 +1,5 @@
+import errno
+import io
 import math
 import os
 import threading
@@ -14,6 +16,7 @@ from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, parse_route, validate_series)
 from distlaw.checks import _same, compare, compare_all
+from distlaw.cli import main
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
@@ -623,6 +626,55 @@ def test_a_second_thread_keeps_the_loop_in_one_process(three_cpus):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def _failing_fork(monkeypatch, failing_call):
+    """``os.fork`` raises EAGAIN on its ``failing_call``-th call and forks
+    otherwise; the list of calls made so far."""
+    fork, calls = os.fork, []
+
+    def fork_or_fail():
+        calls.append(len(calls) + 1)
+        if len(calls) == failing_call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    return calls
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["first-fork", "second-fork"])
+def test_a_failed_fork_leaves_the_split_stream_to_this_process(monkeypatch, three_cpus,
+                                                                failing_call):
+    """The first stream cannot fork its first or its second worker: the
+    one forked is killed and reaped, and the stream runs on here."""
+    import distlaw.checks
+
+    def reports():
+        return [_report_shape(check_distlaw(law, X2, 2))
+                for law in (LAW_UNIT_ABSORPTION, UNNATURAL_LAW)]
+
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", math.inf)
+    serial = reports()
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
+    calls = _failing_fork(monkeypatch, failing_call)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert reports() == serial
+    assert len(calls) > failing_call
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    _no_child_is_left()
+
+
+def test_the_command_line_passes_when_a_split_cannot_fork(monkeypatch, three_cpus):
+    import distlaw.checks
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
+    _failing_fork(monkeypatch, 2)
+    out = io.StringIO()
+    assert main(["distlaw", "--law", "unit-absorption", "--bound", "2"], out=out) == 0
+    assert out.getvalue().endswith("PASS: 1 laws\n")
+    _no_child_is_left()
 
 
 @pytest.mark.usefixtures("one_process")
