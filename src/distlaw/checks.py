@@ -8,7 +8,7 @@ from operator import itemgetter
 
 from .errors import DistlawError, ShapeMismatch, _OutOfTable
 from .monads import _check_bound, _guard, _stream_stack
-from .terms import Carrier, functions_between
+from .terms import Carrier, collector_paused, functions_between
 
 
 class Witness:
@@ -74,6 +74,7 @@ class CheckReport:
         return f"CheckReport({self.title}: {self.verdict}, {self.total_checked()} checked)"
 
 
+@collector_paused
 def compare_all(inputs, sections):
     """Evaluate every section's two legs pointwise, reading ``inputs`` once.
 
@@ -96,7 +97,8 @@ def compare_all(inputs, sections):
     is raised as the serial loop would raise it, at the earliest input.
     The loop stays in one process inside a worker, without ``os.fork``
     or ``os.sched_getaffinity``, on one CPU, beside a second thread, or
-    when a pipe or a fork fails.
+    when a pipe or a fork fails.  The loop runs with the cyclic collector
+    paused (``terms.collector_paused``), and the workers inherit the pause.
     """
     walk = _Walk(inputs, sections)
     if walk.run(stop=SPLIT_AFTER_CALLS / max(len(walk.legs), 1)):

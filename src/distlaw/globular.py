@@ -36,7 +36,7 @@ from .errors import (ComposabilityError, DimensionError, FileFormatError,
 from .laws import DistLaw
 from .monads import MonadSpec, _check_bound, _guard, _walks
 from .series import DistributiveSeries, check_distlaw, check_yang_baxter
-from .terms import Keyed
+from .terms import Keyed, collector_paused
 
 
 class Cell(Keyed):
@@ -416,6 +416,7 @@ def padded_transpose_candidate(cell, i, j):
     return StringCell(i, cell.dim, tuple(rows))
 
 
+@collector_paused
 def free_ncat(gset, bound):
     """Free strict n-category: apply the monads of ``composition_series``, innermost first."""
     _check_bound(bound)
@@ -546,6 +547,7 @@ def _oracle_closure(gset, bound):
     return members
 
 
+@collector_paused
 def brute_force_oracle(gset, bound):
     """Per-dimension counts of distinct formal-composite normal forms."""
     return [len(cells) for cells in _oracle_closure(gset, bound).values()]

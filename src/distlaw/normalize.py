@@ -28,7 +28,7 @@ from .laws import (LAW_PRODUCT_OVER_SUM_COMM, LAW_PRODUCT_OVER_SUM_RIG,
 from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP, FREE_COMM_MONOID,
                      FREE_COMM_SEMIGROUP, FREE_MONOID, FREE_SEMIGROUP, _guard)
 from .series import DistributiveSeries, compose_series
-from .terms import Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
+from .terms import Gen, Inj, IntComb, MSet, ONE, Seq, ZERO, collector_paused
 
 RING2_SERIES = DistributiveSeries("ring2", [FREE_ABELIAN_GROUP, FREE_COMM_MONOID],
                                   {(2, 1): LAW_PRODUCT_OVER_SUM_COMM})
@@ -165,6 +165,7 @@ def _theory(name):
     return THEORIES[name]
 
 
+@collector_paused
 def normalize_expr(theory_name, node):
     """Evaluate an AST inside the theory's monad; return its normal form."""
     theory = _theory(theory_name)

@@ -16,6 +16,8 @@ empty word, the empty multiset and the zero combination weigh one and
 every enumeration over nested domains stays finite.
 """
 
+import gc
+from functools import wraps
 from operator import attrgetter
 
 from .errors import UnknownGenerator
@@ -43,6 +45,31 @@ class Keyed:
 
     def __repr__(self):
         return str(self)
+
+
+def collector_paused(build):
+    """Run ``build``, which makes terms or cells in bulk, with the cyclic
+    garbage collector off.  Each is immutable and points only at values
+    made before it, so none lies on a cycle.  A caller that turned the
+    collector off keeps it off; else it is back on when ``build`` returns
+    or raises, and collects the young objects if they are over threshold,
+    so that the call, not the next one, pays for what it leaves.  As the
+    collector's own trigger would, that collection takes the middle
+    generation too when it is due, which ``gc.collect(0)`` never does.
+    """
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+            count, threshold = gc.get_count(), gc.get_threshold()
+            if count[0] > threshold[0]:
+                gc.collect(1 if count[1] > threshold[1] else 0)
+    return paused
 
 
 class Term(Keyed):

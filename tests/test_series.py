@@ -1,26 +1,28 @@
 import errno
+import gc
 import io
 import math
 import os
 import threading
 import warnings
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 import pytest
 
-from distlaw import (Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
-                     GlobularSet, IntComb, ONE, REGISTERED_LAWS, Seq, ZERO, all_routes,
-                     check_distlaw, check_monad_laws, check_monad_naturality,
-                     check_route_independence,
+from distlaw import (BoundTooLarge, Carrier, CompositeMonad, DistLaw, DistributiveSeries, Gen,
+                     GlobularSet, IntComb, ONE, REGISTERED_LAWS, Seq, UnsupportedNode, ZERO,
+                     all_routes, brute_force_oracle, check_distlaw, check_monad_laws,
+                     check_monad_naturality, check_route_independence,
                      check_yang_baxter, compose_series, composition_series,
-                     derive_block_law, enum_stack, parse_route, validate_series)
+                     derive_block_law, enum_stack, free_ncat, load_gset, normalize_expr,
+                     parse_expr, parse_route, validate_series)
 from distlaw.checks import _same, compare, compare_all
 from distlaw.cli import main
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
-                            IDENTITY, ZOO)
+                            IDENTITY, ZOO, _stream_stack)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
 from distlaw.series import compare_routes
 
@@ -740,3 +742,134 @@ def test_every_routes_composite_passes_its_own_monad_laws(loop_2gset, chain_2gse
             checked.append(report.total_checked())
     # one route of ring2, two of ring3, five of rig, then the one of each 2-globular set
     assert sum(checked[:8]) == 7688 and checked[8:] == [27, 108]
+
+
+# The four entry points that build terms or cells in bulk pause the cyclic collector.
+
+with open(os.path.join(os.path.dirname(__file__), "data", "loop_set.gset")) as _file:
+    LOOP_SET = load_gset(_file.read())
+
+X3 = Carrier.of_size(3)
+
+
+def _doubled_words(bound):
+    """M(M(X2)) for the free monoid M, enumerated only as it is read."""
+    yield from _stream_stack([FREE_MONOID, FREE_MONOID], list(X2), bound)
+
+
+# each builds at bound 2, inside the call, and holds counts against ENUM_CEILING
+PAUSED_BUILDS = {
+    "compare_all": lambda: compare_all(
+        _doubled_words(2),
+        [("mult", FREE_MONOID.mult, lambda t: FREE_MONOID.mult(FREE_MONOID.fmap(_same, t)))]),
+    "normalize_expr": partial(normalize_expr, "rig", parse_expr("(a+b+2)*(a+2)", X2)),
+    "free_ncat": partial(free_ncat, LOOP_SET, 2),
+    "brute_force_oracle": partial(brute_force_oracle, LOOP_SET, 2),
+}
+
+
+class _Ceiling:
+    """An ``ENUM_CEILING`` that notes whether the collector is on whenever a
+    count is held against it, and then raises ``error``, if one is given."""
+
+    def __init__(self, error=None):
+        self.error = error
+        self.collector_on = set()
+
+    def __lt__(self, count):
+        self.collector_on.add(gc.isenabled())
+        if self.error is not None:
+            raise self.error
+        return False
+
+
+@pytest.fixture
+def collector():
+    """The collector on when the test begins, and again when it ends."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.usefixtures("collector")
+@pytest.mark.parametrize("caller_on", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("raised", [None, BoundTooLarge, UnsupportedNode, ZeroDivisionError],
+                         ids=["return", "bound-too-large", "unsupported-node", "foreign-error"])
+@pytest.mark.parametrize("build", PAUSED_BUILDS.values(), ids=PAUSED_BUILDS.keys())
+def test_the_collector_ends_in_the_state_it_began_in(monkeypatch, build, raised, caller_on):
+    """Paused during the call, then on again after a return or a raise,
+    unless the caller had turned it off: then it stays off."""
+    import distlaw.monads
+    probe = _Ceiling(raised("from the ceiling") if raised in (UnsupportedNode,
+                                                              ZeroDivisionError) else None)
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 0 if raised is BoundTooLarge else probe)
+    if not caller_on:
+        gc.disable()
+    if raised is None:
+        build()
+    else:
+        with pytest.raises(raised):
+            build()
+    assert gc.isenabled() is caller_on
+    assert probe.collector_on == (set() if raised is BoundTooLarge else {False})
+
+
+@pytest.mark.usefixtures("collector")
+def test_the_collector_is_paused_in_every_compare_all_process(split_after):
+    report = compare("collector", range(12), lambda t: gc.isenabled(), lambda t: False)
+    assert report.passed and report.checked == 12
+    assert gc.isenabled()
+    _no_child_is_left()
+
+
+@pytest.mark.usefixtures("collector")
+def test_the_collector_settles_the_young_objects_a_call_leaves():
+    value = normalize_expr("ring3", parse_expr("*".join(["(a+b+c)"] * 6), X3))
+    assert gc.get_count()[0] <= gc.get_threshold()[0]
+    assert len(value) == 3 ** 6
+
+
+@pytest.mark.usefixtures("collector")
+def test_the_collector_settles_the_middle_generation_when_it_is_due():
+    """Each call leaves more young objects than the threshold.  As under the
+    collector's own trigger, the middle generation's count passes its
+    threshold by one, and the next collection takes that generation too;
+    were each call settled by ``gc.collect(0)`` alone, it would never be
+    collected, and its count would only grow."""
+    node = parse_expr("*".join(["(a+b+c)"] * 6), X3)
+    gc.collect()
+    kept = []
+    for _ in range(3 * gc.get_threshold()[1]):
+        kept.append(normalize_expr("ring3", node))
+        assert gc.get_count()[1] <= gc.get_threshold()[1] + 1
+
+
+@pytest.mark.usefixtures("collector")
+@pytest.mark.parametrize("build, sizes, cycles", [
+    (lambda bound: check_distlaw(LAW_PRODUCT_OVER_SUM_WORDS, X2, bound), (2, 3), 0),
+    (lambda bound: validate_series(RING3_SERIES, X1, bound), (2, 3), 0),
+    (lambda bound: check_route_independence(RIG_SERIES, X1, bound), (2, 3), 0),
+    (lambda bound: check_yang_baxter(RING3_SERIES, 3, 2, 1, X2, bound), (2, 3), 0),
+    (lambda bound: check_monad_laws(FREE_SEMIGROUP, X2, bound), (2, 3), 0),
+    (lambda bound: free_ncat(LOOP_SET, bound), (2, 3), 0),
+    # eval_node, a closure that calls itself, is one cycle of four objects per call;
+    # the parser makes cycles of its own, so the expressions are parsed beforehand
+    (partial(normalize_expr, "ring3"),
+     (parse_expr("a+b", X3), parse_expr("*".join(["(a+b+c)"] * 4), X3)), 4),
+], ids=["check_distlaw", "validate_series", "check_route_independence", "check_yang_baxter",
+        "check_monad_laws", "free_ncat", "normalize_expr"])
+def test_the_collector_finds_no_cycles_that_grow_with_the_work(split_after, build, sizes,
+                                                                cycles):
+    """With the collector off, a build leaves the same cyclic garbage at
+    two sizes, so a long paused call does not pile it up.  The warm-up call
+    takes the one-off imports and caches, a split's ``pickle`` among them."""
+    gc.collect()
+    gc.disable()
+    build(sizes[0])
+    gc.collect()
+    found = []
+    for size in sizes:
+        build(size)
+        found.append(gc.collect())
+    assert found == [cycles, cycles]
+    _no_child_is_left()
