@@ -79,69 +79,75 @@ def tokenize(src):
     return tokens
 
 
-def parse_expr(src, carrier):
-    """Parse to an AST, resolving every identifier against the carrier."""
-    tokens = tokenize(src)
-    idx = 0
+class _Parser:
+    """Recursive descent over a token list, ``idx`` the next token.  The
+    methods reach one another through ``self``, so a parse leaves no
+    reference cycle for the collector to find."""
 
-    def peek():
-        return tokens[idx]
+    def __init__(self, tokens, carrier):
+        self.tokens = tokens
+        self.idx = 0
+        self.carrier = carrier
 
-    def unexpected(*expected):
-        kind, value, pos = tokens[idx]
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def unexpected(self, *expected):
+        kind, value, pos = self.peek()
         shown = END if kind == END else repr(value)
         raise ParseError(f"unexpected token {shown}", pos, expected=expected)
 
-    def take(kind):
-        nonlocal idx
-        tok = tokens[idx]
+    def take(self, kind):
+        tok = self.peek()
         if tok[0] != kind:
-            unexpected(kind)
-        idx += 1
+            self.unexpected(kind)
+        self.idx += 1
         return tok
 
-    def atom():
-        nonlocal idx
-        kind, value, pos = peek()
+    def atom(self):
+        kind, value, pos = self.peek()
         if kind == "IDENT":
-            idx += 1
-            carrier.gen(value)
+            self.idx += 1
+            self.carrier.gen(value)
             return Var(value)
         if kind == "INT":
-            idx += 1
+            self.idx += 1
             return IntLit(value)
         if kind == "(":
-            idx += 1
-            inner = expr()
-            take(")")
+            self.idx += 1
+            inner = self.expr()
+            self.take(")")
             return inner
-        unexpected("IDENT", "INT", "(")
+        self.unexpected("IDENT", "INT", "(")
 
-    def factor():
-        nonlocal idx
-        if peek()[0] == "-":
-            idx += 1
-            return Neg(atom())
-        return atom()
+    def factor(self):
+        if self.peek()[0] == "-":
+            self.idx += 1
+            return Neg(self.atom())
+        return self.atom()
 
-    def term():
-        node = factor()
-        while peek()[0] == "*":
-            take("*")
-            node = Mul(node, factor())
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] == "*":
+            self.take("*")
+            node = Mul(node, self.factor())
         return node
 
-    def expr():
-        node = term()
-        while peek()[0] in ("+", "-"):
-            op = take(peek()[0])
-            rhs = term()
+    def expr(self):
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take(self.peek()[0])
+            rhs = self.term()
             node = Add(node, rhs if op[0] == "+" else Neg(rhs))
         return node
 
+
+def parse_expr(src, carrier):
+    """Parse to an AST, resolving every identifier against the carrier."""
+    parser = _Parser(tokenize(src), carrier)
     try:
-        result = expr()
+        result = parser.expr()
     except RecursionError:
-        raise ParseError("expression nested too deeply", tokens[idx][2]) from None
-    take(END)
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    parser.take(END)
     return result

@@ -165,39 +165,41 @@ def _theory(name):
     return THEORIES[name]
 
 
+def _evaluate(theory, n):
+    """The value of node ``n`` in ``theory``'s monad.  A module function, not
+    a closure that calls itself, so that no call leaves a reference cycle."""
+    # a long sum or product nests to the left: walk that spine in a loop; a run of
+    # summands is one add, a run of factors a balanced, in-order tree of binary muls
+    spine = []
+    while isinstance(n, (Add, Mul)):
+        spine.append(n)
+        n = n.left
+    if isinstance(n, Var):
+        value = theory.monad.unit(Gen(n.name))
+    elif isinstance(n, IntLit):
+        value = theory.op("lit", n.value)
+    elif isinstance(n, Neg):
+        value = theory.op("neg", _evaluate(theory, n.arg))
+    else:
+        raise UnsupportedNode(f"unknown expression node {n!r}")
+    for is_sum, run in groupby(reversed(spine), key=lambda op: isinstance(op, Add)):
+        if is_sum:
+            value = theory.op("add", value, *(_evaluate(theory, op.right) for op in run))
+        else:
+            factors = [value, *(_evaluate(theory, op.right) for op in run)]
+            while len(factors) > 1:
+                factors = [theory.op("mul", *factors[i:i + 2]) if i + 1 < len(factors)
+                           else factors[i] for i in range(0, len(factors), 2)]
+            value = factors[0]
+    return value
+
+
 @collector_paused
 def normalize_expr(theory_name, node):
     """Evaluate an AST inside the theory's monad; return its normal form."""
     theory = _theory(theory_name)
-
-    def eval_node(n):
-        # a long sum or product nests to the left: walk that spine in a loop; a run of
-        # summands is one add, a run of factors a balanced, in-order tree of binary muls
-        spine = []
-        while isinstance(n, (Add, Mul)):
-            spine.append(n)
-            n = n.left
-        if isinstance(n, Var):
-            value = theory.monad.unit(Gen(n.name))
-        elif isinstance(n, IntLit):
-            value = theory.op("lit", n.value)
-        elif isinstance(n, Neg):
-            value = theory.op("neg", eval_node(n.arg))
-        else:
-            raise UnsupportedNode(f"unknown expression node {n!r}")
-        for is_sum, run in groupby(reversed(spine), key=lambda op: isinstance(op, Add)):
-            if is_sum:
-                value = theory.op("add", value, *(eval_node(op.right) for op in run))
-            else:
-                factors = [value, *(eval_node(op.right) for op in run)]
-                while len(factors) > 1:
-                    factors = [theory.op("mul", *factors[i:i + 2]) if i + 1 < len(factors)
-                               else factors[i] for i in range(0, len(factors), 2)]
-                value = factors[0]
-        return value
-
     try:
-        value = eval_node(node)
+        value = _evaluate(theory, node)
     except RecursionError:
         raise UnsupportedNode("expression nested too deeply") from None
     return theory.finish(value)

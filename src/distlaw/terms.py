@@ -4,8 +4,8 @@ Every term is immutable and carries a precomputed structural key and
 weight.  Structural equality of keys is the only equality used anywhere:
 two terms denote the same free-algebra element iff they are equal.
 Constructors canonicalise on the way in (multisets are sorted, integer
-combinations are merged, zero coefficients dropped), so a term is always
-in normal form.
+combinations out of key order are merged, zero coefficients dropped), so
+a term is always in normal form.
 
 The weight is the one measure of a term, and every enumeration bound is
 a bound on it.  A generator and an adjoined constant weigh one, an
@@ -191,23 +191,32 @@ class MSet(_Collection):
 class IntComb(Term):
     """A formal integer combination: sorted (term, coefficient) pairs.
 
-    Duplicate keys are merged and zero coefficients dropped, so equality
-    of combinations is structural equality.
+    Pairs given in strictly increasing key order are taken as they come;
+    any other input is merged: equal keys add up under the first term
+    given with that key, and the result is sorted by key.  Zero
+    coefficients are dropped either way, so equality of combinations is
+    structural equality.
     """
 
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
-        merged = {}
+        pairs = tuple(pairs)
+        last = ()  # below every key; None once a key is not above the one before
         for term, coeff in pairs:
             assert isinstance(term, Term) and isinstance(coeff, int)
-            merged[term] = merged[term] + coeff if term in merged else coeff
+            if last is not None:
+                last = term._key if last < term._key else None
+        if last is None:
+            merged = {}
+            for term, coeff in pairs:
+                merged[term] = merged[term] + coeff if term in merged else coeff
+            pairs = [(t, merged[t]) for t in sorted(merged, key=_KEY)]
         kept = []
         key = ["z"]
         hashes = ["z"]
         total = 0
-        for t in sorted(merged, key=_KEY) if len(merged) > 1 else merged:
-            c = merged[t]
+        for t, c in pairs:
             if c:
                 kept.append((t, c))
                 key.append((t._key, c))

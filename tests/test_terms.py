@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from distlaw import Carrier, Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from distlaw.errors import UnknownGenerator
 from distlaw.globular import GenCell, StringCell
-from distlaw.terms import functions_between, weight
+from distlaw.terms import Keyed, functions_between, weight
 
 from oracles import reference_normal_form
 
@@ -23,6 +23,37 @@ def test_intcomb_merges_and_drops_zeros():
     t = IntComb(((a, 1), (b, 2), (a, 2), (b, -2)))
     assert t.pairs == ((a, 3),)
     assert IntComb(((a, 1), (a, -1))) == IntComb(())
+
+
+def test_intcomb_takes_pairs_in_key_order_as_they_come_and_merges_the_rest(monkeypatch):
+    x, y, z = Seq((a, b)), MSet((b, a)), IntComb(((a, 2), (Seq(()), -1)))
+    ordered = sorted([(a, 2), (x, 0), (y, -1), (z, 3), (Inj(a), 1)], key=lambda p: p[0].key)
+    hashed = []
+    plain_hash = Keyed.__hash__
+    monkeypatch.setattr(Keyed, "__hash__", lambda t: hashed.append(t) or plain_hash(t))
+    term = IntComb(ordered)
+    assert hashed == []
+    IntComb(ordered[::-1])  # the merge hashes each term: the count sees it
+    assert hashed
+    monkeypatch.undo()
+    nonzero = tuple(p for p in ordered if p[1])
+    assert term.pairs == nonzero
+    assert all(t is u for (t, _), (u, _) in zip(term.pairs, nonzero))
+
+    # one pair out of order, and one adjacent duplicate of a fresh equal term
+    swapped = [ordered[1], ordered[0], *ordered[2:]]
+    duplicated = [*ordered[:3], (MSet((a, b)), 5), *ordered[3:]]
+    for inputs in (swapped, duplicated):
+        term = IntComb(inputs)
+        want, key, want_weight = reference_normal_form(IntComb, inputs)
+        assert term.pairs == want and term.key == key and weight(term) == want_weight
+        assert all(t is u for (t, _), (u, _) in zip(term.pairs, want))
+
+
+@pytest.mark.parametrize("bad", [(c, 1.5), ("c", 1)])
+def test_intcomb_checks_every_pair_after_one_out_of_order(bad):
+    with pytest.raises(AssertionError):
+        IntComb(((b, 1), (a, 1), bad))
 
 
 def test_structural_equality_and_hash():
@@ -103,15 +134,39 @@ def _with_cancellations(pairs_and_negate):
     return pairs + [(spec, -k) for spec, k in pairs[:negate]]
 
 
+IN_KEY_ORDER = "in key order"  # an IntComb spec whose pairs are sorted once built
+
+
 def _term_specs(children):
     items = st.lists(children, max_size=4)
-    pairs = st.tuples(st.lists(st.tuples(children, st.integers(-2, 2)), max_size=4),
-                      st.integers(0, 2)).map(_with_cancellations)
+    pairs = st.lists(st.tuples(children, st.integers(-2, 2)), max_size=4)
+    # an optional adjacent duplicate: (position, coefficient)
+    in_order = st.tuples(pairs, st.none() | st.tuples(st.integers(0, 3), st.integers(-2, 2)))
     return st.one_of(st.tuples(st.just(Seq), items), st.tuples(st.just(MSet), items),
-                     st.tuples(st.just(IntComb), pairs), st.tuples(st.just(Inj), children))
+                     st.tuples(st.just(IntComb),
+                               st.tuples(pairs, st.integers(0, 2)).map(_with_cancellations)),
+                     st.tuples(st.just(IN_KEY_ORDER), in_order), st.tuples(st.just(Inj), children))
 
 
 TERM_SPECS = st.recursive(st.sampled_from([a, b, ONE, ZERO]), _term_specs, max_leaves=16)
+
+
+def _in_key_order(body, built):
+    """Pairs in strictly increasing key order, the first term drawn with
+    each key kept; a duplicate ``(i, k)`` puts a fresh term equal to the
+    ``i``-th, with coefficient ``k``, right after it."""
+    drawn, duplicate = body
+    first = {}
+    for s, k in drawn:
+        t = _build_checked(s, built)
+        first.setdefault(t.key, (s, t, k))
+    ordered = [first[key] for key in sorted(first)]
+    inputs = [(t, k) for _, t, k in ordered]
+    if duplicate is not None and ordered:
+        i, k = duplicate
+        i %= len(ordered)
+        inputs.insert(i + 1, (_build_checked(ordered[i][0], built), k))
+    return inputs
 
 
 def _build_checked(spec, built):
@@ -124,8 +179,11 @@ def _build_checked(spec, built):
         inputs = _build_checked(body, built)
         term = Inj(inputs)
         got = term.inner
-    elif shape is IntComb:
-        inputs = [(_build_checked(s, built), k) for s, k in body]
+    elif shape in (IntComb, IN_KEY_ORDER):
+        if shape is IntComb:
+            inputs = [(_build_checked(s, built), k) for s, k in body]
+        else:
+            shape, inputs = IntComb, _in_key_order(body, built)
         term = IntComb(iter(inputs))
         got = term.pairs
     else:
