@@ -19,7 +19,7 @@ from .globular import (CompositionMonad, GenCell, GlobularSet, StringCell,
                        boundary, brute_force_oracle, check_globular_distlaw,
                        check_globular_yang_baxter, check_interchange,
                        composition_series, free_ncat, globular_set_from_names,
-                       identity_cell, interchange_law, load_gset,
+                       identity_cell, interchange_law, load_gset, oracle_cells,
                        padded_transpose_candidate)
 from .laws import REGISTERED_LAWS, DistLaw
 from .monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,

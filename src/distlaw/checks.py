@@ -1,13 +1,11 @@
 """Bounded exhaustive verification of monad laws, with failure witnesses."""
 
-import math
 import os
 from functools import cache, partial
-from itertools import chain
 from operator import itemgetter
 
 from .errors import DistlawError, ShapeMismatch, _OutOfTable
-from .monads import _check_bound, _guard, _stream_stack
+from .monads import Stream, _check_bound, _guard, _stream_stack
 from .terms import Carrier, collector_paused, functions_between
 
 
@@ -87,33 +85,36 @@ def compare_all(inputs, sections):
     ``_OutOfTable``, an algebra lookup beyond its bounded table, the input
     is skipped: it counts in no section.
 
-    A long stream is shared among the CPUs this process may use.  The
-    loop runs here until its legs have made ``SPLIT_AFTER_CALLS`` calls;
-    then it forks one worker per extra CPU, and each process, this one
-    included, checks every W-th remaining input of its own copy of the
-    stream and of the legs' tables.  The workers send back their counts
-    and their witnesses with their stream positions, and the reports
-    are exactly the serial ones; an error that is not a package error
-    is raised as the serial loop would raise it, at the earliest input.
-    The loop stays in one process inside a worker, without ``os.fork``
-    or ``os.sched_getaffinity``, on one CPU, beside a second thread, or
-    when a pipe or a fork fails.  The loop runs with the cyclic collector
+    A long stream is shared among the CPUs this process may use.  It is
+    long when the inputs before its last would make at least
+    ``SPLIT_AFTER_CALLS`` leg calls; ``inputs`` tells its size, as a
+    ``monads.Stream`` or a sized iterable, before any leg runs, and a
+    stream of no known size is not shared.  A long stream forks one
+    worker per extra CPU before its first input, and each process, this
+    one included, checks every W-th input from its own position on, with
+    its own tables; from a ``Stream`` it builds only those inputs, and
+    walks past the others.  The workers send back their counts and their
+    witnesses with their stream positions, and the reports are exactly
+    the serial ones; an error that is not a package error is raised as
+    the serial loop would raise it, at the earliest input.  The loop
+    stays in one process inside a worker, without ``os.fork`` or
+    ``os.sched_getaffinity``, on one CPU, beside a second thread, or when
+    a pipe or a fork fails.  The loop runs with the cyclic collector
     paused (``terms.collector_paused``), and the workers inherit the pause.
     """
     walk = _Walk(inputs, sections)
-    if walk.run(stop=SPLIT_AFTER_CALLS / max(len(walk.legs), 1)):
-        shares = _shares()
-        if shares == 1 or not walk.split(shares):
-            walk.run()
+    if not (walk.long() and (shares := _shares()) > 1 and walk.split(shares)):
+        walk.run()
     return [CheckReport(check_id, checked=walk.checked, witnesses=[w for _, w in found])
             for check_id, _, _, found in walk.rows]
 
 
 SPLIT_AFTER_CALLS = 8192
 """Leg calls a ``compare_all`` stream makes in one process before it is
-shared among the CPUs; ``math.inf`` keeps every loop in one process.
-A count, not a time, so that a stream splits at the same input on
-every run, however busy the machine."""
+shared among the CPUs: a stream whose inputs before its last make at
+least this many is shared from its first input; ``math.inf`` keeps every
+loop in one process.  A count, not a time, so that the same streams
+split on every run, however busy the machine."""
 
 _in_worker = False
 
@@ -131,46 +132,46 @@ def _shares():
 
 
 class _Walk:
-    """One ``compare_all`` loop: its legs, its rows, its place in the
-    stream, and the witnesses found so far, each with its position."""
+    """One ``compare_all`` loop: its legs, its rows, its input stream,
+    and the witnesses found so far, each with its position."""
 
     def __init__(self, inputs, sections):
         self.legs = list(dict.fromkeys(leg for _, *pair in sections for leg in pair))
         self.rows = [(check_id, self.legs.index(left), self.legs.index(right), [])
                      for check_id, left, right in sections]
-        self.stream = iter(inputs)
-        self.pos = 0  # the position of the next input; an error's position
+        if not isinstance(inputs, Stream):
+            inputs = Stream(inputs, None, getattr(inputs, "__len__", None))
+        self.inputs = inputs
+        self.pos = 0  # the position of the input being read; an error's position
         self.checked = 0
 
-    def run(self, stop=math.inf, share=0, shares=1):
-        """Check the inputs at positions ``share`` mod ``shares`` up to
-        the end of the stream, and return False; or stop at the first
-        position not below ``stop``, and return True.
-        """
+    def long(self):
+        """Whether the stream is shared: the inputs before its last make at
+        least ``SPLIT_AFTER_CALLS`` leg calls."""
+        size = self.inputs.size
+        return size is not None and (size() - 1) * max(len(self.legs), 1) >= SPLIT_AFTER_CALLS
+
+    def run(self, share=0, shares=1):
+        """Check the inputs at positions ``share`` mod ``shares``, to the end of the stream."""
         legs, rows = self.legs, self.rows
-        pos, checked = self.pos, self.checked
+        pos, checked = share, self.checked
         try:
-            for t in self.stream:
-                if pos >= stop:
-                    self.stream = chain((t,), self.stream)
-                    return True
-                if pos % shares == share:
-                    values, raised = [], ()  # raised: the positions of the legs that raised
-                    for leg in legs:
-                        try:
-                            values.append(leg(t))
-                        except DistlawError as exc:
-                            if isinstance(exc, _OutOfTable) and not raised:
-                                break
-                            raised += (len(values),)
-                            values.append(f"error:{type(exc).__name__}: {exc}")
-                    else:
-                        checked += 1
-                        for check_id, i, j, found in rows:
-                            if values[i] != values[j] or i in raised and j in raised:
-                                found.append((pos, Witness(check_id, t, values[i], values[j])))
-                pos += 1
-            return False
+            for t in self.inputs.forms(share, shares):
+                values, raised = [], ()  # raised: the positions of the legs that raised
+                for leg in legs:
+                    try:
+                        values.append(leg(t))
+                    except DistlawError as exc:
+                        if isinstance(exc, _OutOfTable) and not raised:
+                            break
+                        raised += (len(values),)
+                        values.append(f"error:{type(exc).__name__}: {exc}")
+                else:
+                    checked += 1
+                    for check_id, i, j, found in rows:
+                        if values[i] != values[j] or i in raised and j in raised:
+                            found.append((pos, Witness(check_id, t, values[i], values[j])))
+                pos += shares
         finally:
             self.pos, self.checked = pos, checked
 
@@ -183,7 +184,7 @@ class _Walk:
         return None
 
     def split(self, shares):
-        """Run the rest of the stream in ``shares`` processes, this one and
+        """Run the stream in ``shares`` processes, this one and
         forked workers, merge what they find in stream order, and return
         True.  If a pipe or a fork fails, kill the workers forked so far
         and return False: the stream is unread, so it can run on here."""
@@ -235,9 +236,6 @@ class _Walk:
         status = 1
         try:
             _in_worker = True
-            self.checked = 0
-            for *_, found in self.rows:
-                found.clear()
             error = self._take(share, shares)
             # an error whose __init__ wants more than its args, as ParseError's
             # does, would not unpickle in the parent: send its name and message
@@ -274,7 +272,7 @@ def check_monad_laws(monad, carrier, bound):
     kept for this call only.
     """
     base = list(carrier)
-    left_unit, right_unit = compare_all(monad.normal_forms(base, bound), [
+    left_unit, right_unit = compare_all(_stream_stack([monad], base, bound), [
         (f"monad[{monad.name}]:unit-left", lambda t: monad.mult(monad.unit(t)), _same),
         (f"monad[{monad.name}]:unit-right",
          lambda t: monad.mult(monad.fmap(monad.unit, t)), _same),

@@ -34,7 +34,7 @@ import json
 from .errors import (ComposabilityError, DimensionError, FileFormatError,
                      IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
-from .monads import MonadSpec, _check_bound, _guard, _walks
+from .monads import MonadSpec, Stream, _check_bound, _guard, _walks
 from .series import DistributiveSeries, check_distlaw, check_yang_baxter
 from .terms import Keyed, collector_paused
 
@@ -330,8 +330,9 @@ class CompositionMonad(MonadSpec):
             layers[m] = cells
         return GlobularSet(self.n, layers)
 
-    def normal_forms(self, domain, bound):
-        return iter(self.apply(domain, bound))
+    def stream(self, domain, bound):
+        cells = self.apply(domain, bound)
+        return Stream(cells, None, lambda: sum(cells.counts()))
 
 
 def interchange_law(cell, i, j):
@@ -548,9 +549,14 @@ def _oracle_closure(gset, bound):
 
 
 @collector_paused
+def oracle_cells(gset, bound):
+    """Per dimension, the set of distinct formal-composite normal forms (``_oracle_closure``)."""
+    return _oracle_closure(gset, bound)
+
+
 def brute_force_oracle(gset, bound):
-    """Per-dimension counts of distinct formal-composite normal forms."""
-    return [len(cells) for cells in _oracle_closure(gset, bound).values()]
+    """Per-dimension counts of ``oracle_cells``."""
+    return [len(cells) for cells in oracle_cells(gset, bound).values()]
 
 
 def composition_series(n):

@@ -21,9 +21,20 @@ steps in key order, so their walks come out in (weight, key) order and
 are not sorted afterwards.  Each walk counts against ``ENUM_CEILING``
 as it is yielded, so ``_stream_stack``, which generates a stack's top
 layer as a diagram reads it, stops at the ceiling mid-check.
+
+Each monad gives its normal forms as a ``Stream``: raw walks, a
+``build`` that makes a normal form of one, and the exact number of
+forms, which words, multisets and combinations count from the weights
+of the domain without walking (``_count``), and a listed layer from its
+list.  So a diagram can share a stream's positions among processes
+before it reads any, and build only the forms it checks.
 """
 
+import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import chain, islice
+from math import comb
 from operator import itemgetter
 
 from .errors import BoundTooLarge, ShapeMismatch
@@ -36,6 +47,39 @@ _FIRST = itemgetter(0)
 def _by_weight(terms):
     """Terms sorted by (weight, key): the order of every enumeration."""
     return sorted(terms, key=lambda t: (weight(t), t.key))
+
+
+class Stream:
+    """A layer of normal forms, generated as it is read, and its size.
+
+    ``walks`` yields one raw value per form, in enumeration order, and
+    ``build`` makes the form of one (``None``: the value is the form).
+    The stream is its own iterator over the forms and holds none it has
+    yielded.  ``size()`` is the number of forms, counted without walking.
+    """
+
+    __slots__ = ("walks", "build", "size")
+
+    def __init__(self, walks, build, size):
+        self.walks, self.build, self.size = iter(walks), build, size
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raw = next(self.walks)
+        return raw if self.build is None else self.build(raw)
+
+    def forms(self, share=0, shares=1):
+        """The forms at the positions ``share`` mod ``shares``, built; the
+        walks between them are taken and dropped unbuilt."""
+        raws = self.walks if shares == 1 else islice(self.walks, share, None, shares)
+        return raws if self.build is None else map(self.build, raws)
+
+
+def _listed(forms):
+    """A ``Stream`` of a layer already listed, sized by its list."""
+    return Stream(forms, None, forms.__len__)
 
 
 class MonadSpec:
@@ -52,12 +96,20 @@ class MonadSpec:
     def fmap(self, f, t):
         raise NotImplementedError
 
-    def normal_forms(self, domain, bound):
-        """Yield the normal forms over ``domain`` within ``bound``, in enumeration order."""
+    def stream(self, domain, bound):
+        """The normal forms over ``domain`` within ``bound``, in enumeration order, as a ``Stream``."""
         raise NotImplementedError
+
+    def normal_forms(self, domain, bound):
+        return self.stream(domain, bound).forms()
 
     def enumerate(self, domain, bound):
         return list(self.normal_forms(domain, bound))
+
+    def size(self, domain, bound):
+        """``len(enumerate(domain, bound))``, without walking the forms (see
+        ``_count``).  It does not raise past ``ENUM_CEILING``, as the walk does."""
+        return self.stream(domain, bound).size()
 
     def __repr__(self):
         return f"<monad {self.name}>"
@@ -113,6 +165,37 @@ def _walks(starts, onward, bound, what, dearest):
         idle = 0 if built > before else idle + 1
 
 
+def _count(costs, bound, kind, extra):
+    """How many walks ``_walks`` yields over elements of the given costs
+    within ``bound``, plus ``extra``, the forms emitted beside the walks.
+
+    The walks of each total cost are counted by a coefficient of the
+    generating function of the ``kind`` of walk, over the histogram of
+    the costs (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. I):
+    words ``1 / (1 - A(x))``, where ``A`` has ``a_w`` terms ``x^w``;
+    multisets ``prod (1 - x^w)^-a_w``; combinations, whose elements take
+    any nonzero coefficient, ``prod ((1 + x^w) / (1 - x^w))^a_w``.  The
+    count of the words of one cost stops at ``sys.maxsize``, so that
+    words at a large bound, whose number grows exponentially with it,
+    make no huge integers; no stream that size could be walked.
+    """
+    weights = Counter(w for w in costs if w <= bound)
+    series = [1] + [0] * bound
+    if kind == "words":
+        for n in range(1, bound + 1):
+            series[n] = min(sum(a * series[n - w] for w, a in weights.items() if w <= n),
+                            sys.maxsize)
+        return sum(series) - 1 + extra
+    for w, a in weights.items():
+        if kind == "combinations":  # times (1 + x^w)^a, from the top down
+            for n in range(bound, w - 1, -1):
+                series[n] += sum(comb(a, k) * series[n - k * w] for k in range(1, min(a, n // w) + 1))
+        for n in range(w, bound + 1):  # over (1 - x^w)^a, from the bottom up
+            series[n] -= sum((-1) ** k * comb(a, k) * series[n - k * w]
+                             for k in range(1, min(a, n // w) + 1))
+    return sum(series) - 1 + extra
+
+
 def _fits(steps, bound):
     """The key-ordered ``(step, cost)`` pairs that cost at most a budget, as a
     function of the budget, and the dearest cost within ``bound``; the lists
@@ -161,12 +244,14 @@ class FreeMonoid(FreeCollection):
     name = "free-monoid"
     shape = Seq
 
-    def normal_forms(self, domain, bound):
+    def stream(self, domain, bound):
         _check_bound(bound)
-        if not self.nonempty:
-            yield Seq(())
-        fits, dearest = _fits([(x, weight(x)) for x in sorted(domain, key=_KEY)], bound)
-        yield from map(Seq, _walks(fits, lambda x, r: fits(r), bound, self.name, dearest))
+        steps = [(x, weight(x)) for x in sorted(domain, key=_KEY)]
+        fits, dearest = _fits(steps, bound)
+        walks = _walks(fits, lambda x, r: fits(r), bound, self.name, dearest)
+        extra = 1 - self.nonempty
+        return Stream(chain([()] * extra, walks), Seq,
+                      lambda: _count([w for _, w in steps], bound, "words", extra))
 
 
 class FreeSemigroup(FreeMonoid):
@@ -182,20 +267,21 @@ class FreeCommutativeMonoid(FreeCollection):
     name = "free-commutative-monoid"
     shape = MSet
 
-    def normal_forms(self, domain, bound):
+    def stream(self, domain, bound):
         """Walks over the positions of the key-sorted domain that never step back."""
         _check_bound(bound)
-        if not self.nonempty:
-            yield MSet(())
         domain = sorted(domain, key=_KEY)
-        fits, dearest = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
+        costs = [weight(x) for x in domain]
+        fits, dearest = _fits(list(enumerate(costs)), bound)
 
         def onward(k, r):
             row = fits(r)
             return row[bisect_left(row, k, key=_FIRST):]
 
-        for walk in _walks(fits, onward, bound, self.name, dearest):
-            yield MSet([domain[k] for k in walk])
+        walks = _walks(fits, onward, bound, self.name, dearest)
+        extra = 1 - self.nonempty
+        return Stream(chain([()] * extra, walks), lambda walk: MSet([domain[k] for k in walk]),
+                      lambda: _count(costs, bound, "multisets", extra))
 
 
 class FreeCommutativeSemigroup(FreeCommutativeMonoid):
@@ -229,16 +315,16 @@ class FreeAbelianGroup(MonadSpec):
             raise ShapeMismatch(f"{self.name}: fmap expects a combination, got {t}")
         return IntComb([(f(x), c) for x, c in t.pairs])
 
-    def normal_forms(self, domain, bound):
+    def stream(self, domain, bound):
         """Walks over (position, coefficient) steps of the key-sorted domain,
         each at a later position: the order of a combination's key, where
         coefficients ascend, negative first.  The steps of a position are
         made as the walk reaches it, since their number grows with the
         budget; a walk starts as if after position -1."""
         _check_bound(bound)
-        yield IntComb(())
         domain = sorted(domain, key=_KEY)
-        fits, _ = _fits([(k, weight(x)) for k, x in enumerate(domain)], bound)
+        costs = [weight(x) for x in domain]
+        fits, _ = _fits(list(enumerate(costs)), bound)
 
         def onward(step, r):
             row = fits(r)
@@ -246,8 +332,9 @@ class FreeAbelianGroup(MonadSpec):
                     for c in range(-(r // w), r // w + 1) if c)
 
         dearest = max((bound // w * w for _, w in fits(bound)), default=0)
-        for walk in _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest):
-            yield IntComb([(domain[k], c) for k, c in walk])
+        walks = _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest)
+        return Stream(chain([()], walks), lambda walk: IntComb([(domain[k], c) for k, c in walk]),
+                      lambda: _count(costs, bound, "combinations", 1))
 
 
 class AdjoinConstant(MonadSpec):
@@ -275,12 +362,12 @@ class AdjoinConstant(MonadSpec):
             return Inj(f(t.inner))
         raise ShapeMismatch(f"{self.name}: fmap expects an adjoined element, got {t}")
 
-    def normal_forms(self, domain, bound):
+    def stream(self, domain, bound):
         _check_bound(bound)
         out = [Inj(x) for x in domain if weight(x) <= bound]
         out.append(self.constant)
         _guard(len(out), f"{self.name} at bound {bound}")
-        yield from _by_weight(out)
+        return _listed(_by_weight(out))
 
 
 class AdjoinUnit(AdjoinConstant):
@@ -307,9 +394,9 @@ class IdentityMonad(MonadSpec):
     def fmap(self, f, t):
         return f(t)
 
-    def normal_forms(self, domain, bound):
+    def stream(self, domain, bound):
         _check_bound(bound)
-        yield from _by_weight(x for x in domain if weight(x) <= bound)
+        return _listed(_by_weight(x for x in domain if weight(x) <= bound))
 
 
 FREE_MONOID = FreeMonoid()
@@ -329,11 +416,13 @@ ZOO = {
 
 
 def _stream_stack(monads, base, bound):
-    """``enum_stack``, with only the inner layers listed: the outermost is generated as read."""
-    layer = iter(base)
-    for monad in reversed(monads):
-        layer = monad.normal_forms(list(layer), bound)
-    return layer
+    """``enum_stack`` as a ``Stream``: the inner layers listed, the outermost generated as read."""
+    layer = list(base)
+    if not monads:
+        return _listed(layer)
+    for monad in reversed(monads[1:]):
+        layer = monad.enumerate(layer, bound)
+    return monads[0].stream(layer, bound)
 
 
 def enum_stack(monads, base, bound):
@@ -343,4 +432,4 @@ def enum_stack(monads, base, bound):
     below it with the same bound, so the result is every element of the
     composite within the weight bound.
     """
-    return list(_stream_stack(monads, base, bound))
+    return list(_stream_stack(monads, base, bound).forms())

@@ -11,6 +11,7 @@ by bounded exhaustive evaluation.
 import ast
 from functools import cache, partial
 
+from . import monads
 from .checks import CheckReport, _naturality, check_monad_laws, compare, compare_all
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
@@ -46,8 +47,8 @@ class CompositeMonad(MonadSpec):
         flat_outer = self.outer.mult(swapped)
         return self.outer.fmap(self._inner_mult, flat_outer)
 
-    def normal_forms(self, domain, bound):
-        return self.outer.normal_forms(self.inner.enumerate(domain, bound), bound)
+    def stream(self, domain, bound):
+        return self.outer.stream(self.inner.enumerate(domain, bound), bound)
 
 
 class DistributiveSeries:
@@ -266,7 +267,14 @@ def compose_series(series, route):
 
 
 def check_route_independence(series, carrier, bound):
-    """Every bracketing induces the same multiplication, pointwise."""
+    """Every bracketing induces the same multiplication, pointwise.
+
+    A pass says only that the routes' multiplications agree on every
+    checked input, not that the composite is a monad: ring3 with its
+    unit law at (3,2) swapped for the other valid law of that pair
+    passes, yet both composites fail associativity, and only the
+    hexagon (3,2,1) of ``validate_series`` fails.
+    """
     return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
@@ -291,7 +299,8 @@ def compare_routes(series, routes, carrier, bound):
     The inputs are all enumerated elements of the doubled composite
     within bound, generated once and never held: the first route's
     ``mult`` runs once on each and counts in every section.  A single
-    route compares nothing; its one ``single`` leaf counts the inputs.
+    route compares nothing; its one ``single`` leaf counts the inputs
+    by the stream's size, without walking them below ``ENUM_CEILING``.
 
     The per-check rule of ``check_distlaw``: each pair law's transform
     gets one table, shared by every route and every block law built
@@ -309,8 +318,10 @@ def compare_routes(series, routes, carrier, bound):
     inputs = _stream_stack(series.monads + series.monads, list(carrier), bound)
     title = f"routes[{series.name}]"
     if len(routes) == 1:
-        return CheckReport(title, sections=[
-            CheckReport(f"{title}:single", checked=sum(1 for _ in inputs))])
+        checked = inputs.size()
+        if checked > monads.ENUM_CEILING:  # past it the walk raises, as reading would
+            checked = sum(1 for _ in inputs)
+        return CheckReport(title, sections=[CheckReport(f"{title}:single", checked=checked)])
     reference = composites[0].mult
     return CheckReport(title, sections=compare_all(inputs, [
         (f"{title}:{routes[0]}vs{r}".replace(" ", ""), reference, composite.mult)

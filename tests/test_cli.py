@@ -186,6 +186,8 @@ def test_the_reference_route_is_compared_with_the_next_bracketing():
     ("laws", "--generators", "-1"),
     ("laws", "--names", "a,a"),
     ("normalize", "--theory", "ring3", "--names", "a,a", "a"),
+    ("routes", "--theory", "rig", "--route", ""),
+    ("normalize", "--theory", "ring3", "--names", "", "a"),
 ])
 def test_negative_bound_or_empty_carrier_is_a_usage_error(argv, capsys):
     code, out = run(*argv)
@@ -301,6 +303,23 @@ def test_oracle_compare_subcommand():
     code, out = run("oracle-compare", "--input", path, "--bound", "2")
     assert code == 0
     assert out.endswith("ORACLE MATCH\n")
+
+
+def test_oracle_compare_compares_cell_sets(monkeypatch):
+    """A closure with the same counts but one cell swapped for another is a mismatch."""
+    import distlaw.cli
+    real = distlaw.cli.oracle_cells
+
+    def swapped(gset, bound):
+        cells = real(gset, bound)
+        cells[2].pop()
+        cells[2].add("a cell the free 2-category does not hold")
+        return cells
+
+    monkeypatch.setattr(distlaw.cli, "oracle_cells", swapped)
+    code, out = run("oracle-compare", "--input", os.path.join(DATA, "two_cell.gset"), "--bound", "2")
+    assert code == 1
+    assert out.endswith("ORACLE MISMATCH: [2, 4, 5], cells differ in dimensions [2]\n")
 
 
 def test_ncat_missing_file_is_usage_error():

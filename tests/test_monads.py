@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -320,3 +321,40 @@ def test_the_symbolic_counter_counts_every_small_stack():
                     assert listed == count_stack(names, gens, bound), (names, gens, bound)
                     cases, elements = cases + 1, elements + listed
     assert (cases, elements) == (2506, 25644)
+
+
+def test_every_small_stack_is_sized_without_walking():
+    """A top layer's size equals its listed length and the symbolic count,
+    and leaves the stream unread, for every zoo stack of depth one to three."""
+    cases = 0
+    layer = cache(lambda stack, gens, bound: enum_stack(list(stack), list(Carrier.of_size(gens)),
+                                                         bound))
+    for depth in (1, 2, 3):
+        for stack in product(ZOO.values(), repeat=depth):
+            for gens in (1, 2):
+                for bound in range(5):
+                    below = layer(stack[1:], gens, bound)
+                    stream = stack[0].stream(below, bound)
+                    size = stream.size()
+                    assert size == count_stack([m.name for m in stack], gens, bound)
+                    assert size == stack[0].size(below, bound)
+                    if size <= 2000:
+                        assert len(list(stream)) == size
+                    cases += 1
+    assert cases == 3990
+
+
+def test_a_size_past_the_ceiling_does_not_raise(monkeypatch):
+    """The walk stops at the ceiling; the size counts past it, even at a
+    bound no walk could reach."""
+    import distlaw.monads
+    monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", 50)
+    for monad in (FREE_MONOID, FREE_COMM_MONOID, FREE_ABELIAN_GROUP):
+        stream = monad.stream(list(X2), 9)
+        assert stream.size() == count_stack([monad.name], 2, 9) > 50
+        with pytest.raises(BoundTooLarge):
+            list(stream)
+    bound = 10 ** 4
+    # n + 1 multisets and 4n combinations of weight n over two generators
+    assert FREE_COMM_MONOID.size(list(X2), bound) == 1 + sum(n + 1 for n in range(1, bound + 1))
+    assert FREE_ABELIAN_GROUP.size(list(X2), bound) == 1 + sum(4 * n for n in range(1, bound + 1))

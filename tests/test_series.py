@@ -616,6 +616,75 @@ def test_a_worker_never_splits_again(monkeypatch, three_cpus):
     _no_child_is_left()
 
 
+@pytest.mark.parametrize("legs", [1, 2, 3])
+def test_a_stream_splits_past_the_same_input_as_before(monkeypatch, three_cpus, legs):
+    """One process keeps a stream whose inputs before its last make fewer
+    than ``SPLIT_AFTER_CALLS`` leg calls: as many inputs as the serial loop
+    ran before it could fork, ``ceil(SPLIT_AFTER_CALLS / legs)``.  One more
+    input forks the workers."""
+    import distlaw.checks
+    assert distlaw.checks.SPLIT_AFTER_CALLS == 8192
+    kept = -(-8192 // legs)
+    distinct = [lambda t: t, lambda t: 0, lambda t: 1][:legs]
+    sections = [(f"leg{k}", leg, leg) for k, leg in enumerate(distinct)]
+    forks = _failing_fork(monkeypatch, 0)  # counts, never fails
+    for size, forked in ((kept, 0), (kept + 1, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            reports = compare_all(range(size), sections)
+        assert [r.checked for r in reports] == [size] * legs and all(r.passed for r in reports)
+        assert len(forks) == forked, (legs, size)
+        _no_child_is_left()
+
+
+def test_a_split_stream_forks_before_its_first_leg_call(monkeypatch, three_cpus):
+    """A long stream is shared from input 0: this process runs no leg
+    before it forks, and checks inputs 0, 3, 6, ...; each worker checks
+    its own third from its own first position."""
+    seen = []
+
+    def here(t):
+        seen.append(t)
+        return os.getpid()
+
+    forks = _failing_fork(monkeypatch, 0)  # counts, never fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        report = compare("pids", range(9000), here, lambda t: None)
+    assert len(forks) == 2 and report.checked == 9000
+    assert seen == list(range(0, 9000, 3))
+    pids = {}
+    for w in report.witnesses:
+        pids.setdefault(w.input % 3, set()).add(w.left)
+    assert pids[0] == {os.getpid()} and len(pids[1] | pids[2]) == 2
+    assert [w.input for w in report.witnesses] == list(range(9000))
+    _no_child_is_left()
+
+
+def test_a_split_worker_builds_only_its_own_share(three_cpus):
+    """Each process builds the words at its own positions only: at
+    position p it has built p // 3 + 1 of them, the other walks dropped
+    unbuilt."""
+    stream = _stream_stack([FREE_MONOID], list(X2), 12)
+    assert stream.size() == 2 ** 13 - 1
+    built, build = [], stream.build
+
+    def counted(walk):
+        built.append(walk)
+        return build(walk)
+
+    stream.build = counted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        report, = compare_all(stream, [("built", lambda t: len(built), lambda t: None)])
+    assert report.checked == 2 ** 13 - 1
+    words = FREE_MONOID.enumerate(list(X2), 12)
+    assert [w.input for w in report.witnesses] == words
+    assert [w.left for w in report.witnesses] == [p // 3 + 1 for p in range(len(words))]
+    assert len(built) == len(range(0, len(words), 3))
+    _no_child_is_left()
+
+
 def test_a_second_thread_keeps_the_loop_in_one_process(three_cpus):
     import distlaw.checks
     assert distlaw.checks._shares() == 3
