@@ -31,5 +31,4 @@ from .series import (CompositeMonad, DistributiveSeries, all_routes,
                      check_distlaw, check_route_independence,
                      check_yang_baxter, compose_series, derive_block_law,
                      parse_route, validate_series)
-from .terms import (Carrier, Gen, Inj, IntComb, MSet, ONE, One, Seq, Term,
-                    ZERO, Zero, functions_between)
+from .terms import Carrier, Gen, Inj, IntComb, MSet, ONE, One, Seq, Term, ZERO, Zero

@@ -1,13 +1,12 @@
 """Finite algebras of a monad and their lifting through a distributive law.
 
-Each diagram is a row ``(check_id, stack, left_leg, right_leg)`` run
-through ``checks.compare_all``, which skips an input whose first failed
-lookup lies beyond the table's bound.
+Each diagram is a row of ``checks.run`` over the algebra's carrier and
+bound; its loop skips an input whose first failed lookup lies beyond
+the table's bound.
 """
 
-from .checks import CheckReport, compare_all
+from .checks import CheckReport, run
 from .errors import NotAnAlgebra, _OutOfTable
-from .monads import _stream_stack
 from .terms import weight
 
 
@@ -43,22 +42,15 @@ def algebra_from_function(monad, carrier, fn, bound):
     return Algebra(monad, carrier, table, bound)
 
 
-def _diagrams(alg, rows):
-    """A ``compare_all`` per row ``(check_id, stack, left, right)``, streamed over ``alg``."""
-    return [compare_all(_stream_stack(stack, list(alg.carrier), alg.bound),
-                        [(check_id, left, right)])[0]
-            for check_id, stack, left, right in rows]
-
-
 def check_algebra(alg):
     """Unit and multiplication compatibility of the action, within bound:
     rows over A and over M(M(A)), streamed."""
     monad = alg.monad
-    return CheckReport(f"algebra[{monad.name}]", sections=_diagrams(alg, [
+    return CheckReport(f"algebra[{monad.name}]", sections=run([
         (f"algebra[{monad.name}]:unit", [], lambda a: alg.act(monad.unit(a)), lambda a: a),
         (f"algebra[{monad.name}]:action", [monad, monad],
          lambda t: alg.act(monad.mult(t)), lambda t: alg.act(monad.fmap(alg.act, t))),
-    ]))
+    ], alg.carrier, alg.bound))
 
 
 def lift_to_algebras(law, alg):
@@ -92,13 +84,13 @@ def lift_to_algebras(law, alg):
         raise NotAnAlgebra(
             f"action table too small for lift at bound {bound}: {exc}") from None
 
-    sections = [check_algebra(lifted)] + _diagrams(alg, [
+    sections = [check_algebra(lifted)] + run([
         (f"lift[{law.name}]:unit-morphism", [S],
          lambda s: lifted.act(S.fmap(T.unit, s)), lambda s: T.unit(alg.act(s))),
         (f"lift[{law.name}]:mult-morphism", [S, T, T],
          lambda s: lifted.act(S.fmap(T.mult, s)),
          lambda s: T.mult(T.fmap(lifted_action, law.transform(s)))),
-    ])
+    ], alg.carrier, bound)
     verification = CheckReport(f"lift[{law.name}]", sections=sections)
     if not verification.passed:
         witness = verification.all_witnesses()[0]

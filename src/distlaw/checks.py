@@ -1,12 +1,23 @@
-"""Bounded exhaustive verification of monad laws, with failure witnesses."""
+"""Bounded exhaustive verification of monad laws, with failure witnesses.
+
+Every check hands its pointwise diagrams, as rows, to one runner,
+``run(rows, carrier, bound)``, the only code that reads a diagram's
+inputs.  A row ``(check_id, stack, left_leg, right_leg)`` holds where
+both legs agree on every element of the ``stack`` of monads over the
+carrier within the bound.  A ``Row`` may also give ``shown``, the input
+a witness shows, or set ``per_map``: its legs then take a map out of
+the carrier (``carrier.maps()``), and it fills one section per map.
+"""
 
 import os
+from collections import namedtuple
 from functools import cache, partial
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import DistlawError, ShapeMismatch, _OutOfTable
-from .monads import Stream, _check_bound, _guard, _stream_stack
-from .terms import Carrier, collector_paused, functions_between
+from .monads import Stream, _check_bound, _stream_stack
+from .terms import Carrier, collector_paused
 
 
 class Witness:
@@ -88,7 +99,8 @@ def compare_all(inputs, sections):
     A long stream is shared among the CPUs this process may use.  It is
     long when the inputs before its last would make at least
     ``SPLIT_AFTER_CALLS`` leg calls; ``inputs`` tells its size, as a
-    ``monads.Stream`` or a sized iterable, before any leg runs, and a
+    ``monads.Stream`` or a sized iterable, before any leg runs, counted
+    only where there are CPUs to share and only until it is long, and a
     stream of no known size is not shared.  A long stream forks one
     worker per extra CPU before its first input, and each process, this
     one included, checks every W-th input from its own position on, with
@@ -103,7 +115,7 @@ def compare_all(inputs, sections):
     paused (``terms.collector_paused``), and the workers inherit the pause.
     """
     walk = _Walk(inputs, sections)
-    if not (walk.long() and (shares := _shares()) > 1 and walk.split(shares)):
+    if not ((shares := _shares()) > 1 and walk.long() and walk.split(shares)):
         walk.run()
     return [CheckReport(check_id, checked=walk.checked, witnesses=[w for _, w in found])
             for check_id, _, _, found in walk.rows]
@@ -140,7 +152,8 @@ class _Walk:
         self.rows = [(check_id, self.legs.index(left), self.legs.index(right), [])
                      for check_id, left, right in sections]
         if not isinstance(inputs, Stream):
-            inputs = Stream(inputs, None, getattr(inputs, "__len__", None))
+            size = getattr(inputs, "__len__", None)
+            inputs = Stream(inputs, None, size and (lambda enough=None: size()))
         self.inputs = inputs
         self.pos = 0  # the position of the input being read; an error's position
         self.checked = 0
@@ -148,8 +161,8 @@ class _Walk:
     def long(self):
         """Whether the stream is shared: the inputs before its last make at
         least ``SPLIT_AFTER_CALLS`` leg calls."""
-        size = self.inputs.size
-        return size is not None and (size() - 1) * max(len(self.legs), 1) >= SPLIT_AFTER_CALLS
+        enough = SPLIT_AFTER_CALLS / max(len(self.legs), 1) + 1
+        return self.inputs.size is not None and self.inputs.size(enough) >= enough
 
     def run(self, share=0, shares=1):
         """Check the inputs at positions ``share`` mod ``shares``, to the end of the stream."""
@@ -252,9 +265,42 @@ class _Walk:
 
 
 def compare(check_id, inputs, left_leg, right_leg):
-    """One section of ``compare_all``: the left leg, then the right, on each input."""
-    report, = compare_all(inputs, [(check_id, left_leg, right_leg)])
-    return report
+    """``compare_all`` of one section; no check calls it, but ``bench/spans.py`` wraps it."""
+    return compare_all(inputs, [(check_id, left_leg, right_leg)])[0]
+
+
+Row = namedtuple("Row", "check_id stack left_leg right_leg shown per_map", defaults=(None, False))
+
+
+def run(rows, carrier, bound):
+    """The reports of ``rows``, one per section: the plain rows' in order,
+    then the per-map rows' map by map, each map's rows in order, with ids
+    ``check_id#k`` at the k-th map, whose legs are ``left_leg(fn)`` and
+    ``right_leg(fn)`` (the maps are asked for only if there is such a row).
+    Sections one after another over an equal stack read one stream of
+    inputs, through ``compare_all``, so the legs of all maps, with any
+    tables they keep, live together for that stream."""
+    rows = [Row(*row) for row in rows]
+    maps = carrier.maps() if any(row.per_map for row in rows) else []
+    placed = []
+    for stack, group in groupby(_sections(rows, maps), key=lambda section: section[1].stack):
+        group = list(group)
+        reports = compare_all(_stream_stack(stack, list(carrier), bound),
+                              [section[2:] for section in group])
+        for (place, row, *_), report in zip(group, reports):
+            for w in report.witnesses if row.shown is not None else ():
+                w.input = row.shown(w.input)
+            placed.append((place, report))
+    return [report for _, report in sorted(placed, key=itemgetter(0))]
+
+
+def _sections(rows, maps):
+    """Each row's sections, ``(place, row, check_id, left_leg, right_leg)``, made as read."""
+    for i, row in enumerate(rows):
+        if not row.per_map:
+            yield (0, i), row, row.check_id, row.left_leg, row.right_leg
+        for k, fn in enumerate(maps if row.per_map else ()):
+            yield (1, k, i), row, f"{row.check_id}#{k}", row.left_leg(fn), row.right_leg(fn)
 
 
 def _same(t):
@@ -266,72 +312,38 @@ def check_monad_laws(monad, carrier, bound):
 
     Both unit laws read M(X) once, as it is generated, and share their
     identity leg; each other leg builds the doubly wrapped term and
-    multiplies, so witnesses show the M(M(X)) input actually fed to
+    multiplies, and witnesses show the M(M(X)) input actually fed to
     mult.  Associativity runs over M(M(M(X))), streamed as it is read;
     its legs share one memo of ``mult`` on the M(M(X)) terms they meet,
     kept for this call only.
     """
-    base = list(carrier)
-    left_unit, right_unit = compare_all(_stream_stack([monad], base, bound), [
-        (f"monad[{monad.name}]:unit-left", lambda t: monad.mult(monad.unit(t)), _same),
-        (f"monad[{monad.name}]:unit-right",
-         lambda t: monad.mult(monad.fmap(monad.unit, t)), _same),
-    ])
-    # Recast unit witnesses to show the term handed to mult.
-    for report, wrap in ((left_unit, monad.unit), (right_unit, lambda t: monad.fmap(monad.unit, t))):
-        for w in report.witnesses:
-            w.input = wrap(w.input)
-    flat = cache(monad.mult)
-    assoc = compare(
-        f"monad[{monad.name}]:assoc",
-        _stream_stack([monad, monad, monad], base, bound),
-        lambda t: flat(monad.mult(t)),
-        lambda t: flat(monad.fmap(flat, t)),
-    )
-    return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
-
-
-def _naturality(carrier, bound, rows):
-    """Naturality sections: one per map out of the carrier and per row.
-
-    A term carrier (a ``Carrier``) maps into each standard carrier of
-    size one to three; other carriers, such as globular sets, have no
-    maps, and their inputs are never enumerated.  A row
-    ``(check_id, stack, left_leg, right_leg)`` streams the elements of
-    ``stack`` over the carrier within ``bound`` once, and runs on each
-    the legs ``left_leg(fn)`` and ``right_leg(fn)`` of every map ``fn``,
-    so the legs of all maps, with any tables they keep, live together
-    for that row.  Sections come map by map, each map's rows in order;
-    their ids end in ``#k`` for the k-th map.  The maps count against
-    ``ENUM_CEILING``.
-    """
-    if not isinstance(carrier, Carrier):
-        return []
-    _guard(sum(size ** len(carrier) for size in (1, 2, 3)), "naturality maps")
-    maps = [f.__getitem__ for size in (1, 2, 3)
-            for f in functions_between(carrier, Carrier.of_size(size))]
-    per_row = [compare_all(_stream_stack(stack, list(carrier), bound),
-                           [(f"{check_id}#{idx}", left(fn), right(fn))
-                            for idx, fn in enumerate(maps)])
-               for check_id, stack, left, right in rows]
-    return [report for per_map in zip(*per_row) for report in per_map]
+    name, flat = f"monad[{monad.name}]", cache(monad.mult)
+    return CheckReport(f"monad-laws[{monad.name}]", sections=run([
+        Row(f"{name}:unit-left", [monad], lambda t: monad.mult(monad.unit(t)), _same,
+            shown=monad.unit),
+        Row(f"{name}:unit-right", [monad], lambda t: monad.mult(monad.fmap(monad.unit, t)), _same,
+            shown=partial(monad.fmap, monad.unit)),
+        (f"{name}:assoc", [monad, monad, monad],
+         lambda t: flat(monad.mult(t)), lambda t: flat(monad.fmap(flat, t))),
+    ], carrier, bound))
 
 
 def check_monad_naturality(monad, carrier, bound):
     """Unit and mult are natural in the carrier, a term ``Carrier``: two
-    rows of ``_naturality``, over X and over M(M(X)).  The mult right leg
-    at each map ``fn`` memoises its inner ``monad.fmap(fn, .)``, the
-    per-check rule of ``series.check_distlaw``.
+    per-map rows, over X and over M(M(X)).  The mult right leg at each
+    map ``fn`` memoises its inner ``monad.fmap(fn, .)``, the per-check
+    rule of ``series.check_distlaw``.
     """
     _check_bound(bound)
     if not isinstance(carrier, Carrier):
         raise ShapeMismatch(f"naturality[{monad.name}] needs a term Carrier, "
                             f"not {type(carrier).__name__}")
-    return CheckReport(f"naturality[{monad.name}]", sections=_naturality(carrier, bound, [
-        (f"naturality[{monad.name}]:unit", [],
-         lambda fn: lambda x: monad.fmap(fn, monad.unit(x)),
-         lambda fn: lambda x: monad.unit(fn(x))),
-        (f"naturality[{monad.name}]:mult", [monad, monad],
-         lambda fn: lambda t: monad.fmap(fn, monad.mult(t)),
-         lambda fn: lambda t, memo=cache(partial(monad.fmap, fn)): monad.mult(monad.fmap(memo, t))),
-    ]))
+    return CheckReport(f"naturality[{monad.name}]", sections=run([
+        Row(f"naturality[{monad.name}]:unit", [],
+            lambda fn: lambda x: monad.fmap(fn, monad.unit(x)),
+            lambda fn: lambda x: monad.unit(fn(x)), per_map=True),
+        Row(f"naturality[{monad.name}]:mult", [monad, monad],
+            lambda fn: lambda t: monad.fmap(fn, monad.mult(t)),
+            lambda fn: lambda t, memo=cache(partial(monad.fmap, fn)): monad.mult(
+                monad.fmap(memo, t)), per_map=True),
+    ], carrier, bound))

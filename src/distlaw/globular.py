@@ -174,6 +174,10 @@ class GlobularSet:
     def counts(self):
         return [len(layer) for layer in self.cells]
 
+    def maps(self):
+        """The maps out of the set that a naturality row runs over: none yet."""
+        return []
+
     def __repr__(self):
         return f"<{self.n}-globular set, counts {self.counts()}>"
 
@@ -332,7 +336,7 @@ class CompositionMonad(MonadSpec):
 
     def stream(self, domain, bound):
         cells = self.apply(domain, bound)
-        return Stream(cells, None, lambda: sum(cells.counts()))
+        return Stream(cells, None, lambda enough=None: sum(cells.counts()))
 
 
 def interchange_law(cell, i, j):

@@ -1,11 +1,11 @@
 """Executable monads on finite term domains.
 
 A monad here is a concrete gadget: a functor action on terms (``fmap``),
-a unit, a multiplication, and a bounded generator of its free normal
-forms over any finite domain of terms (``normal_forms``), which
-``enumerate`` lists.  The generator yields the normal forms whose
-weight (``terms.weight``) is at most the bound, in (weight, structural
-key) order; the empty collection and the adjoined constant weigh one
+a unit, a multiplication, and a bounded stream of its free normal forms
+over any finite domain of terms (``stream``), which ``enumerate``
+lists.  The stream yields the normal forms whose weight
+(``terms.weight``) is at most the bound, in (weight, structural key)
+order; the empty collection and the adjoined constant weigh one
 but are emitted at every bound, bound 0 included.  So for bounds of at
 least one an enumeration, and an ``enum_stack``, is a prefix of the one
 at the next bound.
@@ -23,18 +23,19 @@ as it is yielded, so ``_stream_stack``, which generates a stack's top
 layer as a diagram reads it, stops at the ceiling mid-check.
 
 Each monad gives its normal forms as a ``Stream``: raw walks, a
-``build`` that makes a normal form of one, and the exact number of
-forms, which words, multisets and combinations count from the weights
-of the domain without walking (``_count``), and a listed layer from its
-list.  So a diagram can share a stream's positions among processes
-before it reads any, and build only the forms it checks.
+``build`` that makes a normal form of one, and the number of forms,
+which words, multisets and combinations count from the weights of the
+domain without walking (``_count``), cheapest first, and a listed layer
+from its list.  So a diagram can share a stream's positions among
+processes before it reads any, and build only the forms it checks.
 """
 
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from itertools import chain, islice
-from math import comb
+from math import comb, inf
 from operator import itemgetter
 
 from .errors import BoundTooLarge, ShapeMismatch
@@ -55,7 +56,8 @@ class Stream:
     ``walks`` yields one raw value per form, in enumeration order, and
     ``build`` makes the form of one (``None``: the value is the form).
     The stream is its own iterator over the forms and holds none it has
-    yielded.  ``size()`` is the number of forms, counted without walking.
+    yielded.  ``size(enough=inf)`` counts the forms without walking, also
+    past ``ENUM_CEILING``, and may stop at any count of at least ``enough``.
     """
 
     __slots__ = ("walks", "build", "size")
@@ -79,7 +81,7 @@ class Stream:
 
 def _listed(forms):
     """A ``Stream`` of a layer already listed, sized by its list."""
-    return Stream(forms, None, forms.__len__)
+    return Stream(forms, None, lambda enough=None: len(forms))
 
 
 class MonadSpec:
@@ -100,16 +102,8 @@ class MonadSpec:
         """The normal forms over ``domain`` within ``bound``, in enumeration order, as a ``Stream``."""
         raise NotImplementedError
 
-    def normal_forms(self, domain, bound):
-        return self.stream(domain, bound).forms()
-
     def enumerate(self, domain, bound):
-        return list(self.normal_forms(domain, bound))
-
-    def size(self, domain, bound):
-        """``len(enumerate(domain, bound))``, without walking the forms (see
-        ``_count``).  It does not raise past ``ENUM_CEILING``, as the walk does."""
-        return self.stream(domain, bound).size()
+        return list(self.stream(domain, bound).forms())
 
     def __repr__(self):
         return f"<monad {self.name}>"
@@ -165,35 +159,43 @@ def _walks(starts, onward, bound, what, dearest):
         idle = 0 if built > before else idle + 1
 
 
-def _count(costs, bound, kind, extra):
+def _count(costs, bound, kind, extra, enough=inf):
     """How many walks ``_walks`` yields over elements of the given costs
-    within ``bound``, plus ``extra``, the forms emitted beside the walks.
+    within ``bound``, plus ``extra``, the forms emitted beside the walks;
+    or, once that count reaches ``enough``, the count so far.
 
     The walks of each total cost are counted by a coefficient of the
     generating function of the ``kind`` of walk, over the histogram of
     the costs (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. I):
     words ``1 / (1 - A(x))``, where ``A`` has ``a_w`` terms ``x^w``;
     multisets ``prod (1 - x^w)^-a_w``; combinations, whose elements take
-    any nonzero coefficient, ``prod ((1 + x^w) / (1 - x^w))^a_w``.  The
-    count of the words of one cost stops at ``sys.maxsize``, so that
+    any nonzero coefficient, ``prod ((1 + x^w) / (1 - x^w))^a_w``, in
+    order of cost, a product's factor by factor.  The count of the
+    words of one cost stops at ``sys.maxsize``, so that
     words at a large bound, whose number grows exponentially with it,
     make no huge integers; no stream that size could be walked.
     """
-    weights = Counter(w for w in costs if w <= bound)
-    series = [1] + [0] * bound
-    if kind == "words":
-        for n in range(1, bound + 1):
-            series[n] = min(sum(a * series[n - w] for w, a in weights.items() if w <= n),
-                            sys.maxsize)
-        return sum(series) - 1 + extra
-    for w, a in weights.items():
-        if kind == "combinations":  # times (1 + x^w)^a, from the top down
-            for n in range(bound, w - 1, -1):
-                series[n] += sum(comb(a, k) * series[n - k * w] for k in range(1, min(a, n // w) + 1))
-        for n in range(w, bound + 1):  # over (1 - x^w)^a, from the bottom up
-            series[n] -= sum((-1) ** k * comb(a, k) * series[n - k * w]
-                             for k in range(1, min(a, n // w) + 1))
-    return sum(series) - 1 + extra
+    weights = sorted(Counter(w for w in costs if w <= bound).items())
+    # products[i]: the coefficients so far of the product of the first i
+    # factors; a factor is 1 below its weight, where it joins
+    total, products = extra - 1, [[]]  # x^0 counts the empty walk, which is no walk
+    for n in range(bound + 1):
+        if kind == "words":
+            products[0].append(min(sum(a * products[0][n - w] for w, a in weights if w <= n),
+                                   sys.maxsize) if n else 1)
+        else:
+            products[0].append(int(n == 0))
+            if len(products) <= len(weights) and weights[len(products) - 1][0] == n:
+                products.append(products[-1][:n])
+            for (w, a), below, this in zip(weights, products, products[1:]):
+                ks = range(1, min(a, n // w) + 1)  # times (1 + x^w)^a, then over (1 - x^w)^a
+                up = sum(comb(a, k) * below[n - k * w] for k in ks) if kind == "combinations" else 0
+                down = sum((-1) ** k * comb(a, k) * this[n - k * w] for k in ks)
+                this.append(below[n] + up - down)
+        total += products[-1][n]
+        if total >= enough:
+            break
+    return total
 
 
 def _fits(steps, bound):
@@ -251,7 +253,7 @@ class FreeMonoid(FreeCollection):
         walks = _walks(fits, lambda x, r: fits(r), bound, self.name, dearest)
         extra = 1 - self.nonempty
         return Stream(chain([()] * extra, walks), Seq,
-                      lambda: _count([w for _, w in steps], bound, "words", extra))
+                      partial(_count, [w for _, w in steps], bound, "words", extra))
 
 
 class FreeSemigroup(FreeMonoid):
@@ -281,7 +283,7 @@ class FreeCommutativeMonoid(FreeCollection):
         walks = _walks(fits, onward, bound, self.name, dearest)
         extra = 1 - self.nonempty
         return Stream(chain([()] * extra, walks), lambda walk: MSet([domain[k] for k in walk]),
-                      lambda: _count(costs, bound, "multisets", extra))
+                      partial(_count, costs, bound, "multisets", extra))
 
 
 class FreeCommutativeSemigroup(FreeCommutativeMonoid):
@@ -334,7 +336,7 @@ class FreeAbelianGroup(MonadSpec):
         dearest = max((bound // w * w for _, w in fits(bound)), default=0)
         walks = _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest)
         return Stream(chain([()], walks), lambda walk: IntComb([(domain[k], c) for k, c in walk]),
-                      lambda: _count(costs, bound, "combinations", 1))
+                      partial(_count, costs, bound, "combinations", 1))
 
 
 class AdjoinConstant(MonadSpec):
@@ -415,6 +417,19 @@ ZOO = {
 }
 
 
+def enum_stack(monads, base, bound):
+    """Enumerate the composite functor ``monads[0] ∘ ... ∘ monads[-1]``.
+
+    ``base`` is the innermost domain; each layer enumerates over the one
+    below it with the same bound, so the result is every element of the
+    composite within the weight bound.
+    """
+    layer = list(base)
+    for monad in reversed(monads):
+        layer = monad.enumerate(layer, bound)
+    return layer
+
+
 def _stream_stack(monads, base, bound):
     """``enum_stack`` as a ``Stream``: the inner layers listed, the outermost generated as read."""
     layer = list(base)
@@ -423,13 +438,3 @@ def _stream_stack(monads, base, bound):
     for monad in reversed(monads[1:]):
         layer = monad.enumerate(layer, bound)
     return monads[0].stream(layer, bound)
-
-
-def enum_stack(monads, base, bound):
-    """Enumerate the composite functor ``monads[0] ∘ ... ∘ monads[-1]``.
-
-    ``base`` is the innermost domain; each layer enumerates over the one
-    below it with the same bound, so the result is every element of the
-    composite within the weight bound.
-    """
-    return list(_stream_stack(monads, base, bound).forms())

@@ -12,7 +12,7 @@ import ast
 from functools import cache, partial
 
 from . import monads
-from .checks import CheckReport, _naturality, check_monad_laws, compare, compare_all
+from .checks import CheckReport, Row, check_monad_laws, run
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
 from .monads import MonadSpec, _stream_stack
@@ -95,12 +95,9 @@ class DistributiveSeries:
 def check_distlaw(law, carrier, bound):
     """All four coherence diagrams of a distributive law, plus naturality.
 
-    Each diagram is a row ``(check_id, stack, left_leg, right_leg)``
-    whose inputs, every element of ``stack`` over the carrier within the
-    bound, stream as they are read: T(X) and S(X) for the triangles,
-    S(S(T(X))) and S(T(T(X))) for the pentagons.  Naturality is one
-    more row, over S(T(X)), with legs built per map; ``checks._naturality``
-    runs it, and gives globular sets none.
+    Rows of ``checks.run``, whose inputs stream as they are read: over
+    T(X) and S(X) for the triangles, S(S(T(X))) and S(T(T(X))) for the
+    pentagons, and a per-map naturality row over S(T(X)).
 
     The per-check rule: a map applied to the layer just below a
     diagram's inputs meets the same arguments again and again across
@@ -120,21 +117,18 @@ def check_distlaw(law, carrier, bound):
     S, T = law.s_monad, law.t_monad
     swap, s_mult, t_mult = cache(law.transform), cache(S.mult), cache(T.mult)
     title = f"distlaw[{law.name}]"
-    diagrams = [
+    return CheckReport(title, sections=run([
         (f"{title}:unit-S", [T], lambda t: swap(S.unit(t)), lambda t: T.fmap(S.unit, t)),
         (f"{title}:mult-S", [S, S, T], lambda c: swap(S.mult(c)),
          lambda c: T.fmap(s_mult, law.transform(S.fmap(swap, c)))),
         (f"{title}:unit-T", [S], lambda s: swap(S.fmap(T.unit, s)), lambda s: T.unit(s)),
         (f"{title}:mult-T", [S, T, T], lambda c: swap(S.fmap(t_mult, c)),
          lambda c: T.mult(T.fmap(swap, law.transform(c)))),
-    ]
-    sections = [compare(check_id, _stream_stack(stack, list(carrier), bound), left, right)
-                for check_id, stack, left, right in diagrams]
-    sections += _naturality(carrier, bound, [(
-        f"{title}:naturality", [S, T],
-        lambda fn: lambda c, t_fn=cache(partial(T.fmap, fn)): swap(S.fmap(t_fn, c)),
-        lambda fn: lambda c, s_fn=cache(partial(S.fmap, fn)): T.fmap(s_fn, swap(c)))])
-    return CheckReport(title, sections=sections)
+        Row(f"{title}:naturality", [S, T],
+            lambda fn: lambda c, t_fn=cache(partial(T.fmap, fn)): swap(S.fmap(t_fn, c)),
+            lambda fn: lambda c, s_fn=cache(partial(S.fmap, fn)): T.fmap(s_fn, swap(c)),
+            per_map=True),
+    ], carrier, bound))
 
 
 def check_yang_baxter(series, i, j, k, carrier, bound):
@@ -151,15 +145,9 @@ def check_yang_baxter(series, i, j, k, carrier, bound):
     Ti, Tj, Tk = series.monad(i), series.monad(j), series.monad(k)
     lam_ij, lam_ik, lam_jk = series.law(i, j), series.law(i, k), series.law(j, k)
     ij, ik, jk = cache(lam_ij.transform), cache(lam_ik.transform), cache(lam_jk.transform)
-    inputs = _stream_stack([Ti, Tj, Tk], list(carrier), bound)
-
-    def upper(c):
-        return lam_jk.transform(Tj.fmap(ik, lam_ij.transform(c)))
-
-    def lower(c):
-        return Tk.fmap(ij, lam_ik.transform(Ti.fmap(jk, c)))
-
-    return compare(f"yang-baxter[{series.name}]({i},{j},{k})", inputs, upper, lower)
+    return run([(f"yang-baxter[{series.name}]({i},{j},{k})", [Ti, Tj, Tk],
+                 lambda c: lam_jk.transform(Tj.fmap(ik, lam_ij.transform(c))),
+                 lambda c: Tk.fmap(ij, lam_ik.transform(Ti.fmap(jk, c))))], carrier, bound)[0]
 
 
 def validate_series(series, carrier, bound):
@@ -315,14 +303,14 @@ def compare_routes(series, routes, carrier, bound):
         pair: DistLaw(law.name, law.s_monad, law.t_monad, cache(law.transform))
         for pair, law in series.laws.items()})
     composites = [_memoised(compose_series(shared, r)) for r in routes]
-    inputs = _stream_stack(series.monads + series.monads, list(carrier), bound)
+    doubled = series.monads + series.monads
     title = f"routes[{series.name}]"
     if len(routes) == 1:
+        inputs = _stream_stack(doubled, list(carrier), bound)
         checked = inputs.size()
         if checked > monads.ENUM_CEILING:  # past it the walk raises, as reading would
             checked = sum(1 for _ in inputs)
         return CheckReport(title, sections=[CheckReport(f"{title}:single", checked=checked)])
-    reference = composites[0].mult
-    return CheckReport(title, sections=compare_all(inputs, [
-        (f"{title}:{routes[0]}vs{r}".replace(" ", ""), reference, composite.mult)
-        for r, composite in zip(routes[1:], composites[1:])]))
+    return CheckReport(title, sections=run([
+        (f"{title}:{routes[0]}vs{r}".replace(" ", ""), doubled, composites[0].mult, composite.mult)
+        for r, composite in zip(routes[1:], composites[1:])], carrier, bound))

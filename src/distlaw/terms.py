@@ -18,6 +18,7 @@ every enumeration over nested domains stays finite.
 
 import gc
 from functools import wraps
+from itertools import product
 from operator import attrgetter
 
 from .errors import UnknownGenerator
@@ -270,15 +271,13 @@ class Carrier:
     def __iter__(self):
         return iter(self._gens)
 
+    def maps(self):
+        """Every map into the standard carriers of sizes 1 to 3, as a lookup,
+        in a fixed order; the maps count against ``ENUM_CEILING``."""
+        from .monads import _guard
+        _guard(sum(size ** len(self) for size in (1, 2, 3)), "naturality maps")
+        return [dict(zip(self, images)).__getitem__ for size in (1, 2, 3)
+                for images in product(Carrier.of_size(size), repeat=len(self))]
+
     def __repr__(self):
         return f"Carrier({list(self.names)})"
-
-
-def functions_between(src_carrier, dst_carrier):
-    """All maps between two carriers, as dicts Gen -> Gen, in a fixed order."""
-    from itertools import product
-    src = tuple(src_carrier)
-    maps = []
-    for images in product(dst_carrier, repeat=len(src)):
-        maps.append(dict(zip(src, images)))
-    return maps

@@ -9,13 +9,14 @@ products must agree with: one binary ``mul`` at a time, left to right.
 The term oracles restate, plainly, what a constructor must build and
 how many generators a term holds, ``count_stack`` counts a stack's
 elements by the symbolic method, from the monads' names alone, and
-``check_functoriality`` checks that a monad's ``fmap`` is a functor.  ``paste`` evaluates a pasting
+``check_functoriality`` checks that a monad's ``fmap`` is a functor
+along the maps ``functions_between`` lists.  ``paste`` evaluates a pasting
 diagram of free n-category cells by composing them, never through the
 composition monads or their interchange laws.  ``reference_boundary``
 rebuilds a cell's boundary from its structure on every call, keeping
 nothing, and ``reference_string`` states the key and hash a string cell
 owes.  ``compare_by_section`` is the pointwise loop one section at a
-time, and ``monad_laws_by_section``, ``naturality_by_section`` and
+time, and ``monad_laws_by_section``, ``run_by_section`` and
 ``compare_routes_by_section`` list their inputs and read them once per
 section, as the checks did before they read each stream once.
 ``compare_within_table`` is the algebra checks' own loop from before
@@ -29,15 +30,16 @@ key).
 import math
 import random
 from functools import reduce
+from itertools import product
 
-from distlaw.checks import CheckReport, Witness, compare
+from distlaw.checks import CheckReport, Row, Witness, compare_all
 from distlaw.errors import DimensionError, DistlawError, ShapeMismatch, _OutOfTable
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.globular import GenCell, StringCell, _compose_nested, identity_cell
 from distlaw.monads import (AdjoinConstant, FreeAbelianGroup, FreeCommutativeMonoid,
                             FreeMonoid, IdentityMonad, enum_stack)
 from distlaw.series import compose_series
-from distlaw.terms import Carrier, Gen, Inj, IntComb, MSet, Seq, ZERO, functions_between, weight
+from distlaw.terms import Carrier, Gen, Inj, IntComb, MSet, Seq, ZERO, weight
 
 MAT_ID = ((1, 0), (0, 1))
 MAT_ZERO = ((0, 0), (0, 0))
@@ -270,16 +272,15 @@ def count_stack(names, generators, bound):
 def check_functoriality(monad, carrier, bound, function_pairs):
     """fmap preserves identities and composition on sampled functions."""
     terms = monad.enumerate(list(carrier), bound)
-    sections = [compare(f"functor[{monad.name}]:identity", terms,
-                        lambda t: monad.fmap(lambda x: x, t), lambda t: t)]
+    sections = [(f"functor[{monad.name}]:identity",
+                 lambda t: monad.fmap(lambda x: x, t), lambda t: t)]
     for idx, (f, g) in enumerate(function_pairs):
-        sections.append(compare(
+        sections.append((
             f"functor[{monad.name}]:compose#{idx}",
-            terms,
             lambda t, f=f, g=g: monad.fmap(lambda x: g[f[x]], t),
             lambda t, f=f, g=g: monad.fmap(lambda x: g[x], monad.fmap(lambda x: f[x], t)),
         ))
-    return CheckReport(f"functoriality[{monad.name}]", sections=sections)
+    return CheckReport(f"functoriality[{monad.name}]", sections=compare_all(terms, sections))
 
 
 def compare_by_section(check_id, inputs, left_leg, right_leg):
@@ -349,16 +350,32 @@ def monad_laws_by_section(monad, carrier, bound):
     return CheckReport(f"monad-laws[{monad.name}]", sections=[left_unit, right_unit, assoc])
 
 
-def naturality_by_section(carrier, bound, rows):
-    """``checks._naturality`` with each row's inputs listed and read once per map."""
-    if not isinstance(carrier, Carrier):
-        return []
-    maps = [f.__getitem__ for size in (1, 2, 3)
+def functions_between(src_carrier, dst_carrier):
+    """All maps between two carriers, as dicts Gen -> Gen, in a fixed order."""
+    src = tuple(src_carrier)
+    return [dict(zip(src, images)) for images in product(dst_carrier, repeat=len(src))]
+
+
+def run_by_section(rows, carrier, bound):
+    """``checks.run`` with each row's inputs listed and read once per
+    section: the plain rows in order, then the per-map rows map by map,
+    over the maps of a term ``Carrier`` into sizes one to three; any
+    other carrier has none."""
+    rows = [Row(*row) for row in rows]
+    maps = [f.__getitem__ for size in (1, 2, 3) if isinstance(carrier, Carrier)
             for f in functions_between(carrier, Carrier.of_size(size))]
-    rows = [(check_id, enum_stack(stack, list(carrier), bound), left, right)
-            for check_id, stack, left, right in rows]
-    return [compare_by_section(f"{check_id}#{idx}", inputs, left(fn), right(fn))
-            for idx, fn in enumerate(maps) for check_id, inputs, left, right in rows]
+    sections = [(row, row.check_id, row.left_leg, row.right_leg)
+                for row in rows if not row.per_map]
+    sections += [(row, f"{row.check_id}#{idx}", row.left_leg(fn), row.right_leg(fn))
+                 for idx, fn in enumerate(maps) for row in rows if row.per_map]
+    reports = []
+    for row, check_id, left, right in sections:
+        report = compare_by_section(check_id, enum_stack(row.stack, list(carrier), bound),
+                                    left, right)
+        for w in report.witnesses if row.shown is not None else ():
+            w.input = row.shown(w.input)
+        reports.append(report)
+    return reports
 
 
 def compare_routes_by_section(series, routes, carrier, bound):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import distlaw.algebras
+import distlaw.checks
 from distlaw import (Algebra, Gen, Inj, IntComb, ONE, Seq,
                      CompositeMonad, algebra_from_function, check_algebra,
                      lift_to_algebras)
@@ -167,10 +167,9 @@ def test_an_algebra_witness_keeps_each_legs_own_value():
 
 
 def test_the_algebra_checks_stream_their_inputs(monkeypatch):
-    import distlaw.algebras
     import distlaw.monads
     fed = []
-    plain = distlaw.algebras.compare_all
+    plain = distlaw.checks.compare_all
 
     def recorded(inputs, sections):
         fed.append(iter(inputs) is inputs)
@@ -180,7 +179,7 @@ def test_the_algebra_checks_stream_their_inputs(monkeypatch):
         raise AssertionError("enum_stack was called")
 
     monkeypatch.setattr(distlaw.monads, "enum_stack", listed)
-    monkeypatch.setattr(distlaw.algebras, "compare_all", recorded)
+    monkeypatch.setattr(distlaw.checks, "compare_all", recorded)
     *_, alg = two_element_mult_monoid()
     lift_to_algebras(LAW_PRODUCT_OVER_SUM_COMM, alg)
     # the input algebra's two laws, the lifted algebra's two, then both morphisms
@@ -192,7 +191,7 @@ def _leaf(report):
 
 
 def _beside_the_reference(rows):
-    """A stand-in for ``algebras.compare_all`` that runs each row both
+    """A stand-in for ``checks.compare_all`` that runs each row both
     through it and through ``compare_within_table``, and keeps both
     with the row's number of inputs."""
     def run(inputs, sections):
@@ -208,7 +207,7 @@ def _beside_the_reference(rows):
 def _lift_beside_the_reference(law, alg):
     rows = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distlaw.algebras, "compare_all", _beside_the_reference(rows))
+        patch.setattr(distlaw.checks, "compare_all", _beside_the_reference(rows))
         try:
             lift_to_algebras(law, alg)
         except NotAnAlgebra:
@@ -285,7 +284,7 @@ def test_a_package_error_in_an_algebra_row_is_a_witness(split_after):
     b = Gen("b")
     alg = algebra_from_function(FREE_SEMIGROUP, (a, b), lambda w: w.items[0], 2)
     rows = [("stub", [FREE_SEMIGROUP], _no_shape, alg.act)]
-    report, = distlaw.algebras._diagrams(alg, rows)
+    report, = distlaw.checks.run(rows, alg.carrier, alg.bound)
     inputs = FREE_SEMIGROUP.enumerate([a, b], 2)
     assert _leaf(report) == _leaf(compare_within_table("stub", inputs, _no_shape, alg.act))
     assert report.checked == len(inputs) == 6

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from distlaw import (Carrier, Gen, Inj, IntComb, ONE, Seq, ZERO, ZOO,
                      check_monad_laws, check_monad_naturality, enum_stack)
-from distlaw.checks import CheckReport, compare
+from distlaw.checks import CheckReport, compare_all
 from distlaw.errors import BoundTooLarge, ShapeMismatch
 from distlaw.monads import (ADJOIN_UNIT, ADJOIN_ZERO, FREE_ABELIAN_GROUP,
                             FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP,
                             FreeMonoid, IDENTITY)
-from distlaw.terms import MSet, functions_between, weight
-from oracles import check_functoriality, count_stack, reference_enumeration
+from distlaw.terms import MSet, weight
+from oracles import check_functoriality, count_stack, functions_between, reference_enumeration
 
 X1 = Carrier.of_size(1)
 X2 = Carrier.of_size(2)
@@ -71,14 +71,14 @@ def test_two_raising_legs_are_a_witness():
     def bad(t):
         raise ShapeMismatch(f"no value at {t}")
 
-    report = compare("c", [1, 2, 3], bad, bad)
+    report, = compare_all([1, 2, 3], [("c", bad, bad)])
     assert report.verdict == "FAIL"
     assert len(report.witnesses) == 3
 
 
 def test_a_report_that_checks_nothing_is_empty():
-    empty, ok = compare("e", [], str, str), compare("p", [1], str, str)
-    failed = compare("f", [1], str, int)
+    (empty,), (ok,) = compare_all([], [("e", str, str)]), compare_all([1], [("p", str, str)])
+    failed, = compare_all([1], [("f", str, int)])
     assert (empty.verdict, ok.verdict, failed.verdict) == ("EMPTY", "PASS", "FAIL")
     assert empty.passed and empty.lines() == ["CHECK e EMPTY"]
     assert CheckReport("s", sections=[ok, empty]).verdict == "EMPTY"
@@ -337,7 +337,7 @@ def test_every_small_stack_is_sized_without_walking():
                     stream = stack[0].stream(below, bound)
                     size = stream.size()
                     assert size == count_stack([m.name for m in stack], gens, bound)
-                    assert size == stack[0].size(below, bound)
+                    assert size == stack[0].stream(below, bound).size()
                     if size <= 2000:
                         assert len(list(stream)) == size
                     cases += 1
@@ -356,5 +356,7 @@ def test_a_size_past_the_ceiling_does_not_raise(monkeypatch):
             list(stream)
     bound = 10 ** 4
     # n + 1 multisets and 4n combinations of weight n over two generators
-    assert FREE_COMM_MONOID.size(list(X2), bound) == 1 + sum(n + 1 for n in range(1, bound + 1))
-    assert FREE_ABELIAN_GROUP.size(list(X2), bound) == 1 + sum(4 * n for n in range(1, bound + 1))
+    assert FREE_COMM_MONOID.stream(list(X2), bound).size() == \
+        1 + sum(n + 1 for n in range(1, bound + 1))
+    assert FREE_ABELIAN_GROUP.stream(list(X2), bound).size() == \
+        1 + sum(4 * n for n in range(1, bound + 1))

@@ -17,7 +17,7 @@ from distlaw import (BoundTooLarge, Carrier, CompositeMonad, DistLaw, Distributi
                      check_yang_baxter, compose_series, composition_series,
                      derive_block_law, enum_stack, free_ncat, load_gset, normalize_expr,
                      parse_expr, parse_route, validate_series)
-from distlaw.checks import _same, compare, compare_all
+from distlaw.checks import _same, compare_all
 from distlaw.cli import main
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
@@ -26,8 +26,8 @@ from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_S
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
 from distlaw.series import compare_routes
 
-from oracles import (compare_by_section, compare_routes_by_section, gen_count,
-                     monad_laws_by_section, naturality_by_section)
+from oracles import (compare_routes_by_section, gen_count, monad_laws_by_section,
+                     run_by_section)
 from test_monads import BrokenFreeMonoid
 
 X1 = Carrier.of_size(1)
@@ -539,9 +539,8 @@ def test_one_pass_reports_match_the_section_by_section_loops(monkeypatch, chain_
                 + [check_monad_naturality(m, X2, 2) for m in ZOO.values()])
 
     one_pass = reports() + [check_monad_laws(m, X2, 3) for m in monads]
-    monkeypatch.setattr(distlaw.series, "compare", compare_by_section)
-    monkeypatch.setattr(distlaw.series, "_naturality", naturality_by_section)
-    monkeypatch.setattr(distlaw.checks, "_naturality", naturality_by_section)
+    monkeypatch.setattr(distlaw.series, "run", run_by_section)
+    monkeypatch.setattr(distlaw.checks, "run", run_by_section)
     by_section = reports() + [monad_laws_by_section(m, X2, 3) for m in monads]
     assert [_report_shape(r) for r in one_pass] == [_report_shape(r) for r in by_section]
     # the nine laws are natural; the law that drops summands with b is seen not to be
@@ -601,7 +600,7 @@ def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch, thre
     _no_child_is_left()
     # one raising leg, in the process that keeps input 0
     with pytest.raises(ZeroDivisionError):
-        compare("one", range(1000), lambda t: 1 // (t - 300), _same)
+        compare_all(range(1000), [("one", lambda t: 1 // (t - 300), _same)])
     _no_child_is_left()
 
 
@@ -609,7 +608,7 @@ def test_a_worker_never_splits_again(monkeypatch, three_cpus):
     """Each of three processes keeps every third input; only this one may fork."""
     import distlaw.checks
     monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
-    report = compare("shares", range(10), lambda t: distlaw.checks._shares(), lambda t: 1)
+    report, = compare_all(range(10), [("shares", lambda t: distlaw.checks._shares(), lambda t: 1)])
     assert report.checked == 10
     assert [w.input for w in report.witnesses] == [0, 3, 6, 9]
     assert {w.left for w in report.witnesses} == {3}
@@ -650,7 +649,7 @@ def test_a_split_stream_forks_before_its_first_leg_call(monkeypatch, three_cpus)
     forks = _failing_fork(monkeypatch, 0)  # counts, never fails
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        report = compare("pids", range(9000), here, lambda t: None)
+        report, = compare_all(range(9000), [("pids", here, lambda t: None)])
     assert len(forks) == 2 and report.checked == 9000
     assert seen == list(range(0, 9000, 3))
     pids = {}
@@ -885,7 +884,7 @@ def test_the_collector_ends_in_the_state_it_began_in(monkeypatch, build, raised,
 
 @pytest.mark.usefixtures("collector")
 def test_the_collector_is_paused_in_every_compare_all_process(split_after):
-    report = compare("collector", range(12), lambda t: gc.isenabled(), lambda t: False)
+    report, = compare_all(range(12), [("collector", lambda t: gc.isenabled(), lambda t: False)])
     assert report.passed and report.checked == 12
     assert gc.isenabled()
     _no_child_is_left()

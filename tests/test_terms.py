@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from distlaw import Carrier, Gen, Inj, IntComb, MSet, ONE, Seq, ZERO
 from distlaw.errors import UnknownGenerator
 from distlaw.globular import GenCell, StringCell
-from distlaw.terms import Keyed, functions_between, weight
+from distlaw.terms import Keyed, weight
 
-from oracles import reference_normal_form
+from oracles import functions_between, reference_normal_form
 
 a, b, c = Gen("a"), Gen("b"), Gen("c")
 
