@@ -12,7 +12,8 @@ the carrier (``carrier.maps()``), and it fills one section per map.
 import os
 from collections import namedtuple
 from functools import cache, partial
-from itertools import groupby
+from itertools import chain, groupby, islice
+from math import ceil, inf
 from operator import itemgetter
 
 from .errors import DistlawError, ShapeMismatch, _OutOfTable
@@ -98,21 +99,21 @@ def compare_all(inputs, sections):
 
     A long stream is shared among the CPUs this process may use.  It is
     long when the inputs before its last would make at least
-    ``SPLIT_AFTER_CALLS`` leg calls; ``inputs`` tells its size, as a
-    ``monads.Stream`` or a sized iterable, before any leg runs, counted
-    only where there are CPUs to share and only until it is long, and a
-    stream of no known size is not shared.  A long stream forks one
-    worker per extra CPU before its first input, and each process, this
-    one included, checks every W-th input from its own position on, with
-    its own tables; from a ``Stream`` it builds only those inputs, and
-    walks past the others.  The workers send back their counts and their
-    witnesses with their stream positions, and the reports are exactly
-    the serial ones; an error that is not a package error is raised as
-    the serial loop would raise it, at the earliest input.  The loop
-    stays in one process inside a worker, without ``os.fork`` or
-    ``os.sched_getaffinity``, on one CPU, beside a second thread, or when
-    a pipe or a fork fails.  The loop runs with the cyclic collector
-    paused (``terms.collector_paused``), and the workers inherit the pause.
+    ``SPLIT_AFTER_CALLS`` leg calls: where there are CPUs to share, the
+    loop first takes that many inputs and one more off ``inputs``, any
+    iterable or, unbuilt, the raw walks of a ``monads.Stream``, and puts
+    them back in front.  A long stream forks one worker per extra CPU
+    before its first input, and each process, this one included, checks
+    every W-th input from its own position on, with its own tables; from
+    a ``Stream`` it builds only those inputs, and walks past the others.
+    The workers send back their counts and their witnesses with their
+    stream positions, and the reports are exactly the serial ones; an
+    error that is not a package error is raised as the serial loop would
+    raise it, at the earliest input.  The loop stays in one process
+    inside a worker, without ``os.fork`` or ``os.sched_getaffinity``, on
+    one CPU, beside a second thread, or when a pipe or a fork fails.  The
+    loop runs with the cyclic collector paused
+    (``terms.collector_paused``), and the workers inherit the pause.
     """
     walk = _Walk(inputs, sections)
     if not ((shares := _shares()) > 1 and walk.long() and walk.split(shares)):
@@ -143,6 +144,12 @@ def _shares():
     return len(os.sched_getaffinity(0)) if threads == 1 else 1
 
 
+def _raising(exc):
+    """Walks that raise ``exc`` when the first is asked for."""
+    raise exc
+    yield
+
+
 class _Walk:
     """One ``compare_all`` loop: its legs, its rows, its input stream,
     and the witnesses found so far, each with its position."""
@@ -151,18 +158,25 @@ class _Walk:
         self.legs = list(dict.fromkeys(leg for _, *pair in sections for leg in pair))
         self.rows = [(check_id, self.legs.index(left), self.legs.index(right), [])
                      for check_id, left, right in sections]
-        if not isinstance(inputs, Stream):
-            size = getattr(inputs, "__len__", None)
-            inputs = Stream(inputs, None, size and (lambda enough=None: size()))
-        self.inputs = inputs
+        self.inputs = inputs if isinstance(inputs, Stream) else Stream(inputs)
         self.pos = 0  # the position of the input being read; an error's position
         self.checked = 0
 
     def long(self):
         """Whether the stream is shared: the inputs before its last make at
-        least ``SPLIT_AFTER_CALLS`` leg calls."""
+        least ``SPLIT_AFTER_CALLS`` leg calls.  The raw walks that tell are
+        taken unbuilt and put back in front; an error met while taking them
+        is raised after the walks before it, as the serial loop raises it."""
         enough = SPLIT_AFTER_CALLS / max(len(self.legs), 1) + 1
-        return self.inputs.size is not None and self.inputs.size(enough) >= enough
+        if enough == inf:
+            return False
+        head, walks = [], self.inputs.walks
+        try:
+            head.extend(islice(walks, ceil(enough)))
+        except Exception as exc:
+            walks = _raising(exc)
+        self.inputs.walks = chain(head, walks)
+        return len(head) >= enough
 
     def run(self, share=0, shares=1):
         """Check the inputs at positions ``share`` mod ``shares``, to the end of the stream."""
@@ -200,7 +214,7 @@ class _Walk:
         """Run the stream in ``shares`` processes, this one and
         forked workers, merge what they find in stream order, and return
         True.  If a pipe or a fork fails, kill the workers forked so far
-        and return False: the stream is unread, so it can run on here."""
+        and return False: no input is checked yet, so the stream can run on here."""
         import pickle
         import signal
         parent, pids, readers, errors = os.getpid(), [], [], []

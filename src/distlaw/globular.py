@@ -108,7 +108,9 @@ class StringCell(Cell):
                 keys.append(e._key)
                 hashes.append(e._hash)
             if entries:
-                assert anchor is None
+                if anchor is not None:
+                    raise ShapeMismatch(f"a nonempty string along {along} takes no anchor,"
+                                        f" got {anchor}")
                 keys = tuple(keys)
             elif anchor is None or anchor.dim != along:
                 raise ShapeMismatch(f"empty string along {along} needs an anchor of that dimension")
@@ -137,7 +139,8 @@ class StringCell(Cell):
 
 def boundary(cell, side, d):
     """Iterated boundary down to dimension ``d``, below the cell's own, face by kept face."""
-    assert side in ("src", "tgt")
+    if side not in ("src", "tgt"):
+        raise ShapeMismatch(f"a boundary side is 'src' or 'tgt', not {side!r}")
     if not isinstance(cell, Cell):
         raise ShapeMismatch(f"not a cell: {cell!r}")
     if not 0 <= d < cell.dim:
@@ -153,7 +156,8 @@ class GlobularSet:
 
     def __init__(self, n, cells):
         cells = [tuple(layer) for layer in cells]
-        assert len(cells) == n + 1
+        if len(cells) != n + 1:
+            raise ShapeMismatch(f"a {n}-globular set has {n + 1} cell layers, got {len(cells)}")
         for m, layer in enumerate(cells):
             below = set(cells[m - 1]) if m and any(type(c) is GenCell for c in layer) else None
             for cell in layer:
@@ -335,8 +339,7 @@ class CompositionMonad(MonadSpec):
         return GlobularSet(self.n, layers)
 
     def stream(self, domain, bound):
-        cells = self.apply(domain, bound)
-        return Stream(cells, None, lambda enough=None: sum(cells.counts()))
+        return Stream(self.apply(domain, bound))
 
 
 def interchange_law(cell, i, j):

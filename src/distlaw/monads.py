@@ -22,20 +22,14 @@ are not sorted afterwards.  Each walk counts against ``ENUM_CEILING``
 as it is yielded, so ``_stream_stack``, which generates a stack's top
 layer as a diagram reads it, stops at the ceiling mid-check.
 
-Each monad gives its normal forms as a ``Stream``: raw walks, a
-``build`` that makes a normal form of one, and the number of forms,
-which words, multisets and combinations count from the weights of the
-domain without walking (``_count``), cheapest first, and a listed layer
-from its list.  So a diagram can share a stream's positions among
-processes before it reads any, and build only the forms it checks.
+Each monad gives its normal forms as a ``Stream``: raw walks and a
+``build`` that makes a normal form of one.  So a diagram can read a
+stream's first walks unbuilt, to decide whether to share its positions
+among processes, and build only the forms it checks.
 """
 
-import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from functools import partial
 from itertools import chain, islice
-from math import comb, inf
 from operator import itemgetter
 
 from .errors import BoundTooLarge, ShapeMismatch
@@ -51,19 +45,19 @@ def _by_weight(terms):
 
 
 class Stream:
-    """A layer of normal forms, generated as it is read, and its size.
+    """A layer of normal forms, generated as it is read.
 
     ``walks`` yields one raw value per form, in enumeration order, and
     ``build`` makes the form of one (``None``: the value is the form).
     The stream is its own iterator over the forms and holds none it has
-    yielded.  ``size(enough=inf)`` counts the forms without walking, also
-    past ``ENUM_CEILING``, and may stop at any count of at least ``enough``.
+    yielded; a reader may take walks off ``walks`` unbuilt and put them
+    back in front.
     """
 
-    __slots__ = ("walks", "build", "size")
+    __slots__ = ("walks", "build")
 
-    def __init__(self, walks, build, size):
-        self.walks, self.build, self.size = iter(walks), build, size
+    def __init__(self, walks, build=None):
+        self.walks, self.build = iter(walks), build
 
     def __iter__(self):
         return self
@@ -77,11 +71,6 @@ class Stream:
         walks between them are taken and dropped unbuilt."""
         raws = self.walks if shares == 1 else islice(self.walks, share, None, shares)
         return raws if self.build is None else map(self.build, raws)
-
-
-def _listed(forms):
-    """A ``Stream`` of a layer already listed, sized by its list."""
-    return Stream(forms, None, lambda enough=None: len(forms))
 
 
 class MonadSpec:
@@ -159,53 +148,23 @@ def _walks(starts, onward, bound, what, dearest):
         idle = 0 if built > before else idle + 1
 
 
-def _count(costs, bound, kind, extra, enough=inf):
-    """How many walks ``_walks`` yields over elements of the given costs
-    within ``bound``, plus ``extra``, the forms emitted beside the walks;
-    or, once that count reaches ``enough``, the count so far.
-
-    The walks of each total cost are counted by a coefficient of the
-    generating function of the ``kind`` of walk, over the histogram of
-    the costs (Flajolet & Sedgewick, *Analytic Combinatorics*, ch. I):
-    words ``1 / (1 - A(x))``, where ``A`` has ``a_w`` terms ``x^w``;
-    multisets ``prod (1 - x^w)^-a_w``; combinations, whose elements take
-    any nonzero coefficient, ``prod ((1 + x^w) / (1 - x^w))^a_w``, in
-    order of cost, a product's factor by factor.  The count of the
-    words of one cost stops at ``sys.maxsize``, so that
-    words at a large bound, whose number grows exponentially with it,
-    make no huge integers; no stream that size could be walked.
-    """
-    weights = sorted(Counter(w for w in costs if w <= bound).items())
-    # products[i]: the coefficients so far of the product of the first i
-    # factors; a factor is 1 below its weight, where it joins
-    total, products = extra - 1, [[]]  # x^0 counts the empty walk, which is no walk
-    for n in range(bound + 1):
-        if kind == "words":
-            products[0].append(min(sum(a * products[0][n - w] for w, a in weights if w <= n),
-                                   sys.maxsize) if n else 1)
-        else:
-            products[0].append(int(n == 0))
-            if len(products) <= len(weights) and weights[len(products) - 1][0] == n:
-                products.append(products[-1][:n])
-            for (w, a), below, this in zip(weights, products, products[1:]):
-                ks = range(1, min(a, n // w) + 1)  # times (1 + x^w)^a, then over (1 - x^w)^a
-                up = sum(comb(a, k) * below[n - k * w] for k in ks) if kind == "combinations" else 0
-                down = sum((-1) ** k * comb(a, k) * this[n - k * w] for k in ks)
-                this.append(below[n] + up - down)
-        total += products[-1][n]
-        if total >= enough:
-            break
-    return total
-
-
 def _fits(steps, bound):
     """The key-ordered ``(step, cost)`` pairs that cost at most a budget, as a
-    function of the budget, and the dearest cost within ``bound``; the lists
-    are kept per budget up to that cost, past which they do not change."""
+    function of the budget, and the dearest cost within ``bound``; each
+    budget's list is made when it is first asked for and kept, up to that
+    cost, past which the lists do not change."""
     steps = [s for s in steps if s[1] <= bound]
     dearest = max((cost for _, cost in steps), default=0)
-    rows = [[s for s in steps if s[1] <= r] for r in range(dearest + 1)]
-    return (lambda r: rows[min(r, dearest)]), dearest
+    rows = [None] * (dearest + 1)
+
+    def fits(r):
+        r = r if r < dearest else dearest
+        row = rows[r]
+        if row is None:
+            row = rows[r] = [s for s in steps if s[1] <= r]
+        return row
+
+    return fits, dearest
 
 
 class FreeCollection(MonadSpec):
@@ -251,9 +210,7 @@ class FreeMonoid(FreeCollection):
         steps = [(x, weight(x)) for x in sorted(domain, key=_KEY)]
         fits, dearest = _fits(steps, bound)
         walks = _walks(fits, lambda x, r: fits(r), bound, self.name, dearest)
-        extra = 1 - self.nonempty
-        return Stream(chain([()] * extra, walks), Seq,
-                      partial(_count, [w for _, w in steps], bound, "words", extra))
+        return Stream(chain([()] * (1 - self.nonempty), walks), Seq)
 
 
 class FreeSemigroup(FreeMonoid):
@@ -273,17 +230,15 @@ class FreeCommutativeMonoid(FreeCollection):
         """Walks over the positions of the key-sorted domain that never step back."""
         _check_bound(bound)
         domain = sorted(domain, key=_KEY)
-        costs = [weight(x) for x in domain]
-        fits, dearest = _fits(list(enumerate(costs)), bound)
+        fits, dearest = _fits(list(enumerate(map(weight, domain))), bound)
 
         def onward(k, r):
             row = fits(r)
             return row[bisect_left(row, k, key=_FIRST):]
 
         walks = _walks(fits, onward, bound, self.name, dearest)
-        extra = 1 - self.nonempty
-        return Stream(chain([()] * extra, walks), lambda walk: MSet([domain[k] for k in walk]),
-                      partial(_count, costs, bound, "multisets", extra))
+        return Stream(chain([()] * (1 - self.nonempty), walks),
+                      lambda walk: MSet([domain[k] for k in walk]))
 
 
 class FreeCommutativeSemigroup(FreeCommutativeMonoid):
@@ -325,8 +280,7 @@ class FreeAbelianGroup(MonadSpec):
         budget; a walk starts as if after position -1."""
         _check_bound(bound)
         domain = sorted(domain, key=_KEY)
-        costs = [weight(x) for x in domain]
-        fits, _ = _fits(list(enumerate(costs)), bound)
+        fits, _ = _fits(list(enumerate(map(weight, domain))), bound)
 
         def onward(step, r):
             row = fits(r)
@@ -335,8 +289,7 @@ class FreeAbelianGroup(MonadSpec):
 
         dearest = max((bound // w * w for _, w in fits(bound)), default=0)
         walks = _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest)
-        return Stream(chain([()], walks), lambda walk: IntComb([(domain[k], c) for k, c in walk]),
-                      partial(_count, costs, bound, "combinations", 1))
+        return Stream(chain([()], walks), lambda walk: IntComb([(domain[k], c) for k, c in walk]))
 
 
 class AdjoinConstant(MonadSpec):
@@ -369,7 +322,7 @@ class AdjoinConstant(MonadSpec):
         out = [Inj(x) for x in domain if weight(x) <= bound]
         out.append(self.constant)
         _guard(len(out), f"{self.name} at bound {bound}")
-        return _listed(_by_weight(out))
+        return Stream(_by_weight(out))
 
 
 class AdjoinUnit(AdjoinConstant):
@@ -398,7 +351,7 @@ class IdentityMonad(MonadSpec):
 
     def stream(self, domain, bound):
         _check_bound(bound)
-        return _listed(_by_weight(x for x in domain if weight(x) <= bound))
+        return Stream(_by_weight(x for x in domain if weight(x) <= bound))
 
 
 FREE_MONOID = FreeMonoid()
@@ -424,17 +377,14 @@ def enum_stack(monads, base, bound):
     below it with the same bound, so the result is every element of the
     composite within the weight bound.
     """
-    layer = list(base)
-    for monad in reversed(monads):
-        layer = monad.enumerate(layer, bound)
-    return layer
+    return list(_stream_stack(monads, base, bound))
 
 
 def _stream_stack(monads, base, bound):
     """``enum_stack`` as a ``Stream``: the inner layers listed, the outermost generated as read."""
     layer = list(base)
     if not monads:
-        return _listed(layer)
+        return Stream(layer)
     for monad in reversed(monads[1:]):
         layer = monad.enumerate(layer, bound)
     return monads[0].stream(layer, bound)

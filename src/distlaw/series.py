@@ -11,7 +11,6 @@ by bounded exhaustive evaluation.
 import ast
 from functools import cache, partial
 
-from . import monads
 from .checks import CheckReport, Row, check_monad_laws, run
 from .errors import IndexOrder, ShapeMismatch, SplitOutOfRange
 from .laws import DistLaw
@@ -287,8 +286,8 @@ def compare_routes(series, routes, carrier, bound):
     The inputs are all enumerated elements of the doubled composite
     within bound, generated once and never held: the first route's
     ``mult`` runs once on each and counts in every section.  A single
-    route compares nothing; its one ``single`` leaf counts the inputs
-    by the stream's size, without walking them below ``ENUM_CEILING``.
+    route compares nothing; its one ``single`` leaf counts the inputs'
+    raw walks, unbuilt.
 
     The per-check rule of ``check_distlaw``: each pair law's transform
     gets one table, shared by every route and every block law built
@@ -306,10 +305,7 @@ def compare_routes(series, routes, carrier, bound):
     doubled = series.monads + series.monads
     title = f"routes[{series.name}]"
     if len(routes) == 1:
-        inputs = _stream_stack(doubled, list(carrier), bound)
-        checked = inputs.size()
-        if checked > monads.ENUM_CEILING:  # past it the walk raises, as reading would
-            checked = sum(1 for _ in inputs)
+        checked = sum(1 for _ in _stream_stack(doubled, list(carrier), bound).walks)
         return CheckReport(title, sections=[CheckReport(f"{title}:single", checked=checked)])
     return CheckReport(title, sections=run([
         (f"{title}:{routes[0]}vs{r}".replace(" ", ""), doubled, composites[0].mult, composite.mult)

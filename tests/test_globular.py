@@ -134,6 +134,28 @@ def test_boundary_dimension_errors(parallel_2gset):
         boundary(al, "src", -1)
 
 
+def test_a_globular_set_short_of_a_layer_is_a_shape_mismatch():
+    x = GenCell("x", 0)
+    with pytest.raises(ShapeMismatch, match="^a 1-globular set has 2 cell layers, got 1$"):
+        GlobularSet(1, [[x]])
+    with pytest.raises(ShapeMismatch, match="^a 0-globular set has 1 cell layers, got 2$"):
+        GlobularSet(0, [[x], []])
+
+
+def test_a_nonempty_string_with_an_anchor_is_a_shape_mismatch(fg_graph):
+    v = cells_by_name(fg_graph, 0)
+    f = cells_by_name(fg_graph, 1)["f"]
+    with pytest.raises(ShapeMismatch, match="^a nonempty string along 0 takes no anchor, got v0$"):
+        StringCell(0, 1, (f,), anchor=v["v0"])
+
+
+def test_a_boundary_side_other_than_src_or_tgt_is_a_shape_mismatch(parallel_2gset):
+    al = cells_by_name(parallel_2gset, 2)["al"]
+    for side in ("source", "target", "", None):
+        with pytest.raises(ShapeMismatch, match="^a boundary side is 'src' or 'tgt', not "):
+            boundary(al, side, 1)
+
+
 @pytest.mark.parametrize("call", [
     lambda: boundary(Gen("a"), "src", 0),
     lambda: CompositionMonad(0, 1).enumerate([Gen("a")], 1),

@@ -1,23 +1,20 @@
-"""The one diagram runner, ``checks.run``, and the count that decides
-whether one of its streams is shared among CPUs."""
+"""The one diagram runner, ``checks.run``, and the walks it takes to
+decide whether one of its streams is shared among CPUs."""
 
 import ast
 import glob
 import os
 from functools import partial
-
-import pytest
+from itertools import islice
 
 import distlaw
 import distlaw.checks
-import distlaw.monads
-from distlaw import (Algebra, Carrier, Gen, GlobularSet, IntComb, Seq, all_routes,
+from distlaw import (Algebra, Carrier, Gen, GlobularSet, IntComb, MSet, Seq, all_routes,
                      check_algebra, check_distlaw, check_monad_laws, check_monad_naturality,
                      check_yang_baxter, composition_series)
 from distlaw.checks import Row, _same, _Walk, compare_all, run
 from distlaw.laws import LAW_UNIT_ABSORPTION
-from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_COMM_MONOID, FREE_MONOID,
-                            FREE_SEMIGROUP, Stream)
+from distlaw.monads import ADJOIN_UNIT, FREE_COMM_MONOID, FREE_MONOID, FREE_SEMIGROUP, Stream
 from distlaw.normalize import RIG_SERIES
 from distlaw.series import compare_routes
 
@@ -51,9 +48,12 @@ def _callers(name):
 def test_only_the_runner_reads_a_diagrams_inputs():
     """Every check hands its rows to ``checks.run``: nothing else calls the
     loop or streams a diagram's inputs, but for the single-route leaf of
-    ``compare_routes``, which counts its inputs and compares nothing."""
+    ``compare_routes``, which counts its inputs and compares nothing, and
+    ``enum_stack``, which lists a stack and which no check calls."""
     assert _callers("compare_all") == {("checks.py", "run"), ("checks.py", "compare")}
-    assert _callers("_stream_stack") == {("checks.py", "run"), ("series.py", "compare_routes")}
+    assert _callers("_stream_stack") == {("checks.py", "run"), ("series.py", "compare_routes"),
+                                         ("monads.py", "enum_stack")}
+    assert _callers("enum_stack") == set()
 
 
 def _shape(report):
@@ -127,44 +127,67 @@ def _weights_of_one_generators_multisets(bound):
     return [IntComb(())] + [IntComb(((a, k),)) for k in range(1, bound + 1)]
 
 
-def test_the_split_decision_counts_until_the_stream_is_long(monkeypatch):
+def _counted_walks(stream):
+    """The stream, its raw walks counted as they are taken, and the walks taken so far."""
+    taken = []
+
+    def walks(raw):
+        for walk in raw:
+            taken.append(walk)
+            yield walk
+
+    stream.walks = walks(stream.walks)
+    return stream, taken
+
+
+def _unbuilt(walk):
+    raise AssertionError("a walk was built")
+
+
+def test_the_stream_over_a_dear_domain_is_made_in_little_memory():
+    """Multisets over that domain at bound 3000: each budget's steps are
+    listed when a walk first asks for them, so making the stream lists
+    none of its 3,000 budgets."""
+    import tracemalloc
+    domain = _weights_of_one_generators_multisets(3000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        stream = FREE_COMM_MONOID.stream(domain, 3000)
+        made = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert made < 2 * 2 ** 20
+    assert next(stream) == MSet(())
+
+
+def test_the_split_decision_counts_until_the_stream_is_long():
     """Multisets over that domain at bound 3000 number in the huge
-    integers, and their exact count makes millions of coefficient steps;
-    whether a stream of them is long, for two legs, takes a few hundred."""
-    stream = FREE_COMM_MONOID.stream(_weights_of_one_generators_multisets(3000), 3000)
-    steps = []
-    binomial = distlaw.monads.comb
-
-    def counted(n, k):
-        steps.append((n, k))
-        return binomial(n, k)
-
-    monkeypatch.setattr(distlaw.monads, "comb", counted)
+    integers; whether a stream of them is long, for two legs, takes its
+    first 8192 / 2 + 1 raw walks, builds none, and puts them back in front."""
+    domain = _weights_of_one_generators_multisets(3000)
+    stream, taken = _counted_walks(FREE_COMM_MONOID.stream(domain, 3000))
+    build, stream.build = stream.build, _unbuilt
     assert _Walk(stream, [("s", _odd, _same)]).long()
-    assert 0 < len(steps) <= 500
-
-
-@pytest.mark.parametrize("monad", [FREE_MONOID, FREE_COMM_MONOID, FREE_ABELIAN_GROUP],
-                         ids=lambda m: m.name)
-def test_a_count_asked_for_enough_is_exact_below_it(monad):
-    for domain, bound in ((list(X2), 5), (_weights_of_one_generators_multisets(8), 8)):
-        stream = monad.stream(domain, bound)
-        exact = stream.size()
-        assert exact == len(monad.enumerate(domain, bound))
-        for enough in range(exact + 2):
-            assert min(exact, enough) <= stream.size(enough) <= exact
+    assert len(taken) == 4097
+    stream.build = build
+    assert list(islice(stream, 5000)) == list(islice(FREE_COMM_MONOID.stream(domain, 3000), 5000))
 
 
 def test_a_split_is_never_sized_on_one_cpu(monkeypatch):
-    """One CPU, or a worker, shares nothing, so it never counts a stream."""
-    def unasked(enough):
-        raise AssertionError("the stream was counted")
+    """One CPU, or a worker, shares nothing, so it takes no walk ahead of
+    its legs: its first leg runs after exactly one walk is taken."""
+    def first_leg(t):
+        seen.append(len(taken))
+        return t
 
     monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    report, = compare_all(Stream(range(5), None, unasked), [("one", _same, _same)])
-    assert report.checked == 5 and report.passed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(distlaw.checks, "_in_worker", True)
-    report, = compare_all(Stream(range(5), None, unasked), [("worker", _same, _same)])
-    assert report.checked == 5 and report.passed
+    for in_worker in (False, True):
+        monkeypatch.setattr(distlaw.checks, "_in_worker", in_worker)
+        stream, taken = _counted_walks(Stream(range(5)))
+        seen = []
+        report, = compare_all(stream, [("one", first_leg, _same)])
+        assert report.checked == 5 and report.passed
+        assert seen == [1, 2, 3, 4, 5]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -566,7 +566,8 @@ def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, three_cpus, c
     from distlaw.errors import BoundTooLarge
     monkeypatch.setattr(distlaw.monads, "ENUM_CEILING", ceiling)
     raised = []
-    for split_after in (math.inf, 0):
+    # at 8192 the walks taken to decide whether to split meet the ceiling themselves
+    for split_after in (math.inf, 0, 8192):
         monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", split_after)
         with warnings.catch_warnings():
             # from Python 3.12, os.fork warns when the process has a second thread
@@ -575,7 +576,7 @@ def test_a_split_stream_raises_the_serial_bound_error(monkeypatch, three_cpus, c
                 check()
         raised.append(str(info.value))
         _no_child_is_left()
-    assert raised[0] == raised[1]
+    assert raised[0] == raised[1] == raised[2]
 
 
 def _raising_at(position, error):
@@ -601,6 +602,19 @@ def test_a_split_stream_raises_the_error_of_the_earliest_input(monkeypatch, thre
     # one raising leg, in the process that keeps input 0
     with pytest.raises(ZeroDivisionError):
         compare_all(range(1000), [("one", lambda t: 1 // (t - 300), _same)])
+    _no_child_is_left()
+    # inputs that raise at 800, before the walks taken to decide whether to
+    # split are enough: the leg still raises first, at 700, as it does serially
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", 8192)
+
+    def raising_at_800():
+        for t in range(1000):
+            if t == 800:
+                raise BoundTooLarge("at 800")
+            yield t
+
+    with pytest.raises(ZeroDivisionError, match="at 700"):
+        compare_all(raising_at_800(), [("first", legs[0], legs[1]), ("second", legs[2], _same)])
     _no_child_is_left()
 
 
@@ -660,12 +674,36 @@ def test_a_split_stream_forks_before_its_first_leg_call(monkeypatch, three_cpus)
     _no_child_is_left()
 
 
+def test_a_stream_of_no_known_size_is_split(monkeypatch, three_cpus):
+    """A generator has no length: the inputs taken to decide whether to
+    split tell that it is long, and it forks two workers."""
+    import distlaw.checks
+
+    def inputs():
+        yield from range(9000)
+
+    sections = [("mod", lambda t: t % 7, lambda t: t % 5)]
+    forks = _failing_fork(monkeypatch, 0)  # counts, never fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        split, = compare_all(inputs(), sections)
+    assert len(forks) == 2
+    _no_child_is_left()
+    monkeypatch.setattr(distlaw.checks, "SPLIT_AFTER_CALLS", math.inf)
+    serial, = compare_all(inputs(), sections)
+    assert len(forks) == 2
+    assert _report_shape(split) == _report_shape(serial)
+    assert split.checked == 9000
+    assert [w.input for w in split.witnesses] == [t for t in range(9000) if t % 7 != t % 5]
+
+
 def test_a_split_worker_builds_only_its_own_share(three_cpus):
     """Each process builds the words at its own positions only: at
     position p it has built p // 3 + 1 of them, the other walks dropped
     unbuilt."""
     stream = _stream_stack([FREE_MONOID], list(X2), 12)
-    assert stream.size() == 2 ** 13 - 1
+    words = FREE_MONOID.enumerate(list(X2), 12)
+    assert len(words) == 2 ** 13 - 1
     built, build = [], stream.build
 
     def counted(walk):
@@ -677,7 +715,6 @@ def test_a_split_worker_builds_only_its_own_share(three_cpus):
         warnings.simplefilter("error", DeprecationWarning)
         report, = compare_all(stream, [("built", lambda t: len(built), lambda t: None)])
     assert report.checked == 2 ** 13 - 1
-    words = FREE_MONOID.enumerate(list(X2), 12)
     assert [w.input for w in report.witnesses] == words
     assert [w.left for w in report.witnesses] == [p // 3 + 1 for p in range(len(words))]
     assert len(built) == len(range(0, len(words), 3))
