@@ -31,10 +31,11 @@ unchanged.
 
 import json
 
+from . import monads  # its ``_guard`` read through the module, so a test can patch it
 from .errors import (ComposabilityError, DimensionError, FileFormatError,
                      IndexOrder, ShapeMismatch, RaggedGrid)
 from .laws import DistLaw
-from .monads import MonadSpec, Stream, _check_bound, _guard, _walks
+from .monads import MonadSpec, Stream, _check_bound
 from .series import DistributiveSeries, check_distlaw, check_yang_baxter
 from .terms import Keyed, collector_paused
 
@@ -316,9 +317,12 @@ class CompositionMonad(MonadSpec):
     def apply(self, carrier, bound):
         """The carrier's cells and, in each dimension above ``i``, the strings
         of length up to ``bound``: walks in the graph of the dimension's cells
-        and their ``i``-boundaries, kept as an n-globular set."""
+        and their ``i``-boundaries, kept as an n-globular set.  Each string of
+        length L+1 is made once, from one of length L and a successor of its
+        last cell, so they come by length, then in the lexicographic order of
+        the carrier's cells, and each counts against ``ENUM_CEILING`` as made."""
         _check_bound(bound)
-        i = self.i
+        i, what = self.i, f"{self.name} at bound {bound}"
         layers = [[] for _ in range(self.n + 1)]
         for cell in carrier:
             if not isinstance(cell, Cell):
@@ -329,12 +333,16 @@ class CompositionMonad(MonadSpec):
         for m in range(i + 1, self.n + 1):
             starting_at = {}
             for c in layers[m]:
-                starting_at.setdefault(boundary(c, "src", i), []).append((c, 1))
-            firsts = [(c, 1) for c in layers[m]]
+                starting_at.setdefault(boundary(c, "src", i), []).append(c)
             after = {c: starting_at.get(boundary(c, "tgt", i), ()) for c in layers[m]}
-            walks = _walks(lambda r: firsts, lambda c, r: after[c], bound, self.name, 1)
-            cells = [StringCell(i, m, (), a) for a in layers[i]]
-            cells.extend(StringCell(i, m, walk) for walk in walks)
+            cells, level = [StringCell(i, m, (), a) for a in layers[i]], [()]
+            while level and len(level[0]) < bound:
+                start = len(cells)
+                for entries in level:
+                    for c in after[entries[-1]] if entries else layers[m]:
+                        monads._guard(len(cells) - len(layers[i]) + 1, what)
+                        cells.append(StringCell(i, m, entries + (c,)))
+                level = [s.entries for s in cells[start:]]
             layers[m] = cells
         return GlobularSet(self.n, layers)
 
@@ -531,7 +539,7 @@ def _oracle_closure(gset, bound):
     def add(cell):
         if cell is not None and cell not in members[cell.dim]:
             members[cell.dim].add(cell)
-            _guard(len(members[cell.dim]), labels[cell.dim])
+            monads._guard(len(members[cell.dim]), labels[cell.dim])
             todo.append(cell)
 
     for cell in gset:
@@ -572,11 +580,11 @@ def composition_series(n):
     The law at each pair is interchange, so every route through the
     series composes the free strict n-category monad.
     """
-    monads = [CompositionMonad(d, n) for d in range(n)]
-    laws = {(p, q): DistLaw(f"interchange[{p - 1}over{q - 1}]", monads[p - 1], monads[q - 1],
+    along = [CompositionMonad(d, n) for d in range(n)]
+    laws = {(p, q): DistLaw(f"interchange[{p - 1}over{q - 1}]", along[p - 1], along[q - 1],
                             lambda c, i=p - 1, j=q - 1: interchange_law(c, i, j))
             for p in range(2, n + 1) for q in range(1, p)}
-    return DistributiveSeries(f"composition-{n}", monads, laws)
+    return DistributiveSeries(f"composition-{n}", along, laws)
 
 
 def check_globular_distlaw(s_dim, t_dim, transform, gset, bound, title=None):

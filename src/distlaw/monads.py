@@ -10,17 +10,16 @@ but are emitted at every bound, bound 0 included.  So for bounds of at
 least one an enumeration, and an ``enum_stack``, is a prefix of the one
 at the next bound.
 
-Words, multisets, integer combinations and the strings of cells of
-``globular`` all come from one bounded walk, ``_walks``, cheapest walks
-first and, within one cost, in lexicographic order of steps: a word is
-a walk that may step to any element, a multiset one that never steps
-back, a combination one of (element, coefficient) steps over strictly
-increasing elements, and a string of cells one whose next cell starts
-where the last ends.  Words, multisets and combinations list their
-steps in key order, so their walks come out in (weight, key) order and
-are not sorted afterwards.  Each walk counts against ``ENUM_CEILING``
-as it is yielded, so ``_stream_stack``, which generates a stack's top
-layer as a diagram reads it, stops at the ceiling mid-check.
+Words, multisets and integer combinations all come from one bounded
+walk, ``_walks``, cheapest walks first and, within one cost, in
+lexicographic order of steps: a word is a walk that may step to any
+element, a multiset one that never steps back, and a combination one of
+(element, coefficient) steps over strictly increasing elements.  Each
+lists its steps in key order, so its walks come out in (weight, key)
+order and are not sorted afterwards.  Each walk counts against
+``ENUM_CEILING`` as it is yielded, so ``_stream_stack``, which generates
+a stack's top layer as a diagram reads it, stops at the ceiling
+mid-check.
 
 Each monad gives its normal forms as a ``Stream``: raw walks and a
 ``build`` that makes a normal form of one.  So a diagram can read a
@@ -109,26 +108,23 @@ def _guard(count, what):
         raise BoundTooLarge(f"{what}: enumeration exceeds ceiling of {ENUM_CEILING} elements")
 
 
-def _walks(starts, onward, bound, what, dearest):
+def _walks(starts, onward, bound, what):
     """Every nonempty walk whose cost is at most ``bound``: cheapest first
     and, within one cost, in lexicographic order of steps.
 
     A walk is a tuple of steps: its first is one of ``starts(r)`` and each
     next one is one of ``onward(last, r)``, where ``r`` is the budget the
     walk has left.  Both list ``(step, cost)`` pairs in step order, only
-    those that cost at most ``r``.  Every step costs at least one and at
-    most ``dearest``.  Each exact cost is walked depth first, in turn.
-    Once ``dearest`` costs in a row have no walk, there is no costlier
-    walk, since it would have a prefix among them.  A walk counts
-    against ``ENUM_CEILING`` when it is yielded; past it the error names
-    ``what``, the monad walked, and the bound.
+    those that cost at most ``r``; every step costs at least one.  Each
+    exact cost is walked depth first, in turn, unless no step fits the
+    bound.  A walk counts against ``ENUM_CEILING`` when it is yielded;
+    past it the error names ``what``, the monad walked, and the bound.
     """
+    if next(iter(starts(bound)), None) is None:
+        return
     what = f"{what} at bound {bound}"
-    built = idle = 0
+    built = 0
     for total in range(1, bound + 1):
-        if idle >= dearest:
-            return
-        before = built
         walk = []
         stack = [(iter(starts(total)), total)]
         while stack:
@@ -145,14 +141,13 @@ def _walks(starts, onward, bound, what, dearest):
                 stack.pop()
                 if walk:
                     walk.pop()
-        idle = 0 if built > before else idle + 1
 
 
 def _fits(steps, bound):
     """The key-ordered ``(step, cost)`` pairs that cost at most a budget, as a
-    function of the budget, and the dearest cost within ``bound``; each
-    budget's list is made when it is first asked for and kept, up to that
-    cost, past which the lists do not change."""
+    function of the budget; each budget's list is made when it is first
+    asked for and kept, up to the dearest cost within ``bound``, past
+    which the lists do not change."""
     steps = [s for s in steps if s[1] <= bound]
     dearest = max((cost for _, cost in steps), default=0)
     rows = [None] * (dearest + 1)
@@ -164,7 +159,7 @@ def _fits(steps, bound):
             row = rows[r] = [s for s in steps if s[1] <= r]
         return row
 
-    return fits, dearest
+    return fits
 
 
 class FreeCollection(MonadSpec):
@@ -207,9 +202,8 @@ class FreeMonoid(FreeCollection):
 
     def stream(self, domain, bound):
         _check_bound(bound)
-        steps = [(x, weight(x)) for x in sorted(domain, key=_KEY)]
-        fits, dearest = _fits(steps, bound)
-        walks = _walks(fits, lambda x, r: fits(r), bound, self.name, dearest)
+        fits = _fits([(x, weight(x)) for x in sorted(domain, key=_KEY)], bound)
+        walks = _walks(fits, lambda x, r: fits(r), bound, self.name)
         return Stream(chain([()] * (1 - self.nonempty), walks), Seq)
 
 
@@ -230,13 +224,13 @@ class FreeCommutativeMonoid(FreeCollection):
         """Walks over the positions of the key-sorted domain that never step back."""
         _check_bound(bound)
         domain = sorted(domain, key=_KEY)
-        fits, dearest = _fits(list(enumerate(map(weight, domain))), bound)
+        fits = _fits(list(enumerate(map(weight, domain))), bound)
 
         def onward(k, r):
             row = fits(r)
             return row[bisect_left(row, k, key=_FIRST):]
 
-        walks = _walks(fits, onward, bound, self.name, dearest)
+        walks = _walks(fits, onward, bound, self.name)
         return Stream(chain([()] * (1 - self.nonempty), walks),
                       lambda walk: MSet([domain[k] for k in walk]))
 
@@ -280,15 +274,14 @@ class FreeAbelianGroup(MonadSpec):
         budget; a walk starts as if after position -1."""
         _check_bound(bound)
         domain = sorted(domain, key=_KEY)
-        fits, _ = _fits(list(enumerate(map(weight, domain))), bound)
+        fits = _fits(list(enumerate(map(weight, domain))), bound)
 
         def onward(step, r):
             row = fits(r)
             return (((k, c), abs(c) * w) for k, w in row[bisect_right(row, step[0], key=_FIRST):]
                     for c in range(-(r // w), r // w + 1) if c)
 
-        dearest = max((bound // w * w for _, w in fits(bound)), default=0)
-        walks = _walks(lambda r: onward((-1, 0), r), onward, bound, self.name, dearest)
+        walks = _walks(lambda r: onward((-1, 0), r), onward, bound, self.name)
         return Stream(chain([()], walks), lambda walk: IntComb([(domain[k], c) for k, c in walk]))
 
 

@@ -24,8 +24,8 @@ class CompositeMonad(MonadSpec):
     Multiplication pushes the middle S layer out through the law, then
     multiplies both layers; the unit is the composite of the units.
     ``mult`` reads the law's transform and the inner ``mult`` from
-    ``_swap`` and ``_inner_mult``, the plain maps unless a route check
-    memoises them (``_memoised``).
+    ``_swap`` and ``_inner_mult``: the plain maps, unless a route check
+    built the composite with its tables on (``_compose_route``).
     """
 
     def __init__(self, law):
@@ -191,7 +191,7 @@ def derive_block_law(series, split):
     n = len(series)
     if not 1 <= split < n:
         raise SplitOutOfRange(f"split must be in 1..{n - 1}, got {split}")
-    return _compose_route(series, (_left_comb(1, split), _left_comb(split + 1, n)))[0].law
+    return compose_series(series, (_left_comb(1, split), _left_comb(split + 1, n))).law
 
 
 def all_routes(n, lo=1):
@@ -224,30 +224,40 @@ def parse_route(text):
     return route
 
 
-def _compose_route(series, node):
-    """Composite monad of a route's blocks, with the first and last leaf it covers."""
+def _compose_route(series, node, table=None):
+    """Composite monad of a route's blocks, with the first and last leaf it covers.
+    Given a route check's ``table`` (``cache``), every level memoises its inner
+    ``mult`` and, if it joins more than two leaves, its block law's transform."""
     if type(node) is int:
         return series.monad(node), node, node
     if not (isinstance(node, tuple) and len(node) == 2):
         raise ShapeMismatch(f"route node {node!r} is neither a pair nor a leaf index")
     left, right = node
-    lmonad, la, lb = _compose_route(series, left)
-    rmonad, ra, rb = _compose_route(series, right)
+    lmonad, la, lb = _compose_route(series, left, table)
+    rmonad, ra, rb = _compose_route(series, right, table)
     if lb + 1 != ra:
         raise ShapeMismatch(f"route blocks {la}..{lb} and {ra}..{rb} are not adjacent")
-    if la == lb and ra == rb:
-        law = series.law(ra, la)
-    else:
-        law = DistLaw(
-            f"{series.name}-block({ra}..{rb})({la}..{lb})",
-            rmonad, lmonad,
-            _block_swap(series, right, left, rmonad, lmonad))
-    return CompositeMonad(law), la, rb
+    pair = la == lb and ra == rb
+    law = series.law(ra, la) if pair else DistLaw(
+        f"{series.name}-block({ra}..{rb})({la}..{lb})",
+        rmonad, lmonad,
+        _block_swap(series, right, left, rmonad, lmonad))
+    composite = CompositeMonad(law)
+    if table:
+        composite._inner_mult = table(composite._inner_mult)
+        if not pair:
+            composite._swap = table(law.transform)
+    return composite, la, rb
 
 
 def compose_series(series, route):
     """Composite monad of the whole series along the given bracketing."""
-    composite, first, last = _compose_route(series, route)
+    return _compose_whole(series, route)
+
+
+def _compose_whole(series, route, table=None):
+    """``compose_series``, with a route check's ``table`` (``_compose_route``)."""
+    composite, first, last = _compose_route(series, route, table)
     if (first, last) != (1, len(series)):
         raise ShapeMismatch(f"route covers {first}..{last}, not 1..{len(series)}")
     return composite
@@ -265,21 +275,6 @@ def check_route_independence(series, carrier, bound):
     return compare_routes(series, all_routes(len(series)), carrier, bound)
 
 
-def _memoised(composite):
-    """A copy of a composite that memoises, at every level, its inner
-    ``mult`` and, where it joins more than two leaves, its block law's
-    transform, in tables owned by the copy.  Two leaves swap by their
-    pair law, whose table ``compare_routes`` keeps."""
-    if not isinstance(composite, CompositeMonad):
-        return composite
-    copy = CompositeMonad(composite.law)
-    copy.outer, copy.inner = _memoised(composite.outer), _memoised(composite.inner)
-    if isinstance(composite.outer, CompositeMonad) or isinstance(composite.inner, CompositeMonad):
-        copy._swap = cache(composite.law.transform)
-    copy._inner_mult = cache(copy.inner.mult)
-    return copy
-
-
 def compare_routes(series, routes, carrier, bound):
     """The composite mult of each route against the first route's, pointwise.
 
@@ -291,17 +286,16 @@ def compare_routes(series, routes, carrier, bound):
 
     The per-check rule of ``check_distlaw``: each pair law's transform
     gets one table, shared by every route and every block law built
-    from it, and each route is evaluated through its own ``_memoised``
-    copy, with one table per block law and per inner ``mult``.  The
-    tables live for this call only; the composites of
-    ``compose_series`` keep their plain maps.
+    from it, and each route's composite is built with one table per
+    block law and per inner ``mult``.  The tables live for this call
+    only; the composites of ``compose_series`` keep their plain maps.
     """
     if not routes:
         raise ShapeMismatch(f"series {series.name}: no route to compare")
     shared = DistributiveSeries(series.name, series.monads, {
         pair: DistLaw(law.name, law.s_monad, law.t_monad, cache(law.transform))
         for pair, law in series.laws.items()})
-    composites = [_memoised(compose_series(shared, r)) for r in routes]
+    composites = [_compose_whole(shared, r, cache) for r in routes]
     doubled = series.monads + series.monads
     title = f"routes[{series.name}]"
     if len(routes) == 1:

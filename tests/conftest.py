@@ -114,3 +114,20 @@ def arrow_graph():
 @pytest.fixture
 def point_2gset():
     return globular_set_from_names(2, [["x"], [], []], [{}, {}], [{}, {}])
+
+
+def _loop_per_dimension(n):
+    """One object and one loop in each dimension up to ``n``, each on the one below."""
+    names = ["x", "e", "u", "t", "q", "r"][:n + 1]
+    faces = [{names[d]: names[d - 1]} for d in range(1, n + 1)]
+    return globular_set_from_names(n, [[name] for name in names], faces, faces)
+
+
+@pytest.fixture
+def loop_4gset():
+    return _loop_per_dimension(4)
+
+
+@pytest.fixture
+def loop_5gset():
+    return _loop_per_dimension(5)

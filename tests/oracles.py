@@ -24,7 +24,9 @@ they ran through ``compare_all``.  ``non_globular_cells`` checks the globular ax
 output through ``reference_boundary``.  ``reference_enumeration`` and
 ``reference_layers`` enumerate normal forms and strings of cells the
 plain way: a breadth-first walk, then, for terms, a sort by (weight,
-key).
+key).  ``string_counts`` counts strings of cells by the transfer-matrix
+method, and ``direct_normal_form`` expands an expression into its
+monomials and their coefficients with plain dicts.
 """
 
 import math
@@ -583,3 +585,74 @@ def reference_layers(monad, carrier, bound):
         layers[m] = ([StringCell(i, m, (), a) for a in layers[i]]
                      + [StringCell(i, m, walk) for walk in walks])
     return layers
+
+
+def _int_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def string_counts(carrier, i, m, bound):
+    """How many strings of ``m``-cells along ``i`` there are of each length
+    0..``bound``, by the transfer-matrix method (Stanley, *Enumerative
+    Combinatorics* I, section 4.7).
+
+    Take the graph whose vertices are the carrier's ``i``-cells and whose
+    edges are its ``m``-cells, each from its ``i``-source to its
+    ``i``-target (``reference_boundary``).  The strings of length ``L``
+    are its walks of ``L`` edges, so their number is the sum of the
+    entries of ``A**L``, ``A`` the adjacency matrix; at ``L = 0`` that
+    is one empty string per ``i``-cell.
+    """
+    vertices = {c: k for k, c in enumerate(c for c in carrier if c.dim == i)}
+    adjacency = [[0] * len(vertices) for _ in vertices]
+    for c in carrier:
+        if c.dim == m:
+            adjacency[vertices[reference_boundary(c, "src", i)]][
+                vertices[reference_boundary(c, "tgt", i)]] += 1
+    power = [[int(r == c) for c in range(len(vertices))] for r in range(len(vertices))]
+    counts = []
+    for _ in range(bound + 1):
+        counts.append(sum(map(sum, power)))
+        power = _int_mat_mul(power, adjacency)
+    return counts
+
+
+# per theory: whether its monomials commute, take signs, and add up
+_DIRECT = {"monoid": (False, False, False), "cmonoid": (True, False, False),
+           "ring2": (True, True, True), "ring3": (False, True, True),
+           "rig": (False, False, True)}
+
+
+def direct_normal_form(theory, node):
+    """An expression expanded into a dict from its monomials to their
+    nonzero coefficients, with none of the package's monads or laws.
+
+    A monomial is a tuple of generator names: a word, or a sorted tuple
+    where the theory commutes.  ring3 maps words and ring2 sorted tuples
+    to integers, rig maps words to positive counts (0 is the empty dict),
+    and monoid and cmonoid give one word or one sorted tuple, with
+    coefficient 1.  A node the theory lacks raises ``TypeError``.
+    """
+    commutative, signed, sums = _DIRECT[theory]
+
+    def expand(n):
+        if isinstance(n, Var):
+            return {(n.name,): 1}
+        if isinstance(n, IntLit) and (sums or n.value == 1):
+            return {(): n.value} if n.value else {}
+        if isinstance(n, Neg) and signed:
+            return {w: -c for w, c in expand(n.arg).items()}
+        out = {}
+        if isinstance(n, Add) and sums:
+            terms = [*expand(n.left).items(), *expand(n.right).items()]
+        elif isinstance(n, Mul):
+            terms = [(u + v, c * d) for (u, c), (v, d)
+                     in product(expand(n.left).items(), expand(n.right).items())]
+        else:
+            raise TypeError(f"{theory} has no {n!r}")
+        for w, c in terms:
+            w = tuple(sorted(w)) if commutative else w
+            out[w] = out.get(w, 0) + c
+        return {w: c for w, c in out.items() if c}
+
+    return expand(node)

@@ -12,9 +12,9 @@ from distlaw.errors import ParseError, UnknownGenerator, UnsupportedNode
 from distlaw.expr import Add, IntLit, Mul, Neg, Var
 from distlaw.terms import weight
 
-from oracles import (eval_expr_bool, eval_expr_matrix, eval_ring2_nf_matrix,
-                     eval_ring_nf_matrix, eval_rig_nf_bool, left_fold_product, mat_mul,
-                     random_expression, random_matrix)
+from oracles import (direct_normal_form, eval_expr_bool, eval_expr_matrix,
+                     eval_ring2_nf_matrix, eval_ring_nf_matrix, eval_rig_nf_bool,
+                     left_fold_product, mat_mul, random_expression, random_matrix)
 
 X = Carrier(("a", "b", "c", "d", "x", "y"))
 
@@ -337,3 +337,65 @@ def test_a_long_product_multiplies_operands_of_n_log_n_weight(theory, monkeypatc
     normal = normalize_expr(theory, reduce(Mul, [_a] * n))
     assert sum(operand_weight) <= n * (math.ceil(math.log2(n)) + 1)
     assert [(c, w.items) for c, w in THEORIES[theory].pieces(normal)] == [(1, (Gen("a"),) * n)]
+
+
+def _pieces(theory, normal):
+    """A normal form's ``format_normal`` pieces as a dict from monomials, tuples
+    of names (sorted where the theory commutes), to their coefficients."""
+    pieces = THEORIES[theory].pieces(normal)
+    commutative = theory in ("ring2", "cmonoid")
+    out = {}
+    for coeff, word in pieces:
+        names = tuple(g.name for g in word.items)
+        out[tuple(sorted(names)) if commutative else names] = coeff
+    assert len(out) == len(pieces) and all(coeff for coeff, _ in pieces)
+    return out
+
+
+def _assert_exact(theory, expr):
+    assert _pieces(theory, normalize_expr(theory, expr)) == direct_normal_form(theory, expr)
+
+
+def test_normal_forms_equal_the_direct_expansion_on_the_criteria_expressions():
+    """The 200 expressions of acceptance criteria 06 and 07, and those without
+    negation in the rig."""
+    rng = random.Random(2024)
+    expressions = [random_expression(rng, ["a", "b", "c"], 6) for _ in range(200)]
+    for expr in expressions:
+        for theory in ("ring2", "ring3"):
+            _assert_exact(theory, expr)
+        if not _uses_negation(expr):
+            _assert_exact("rig", expr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs, _rig_exprs)
+def test_normal_forms_equal_the_direct_expansion(expr, rig_expr):
+    for theory in ("ring2", "ring3"):
+        _assert_exact(theory, expr)
+    _assert_exact("rig", rig_expr)
+
+
+@pytest.mark.parametrize("theory", sorted(_PRODUCT_FACTORS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_equal_the_direct_expansion(theory, data):
+    _assert_exact(theory, reduce(Mul, data.draw(_factors(theory))))
+
+
+def test_a_hall_mutant_passes_the_matrix_oracle_and_fails_the_direct_one():
+    """2x2 matrices satisfy Hall's identity [[x,y]^2, z] = 0, so a ring3 normal
+    form off by the 8 words of [[a,b]^2, c] evaluates as the true one."""
+    expr = parse_expr("(a+b)*(c-a) + 2*b", X)
+    normal = normalize_expr("ring3", expr)
+    commutator_squared = (("abab", 1), ("abba", -1), ("baab", -1), ("baba", 1))
+    hall = [(Seq(tuple(map(Gen, w + "c"))), k) for w, k in commutator_squared]
+    hall += [(Seq(tuple(map(Gen, "c" + w))), -k) for w, k in commutator_squared]
+    mutant = IntComb(normal.pairs + tuple(hall))
+    assert len(mutant.pairs) == len(normal.pairs) + 8
+    rng = random.Random(37)
+    for _ in range(50):
+        assignment = {n: random_matrix(rng) for n in "abc"}
+        assert eval_expr_matrix(expr, assignment) == eval_ring_nf_matrix(mutant, assignment)
+    assert _pieces("ring3", normal) == direct_normal_form("ring3", expr)
+    assert _pieces("ring3", mutant) != direct_normal_form("ring3", expr)

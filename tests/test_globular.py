@@ -22,10 +22,10 @@ from distlaw.errors import (ComposabilityError, DimensionError, DistlawError,
                             ShapeMismatch)
 from distlaw.globular import (GenCell, _atomic_along, _compose_nested, _embed, _oracle_closure,
                               identity_at)
-from distlaw.terms import Gen
+from distlaw.terms import Gen, Keyed
 
 from oracles import (non_globular_cells, paste, reference_boundary, reference_layers,
-                     reference_string)
+                     reference_string, string_counts)
 
 
 def cells_by_name(gset, dim):
@@ -933,6 +933,89 @@ def test_string_enumeration_stops_at_the_ceiling(monkeypatch):
     assert len(walks) == 101
     # the identity on x, then one string per walk that fit under the ceiling
     assert len(built) == 1 + 100
+
+
+def _assert_counted(monad, carrier, bound):
+    """``monad.apply`` makes, in every dimension above its own, as many
+    strings of each length as the transfer matrix counts."""
+    cells = monad.apply(carrier, bound)
+    for m in range(monad.i + 1, monad.n + 1):
+        lengths = Counter(len(c.entries) for c in cells.cells_at(m))
+        counts = string_counts(carrier, monad.i, m, bound)
+        assert [lengths[length] for length in range(bound + 1)] == counts
+        assert sum(lengths.values()) == sum(counts)
+    return cells
+
+
+def _assert_strings_counted(gset, bound):
+    """Each composition monad on ``gset``, whose cells also come in the
+    breadth-first reference order, and, up to n = 3, along the chain
+    ``free_ncat`` applies (at n = 4 its last set holds 33,673 cells at bound 2)."""
+    monads = composition_series(gset.n).monads
+    for monad in monads:
+        cells = _assert_counted(monad, gset, bound)
+        assert [list(cells.cells_at(m)) for m in range(gset.n + 1)] == \
+            reference_layers(monad, gset, bound)
+    if gset.n <= 3:
+        for monad in reversed(monads):
+            gset = _assert_counted(monad, gset, bound)
+
+
+def test_strings_of_every_length_are_counted_by_the_transfer_matrix(
+        parallel_2gset, chain_2gset, loop_2gset, loop_set_2gset, swap_set_2gset,
+        two_object_2gset, theta_3gset, fg_graph, arrow_graph, point_2gset, loop_4gset,
+        loop_5gset):
+    for gset in (parallel_2gset, chain_2gset, loop_2gset, loop_set_2gset, swap_set_2gset,
+                 two_object_2gset, theta_3gset, fg_graph, arrow_graph, point_2gset,
+                 loop_4gset, loop_5gset):
+        for bound in range(4):
+            _assert_strings_counted(gset, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_2gsets(), tiny_3gsets())
+def test_strings_are_counted_by_the_transfer_matrix_on_random_sets(gset2, gset3):
+    for gset in (gset2, gset3):
+        for bound in range(4):
+            _assert_strings_counted(gset, bound)
+
+
+def test_the_series_of_four_and_five_dimensions_is_valid(loop_4gset, loop_5gset):
+    """Six interchange laws, four hexagons and five routes at n = 4; ten, ten
+    and fourteen at n = 5."""
+    for gset, instances, comparisons, inputs in ((loop_4gset, 3200, 4, 140),
+                                                 (loop_5gset, 5640, 13, 728)):
+        series = composition_series(gset.n)
+        report = validate_series(series, gset, 2)
+        assert report.passed and report.total_checked() == instances
+        routes = check_route_independence(series, gset, 1)
+        assert routes.passed and len(routes.sections) == comparisons
+        assert routes.total_checked() == inputs
+
+
+def _path(edges):
+    """A 1-globular set: a path of ``edges`` edges through ``edges + 1`` objects."""
+    names = [f"e{k}" for k in range(edges)]
+    return globular_set_from_names(
+        1, [[f"v{k}" for k in range(edges + 1)], names],
+        [{e: f"v{k}" for k, e in enumerate(names)}],
+        [{e: f"v{k + 1}" for k, e in enumerate(names)}])
+
+
+def test_each_string_is_made_once_from_a_shorter_one(monkeypatch):
+    """On a path, walking each length afresh re-walks every shorter prefix:
+    about n**3/6 steps, against one step per string."""
+    path = _path(60)
+    hashed = []
+    plain_hash = Keyed.__hash__
+    monkeypatch.setattr(Keyed, "__hash__", lambda t: hashed.append(t) or plain_hash(t))
+    cells = CompositionMonad(0, 1).apply(path, 10 ** 6)
+    monkeypatch.undo()
+    strings = len(cells.cells_at(1)) - 61
+    assert strings == 60 * 61 // 2
+    # one look-up of the last cell's successors per string, plus indexing the 60
+    # edges by their ends: 2,010 hashes; a walk of each length from scratch took 73,990
+    assert len(hashed) <= 2 * strings
 
 
 def test_equal_cells_hash_equal(parallel_2gset, chain_2gset, loop_2gset, loop_set_2gset,

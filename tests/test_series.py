@@ -20,7 +20,8 @@ from distlaw import (BoundTooLarge, Carrier, CompositeMonad, DistLaw, Distributi
 from distlaw.checks import _same, compare_all
 from distlaw.cli import main
 from distlaw.errors import IndexOrder, ShapeMismatch, SplitOutOfRange
-from distlaw.laws import LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM
+from distlaw.laws import (LAW_PRODUCT_OVER_SUM_WORDS, LAW_UNIT_ABSORPTION, LAW_ZERO_IN_SUM,
+                          move_constant_out)
 from distlaw.monads import (ADJOIN_UNIT, FREE_ABELIAN_GROUP, FREE_MONOID, FREE_SEMIGROUP,
                             IDENTITY, ZOO, _stream_stack)
 from distlaw.normalize import RIG_SERIES, RING2_SERIES, RING3_SERIES
@@ -350,6 +351,23 @@ def test_the_per_check_caches_change_no_report(monkeypatch, chain_2gset, theta_3
     assert len(routes[4].all_witnesses()) == 850
     # every true hexagon passes, over terms and over cells; both mutants fail theirs
     assert [r.passed for r in hexagons] == [True] * 6 + [False, False]
+
+
+def test_the_hexagons_choose_between_two_valid_laws_of_a_pair():
+    """The point absorbs: a valid law of the free semigroup over the adjoined
+    unit, but not ring3's.  Swapped in at (3,2), it passes its own diagrams
+    and route independence; only the hexagon (3,2,1) tells it apart."""
+    absorbing = DistLaw("unit-absorbing", FREE_SEMIGROUP, ADJOIN_UNIT,
+                        lambda t: move_constant_out(t, Seq, ONE, absorbing=True))
+    swapped = DistributiveSeries("ring3-absorbing", RING3_SERIES.monads,
+                                 {**RING3_SERIES.laws, (3, 2): absorbing})
+    assert check_distlaw(absorbing, X1, 3).passed and check_distlaw(absorbing, X2, 3).passed
+    for bound, inputs in ((2, 155), (3, 1781)):
+        routes = check_route_independence(swapped, X1, bound)
+        assert routes.passed and routes.total_checked() == inputs
+        report = validate_series(swapped, X1, bound)
+        failing = [s.title for s in report.sections if not s.passed]
+        assert failing == ["yang-baxter[ring3-absorbing](3,2,1)"]
 
 
 @pytest.mark.usefixtures("one_process")
